@@ -37,7 +37,9 @@ from .geometry import (
     Worldline,
     boost_matrix,
     collide,
+    collision_events,
     collision_schedule,
+    group_by_leaf,
     leaf_parameter,
     lorentz_gamma,
     rest_foliation,

@@ -13,23 +13,15 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
 from . import algebra, clusterkit, fileio
 from .errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
-from .geometry import Event, Foliation, Worldline
-from .narrative import (
-    Scenario,
-    evolve,
-    flip_rule,
-    free_rule,
-    narratability_report,
-    render_report,
-)
-from .quantum import overlap, singlet_product
+from .geometry import Foliation
+from .narrative import evolve, format_scalar, narratability_report, paint, render_report
+from .quantum import overlap
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -55,12 +47,6 @@ def _color_enabled() -> bool:
     return sys.stdout.isatty()
 
 
-def _fmt_scalar(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return f"{float(value):.12g}"
-
-
 def _fmt_amplitude(z: complex) -> str:
     if abs(z.imag) <= 1e-12:
         return f"{z.real:+.12g}"
@@ -76,31 +62,13 @@ def _write_overlap_csv(path, rows) -> None:
             fh.write(f"{foliation_id},{float(tau):.17g},{float(mag):.17g}\n")
 
 
+def _packaged_json(name: str):
+    return json.loads(resources.files("narratables").joinpath("data", name).read_text())
+
+
 def built_in_demo() -> fileio.ScenarioBundle:
-    """The crossing-singlets scenario, same data as data/demo_scenario.json."""
-    zero = Fraction(0)
-    half = Fraction(1, 2)
-    lines = (
-        Worldline(0, "s1", Event.of(0, -1, 0, 0), (zero, zero, zero)),
-        Worldline(1, "s2", Event.of(0, 1, 0, 0), (zero, zero, zero)),
-        Worldline(2, "s3", Event.of(0, -1, 2, 0), (zero, -half, zero)),
-        Worldline(3, "s4", Event.of(0, 1, 2, 0), (zero, -half, zero)),
-    )
-    scenario = Scenario(
-        name="two-singlet crossing",
-        worldlines=lines,
-        initial_state=singlet_product(4, [(0, 1), (2, 3)]),
-    )
-    foliations = [
-        Foliation((zero, zero, zero)),
-        Foliation((Fraction(3, 5), zero, zero)),
-        Foliation((zero, half, zero)),
-    ]
-    return fileio.ScenarioBundle(
-        scenario=scenario,
-        rules={"free": free_rule(), "flip": flip_rule()},
-        foliations=foliations,
-    )
+    """The crossing-singlets scenario of the packaged data/demo_scenario.json."""
+    return fileio.parse_scenario(_packaged_json("demo_scenario.json"), "builtin:demo")
 
 
 def cmd_demo_paper(args) -> int:
@@ -140,18 +108,18 @@ def cmd_simulate(args) -> int:
     foliation = _resolve_foliation(bundle, args.foliation)
     history = evolve(bundle.scenario, foliation, rule)
 
-    vel = ", ".join(_fmt_scalar(c) for c in foliation.velocity)
+    vel = ", ".join(format_scalar(c) for c in foliation.velocity)
     print(f"scenario: {bundle.scenario.name}")
     print(f"rule: {rule.name}")
-    print(f"foliation {args.foliation}: v = ({vel}), gamma = {_fmt_scalar(foliation.gamma)}")
+    print(f"foliation {args.foliation}: v = ({vel}), gamma = {format_scalar(foliation.gamma)}")
     print(f"collision leaves: {len(history.groups)}")
     for g in history.groups:
         pairs = ", ".join(f"({a},{b})" for a, b in g.pairs)
         events = ", ".join(
-            "(t={}, x={}, y={}, z={})".format(*(map(_fmt_scalar, e.coordinates())))
+            "(t={}, x={}, y={}, z={})".format(*(map(format_scalar, e.coordinates())))
             for _, e in g.collisions
         )
-        print(f"  tau = {_fmt_scalar(g.tau)}: pairs {pairs} at {events}")
+        print(f"  tau = {format_scalar(g.tau)}: pairs {pairs} at {events}")
     if history.inert_groups:
         print(f"inert crossings (identity unitary): {len(history.inert_groups)}")
     taus = history.breakpoints
@@ -160,11 +128,11 @@ def cmd_simulate(args) -> int:
         if not taus:
             span = "all tau"
         elif i == 0:
-            span = f"tau < {_fmt_scalar(taus[0])}"
+            span = f"tau < {format_scalar(taus[0])}"
         elif i == len(taus):
-            span = f"tau >= {_fmt_scalar(taus[-1])}"
+            span = f"tau >= {format_scalar(taus[-1])}"
         else:
-            span = f"{_fmt_scalar(taus[i - 1])} <= tau < {_fmt_scalar(taus[i])}"
+            span = f"{format_scalar(taus[i - 1])} <= tau < {format_scalar(taus[i])}"
         print(f"segment {i} ({span}):")
         for label, amp in segment.nonzero_terms():
             print(f"  |{label}> {_fmt_amplitude(amp)}")
@@ -199,9 +167,8 @@ def cmd_compare_frames(args) -> int:
 
 def _kernel_from_args(args) -> clusterkit.MomentumKernel:
     if args.builtin:
-        name = BUILTIN_KERNELS[args.builtin]
-        path = resources.files("narratables").joinpath("data", name)
-        return fileio.parse_kernel(json.loads(path.read_text()), f"builtin:{args.builtin}")
+        doc = _packaged_json(BUILTIN_KERNELS[args.builtin])
+        return fileio.parse_kernel(doc, f"builtin:{args.builtin}")
     if not args.kernel:
         raise ParseError("give a kernel file path or --builtin NAME")
     return fileio.load_kernel_file(args.kernel)
@@ -227,11 +194,9 @@ def cmd_cluster_check(args) -> int:
         for row in canonical.deltas:
             print(f"  {clusterkit.format_constraint(canonical, row)}")
 
-    def paint(text, code):
-        return f"\x1b[{code}m{text}\x1b[0m" if colorize else text
-
     if verdict.compliant:
-        print("verdict: " + paint("COMPLIANT", "32") + " (overall momentum conservation only)")
+        print("verdict: " + paint("COMPLIANT", "32", colorize)
+              + " (overall momentum conservation only)")
         return EXIT_OK
     if verdict.conserves_momentum:
         coeffs, support = verdict.witness
@@ -239,11 +204,11 @@ def cmd_cluster_check(args) -> int:
         subset = ", ".join(support)
         print(
             "verdict: "
-            + paint("VIOLATION", "31")
+            + paint("VIOLATION", "31", colorize)
             + f" (extra delta on proper subset {{{subset}}}: {constraint})"
         )
         return EXIT_VIOLATION
-    print("verdict: " + paint("NON-CONSERVING", "1;31")
+    print("verdict: " + paint("NON-CONSERVING", "1;31", colorize)
           + " (overall momentum conservation is absent)")
     return EXIT_NONCONSERVING
 
@@ -302,12 +267,7 @@ def _parse_times(text: str) -> list[float]:
 
 
 def cmd_algebra_same_history(args) -> int:
-    psi0 = fileio.load_vector_file(args.psi0)
-    norm = np.linalg.norm(psi0)
-    if norm == 0:
-        raise ParseError(f"{args.psi0}: zero vector")
-    if abs(norm - 1.0) > 1e-12:
-        psi0 = psi0 / norm
+    psi0 = fileio.normalize_vector(fileio.load_vector_file(args.psi0), args.psi0)
     same, samples = algebra.same_history_check(
         fileio.load_matrix_file(args.h0),
         fileio.load_matrix_file(args.va),
@@ -323,12 +283,7 @@ def cmd_algebra_same_history(args) -> int:
 
 def cmd_algebra_boost_check(args) -> int:
     w = fileio.load_matrix_file(args.w)
-    psi = fileio.load_vector_file(args.psi)
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise ParseError(f"{args.psi}: zero vector")
-    if abs(norm - 1.0) > 1e-12:
-        psi = psi / norm
+    psi = fileio.normalize_vector(fileio.load_vector_file(args.psi), args.psi)
     nontrivial = algebra.boost_nontriviality_check(w, psi)
     image = w @ psi
     residual = float(np.linalg.norm(image - np.vdot(psi, image) * psi))

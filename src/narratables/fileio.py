@@ -124,6 +124,16 @@ def parse_vector(doc, where: str) -> np.ndarray:
     )
 
 
+def normalize_vector(vec: np.ndarray, where: str) -> np.ndarray:
+    """`vec` at unit norm, divided only when off by > 1e-12 so round trips stay exact."""
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        _fail(where, "zero vector")
+    if abs(norm - 1.0) > 1e-12:
+        vec = vec / norm
+    return vec
+
+
 def load_matrix_file(path) -> np.ndarray:
     return parse_matrix(_load_json(path), str(path))
 
@@ -223,17 +233,12 @@ def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
     if not isinstance(doc, dict):
         _fail(where, "expected an object")
     if "amplitudes" in doc:
-        vec = parse_vector(doc["amplitudes"], f"{where}.amplitudes")
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            _fail(f"{where}.amplitudes", "zero vector")
-        if abs(norm - 1.0) > 1e-12:
-            # normalize only when needed so round trips stay bit-identical
-            vec = vec / norm
+        here = f"{where}.amplitudes"
+        vec = normalize_vector(parse_vector(doc["amplitudes"], here), here)
         try:
             return SpinState(n_slots, vec)
         except NarratablesError as exc:
-            raise ParseError(f"{where}.amplitudes: {exc}") from exc
+            raise ParseError(f"{here}: {exc}") from exc
     if "singlet_pairs" in doc:
         pairs = doc["singlet_pairs"]
         if not isinstance(pairs, list):

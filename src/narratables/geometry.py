@@ -47,18 +47,19 @@ def as_exact(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def as_scalar(value) -> Scalar:
-    """Coerce to Fraction where possible, keeping floats as floats."""
-    if isinstance(value, float):
-        return value
-    return as_exact(value)
-
-
 def _vector3(components, coerce) -> tuple:
     comps = tuple(coerce(c) for c in components)
     if len(comps) != 3:
         raise ValueError("expected a 3-vector")
     return comps
+
+
+def _velocity(components) -> tuple:
+    # all Fractions, or all floats as soon as one component is a float
+    vel = _vector3(components, lambda c: c if isinstance(c, float) else as_exact(c))
+    if any(isinstance(c, float) for c in vel):
+        vel = tuple(float(c) for c in vel)
+    return vel
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -170,9 +171,7 @@ class Boost:
     exact: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        vel = _vector3(self.velocity, as_scalar)
-        if any(isinstance(c, float) for c in vel):
-            vel = tuple(float(c) for c in vel)
+        vel = _velocity(self.velocity)
         object.__setattr__(self, "velocity", vel)
         gamma = lorentz_gamma(vel)
         exact = isinstance(gamma, Fraction) and all(
@@ -217,9 +216,7 @@ class Foliation:
     exact: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        vel = _vector3(self.velocity, as_scalar)
-        if any(isinstance(c, float) for c in vel):
-            vel = tuple(float(c) for c in vel)
+        vel = _velocity(self.velocity)
         object.__setattr__(self, "velocity", vel)
         object.__setattr__(self, "gamma", lorentz_gamma(vel))
         object.__setattr__(
@@ -286,27 +283,29 @@ class CollisionGroup:
         return tuple(pair for pair, _ in self.collisions)
 
 
-def collision_schedule(
-    worldlines: Sequence[Worldline], foliation: Foliation
-) -> list[CollisionGroup]:
-    """Pairwise collisions grouped by leaf, ordered by increasing tau.
+def collision_events(worldlines: Sequence[Worldline]) -> tuple:
+    """Every pairwise crossing as ((id_low, id_high), Event), sorted by pair;
+    the same in every frame.  Identical lines raise CoincidentWorldlines."""
+    lines = sorted(worldlines, key=lambda w: w.id)
+    if len({w.id for w in lines}) != len(lines):
+        raise ValueError("worldline ids must be unique")
+    events = []
+    for ai in range(len(lines)):
+        for bi in range(ai + 1, len(lines)):
+            event = collide(lines[ai], lines[bi])
+            if event is not None:
+                events.append(((lines[ai].id, lines[bi].id), event))
+    return tuple(events)
+
+
+def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
+    """Collision events grouped by leaf, ordered by increasing tau.
 
     Grouping is exact for rational foliation velocities; float velocities
     cluster cores within 1e-9 (with an ExactnessWarning).  A particle meeting
     two partners on one leaf raises OverlappingSimultaneousPairs.
     """
-    lines = sorted(worldlines, key=lambda w: w.id)
-    if len({w.id for w in lines}) != len(lines):
-        raise ValueError("worldline ids must be unique")
-    hits = []
-    for ai in range(len(lines)):
-        for bi in range(ai + 1, len(lines)):
-            event = collide(lines[ai], lines[bi])
-            if event is None:
-                continue
-            core = foliation.leaf_core(event)
-            hits.append((core, (lines[ai].id, lines[bi].id), event))
-
+    hits = [(foliation.leaf_core(event), pair, event) for pair, event in events]
     if foliation.exact:
         buckets: dict = {}
         order: list = []
@@ -345,3 +344,10 @@ def collision_schedule(
             CollisionGroup(core=core, tau=foliation.gamma * core, collisions=tuple(members))
         )
     return groups
+
+
+def collision_schedule(
+    worldlines: Sequence[Worldline], foliation: Foliation
+) -> list[CollisionGroup]:
+    """Pairwise collisions grouped by leaf, ordered by increasing tau."""
+    return group_by_leaf(collision_events(worldlines), foliation)

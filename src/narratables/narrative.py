@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CoincidentWorldlines, FoliationMismatch, LittleGroupWarning
-from .geometry import Foliation, Scalar, collision_schedule
+from .errors import FoliationMismatch, LittleGroupWarning
+from .geometry import Foliation, Scalar, collision_events, group_by_leaf
 from .quantum import (
     SpinState,
     TwoSlotUnitary,
@@ -40,6 +41,10 @@ REFOLIATION_NOTE = (
     "histories are re-foliated rather than actively boosted; the zero "
     "angular-momentum guard certifies trivial spin transport"
 )
+
+
+def _carries_spin(state: SpinState) -> bool:
+    return max(angular_momentum_norms(state)) > SPIN_GUARD_TOLERANCE
 
 
 def _pair_key(a: str, b: str) -> frozenset:
@@ -92,6 +97,8 @@ class Scenario:
     name: str
     worldlines: tuple
     initial_state: SpinState
+    # every crossing, found once; a foliation only groups them into leaves
+    events: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lines = tuple(sorted(self.worldlines, key=lambda w: w.id))
@@ -103,15 +110,12 @@ class Scenario:
             raise ValueError(
                 f"state has {self.initial_state.n_slots} slots for {len(lines)} worldlines"
             )
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                if (
-                    lines[i].velocity == lines[j].velocity
-                    and lines[i].base_point() == lines[j].base_point()
-                ):
-                    raise CoincidentWorldlines(
-                        f"worldlines {lines[i].id} and {lines[j].id} coincide"
-                    )
+        object.__setattr__(self, "events", collision_events(lines))
+
+    @cached_property
+    def has_initial_spin(self) -> bool:
+        """Whether the initial state carries nonzero total spin."""
+        return _carries_spin(self.initial_state)
 
     def species_of(self, slot: int) -> str:
         return self.worldlines[slot].species
@@ -151,20 +155,22 @@ class History:
 
 
 def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> History:
-    """Run the scenario leaf by leaf under one foliation and rule."""
-    if not foliation.is_rest:
-        if max(angular_momentum_norms(scenario.initial_state)) > SPIN_GUARD_TOLERANCE:
-            warnings.warn(
-                "initial state carries nonzero total spin; re-foliated history "
-                "ignores the boost's action on spins",
-                LittleGroupWarning,
-                stacklevel=2,
-            )
-    schedule = collision_schedule(scenario.worldlines, foliation)
+    """Run the scenario leaf by leaf under one foliation and rule.
+
+    Under a boost, LittleGroupWarning fires when the initial state carries
+    spin, or when a contact unitary that does not conserve spin leaves some."""
+    boosted = not foliation.is_rest
+    if boosted and scenario.has_initial_spin:
+        warnings.warn(
+            "initial state carries nonzero total spin; re-foliated history "
+            "ignores the boost's action on spins",
+            LittleGroupWarning,
+            stacklevel=2,
+        )
     identity = np.eye(4, dtype=complex)
     fired, inert = [], []
     segments = [scenario.initial_state]
-    for group in schedule:
+    for group in group_by_leaf(scenario.events, foliation):
         actions = []
         for (a, b), _event in group.collisions:
             u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
@@ -174,6 +180,15 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
             continue
         fired.append(group)
         segments.append(apply_group(segments[-1], actions))
+        culprits = [pair for u, pair in actions if not u.conserves_spin]
+        if boosted and culprits and _carries_spin(segments[-1]):
+            species = ", ".join("({}, {})".format(*map(scenario.species_of, p)) for p in culprits)
+            warnings.warn(
+                f"contact unitary for species {species} does not conserve spin; re-foliated "
+                f"history ignores the spin it leaves from tau = {format_scalar(group.tau)}",
+                LittleGroupWarning,
+                stacklevel=2,
+            )
     return History(
         foliation=foliation,
         groups=tuple(fired),
@@ -277,13 +292,15 @@ class NarratabilityReport:
         return rows
 
 
-def _fmt_scalar(value) -> str:
+def format_scalar(value) -> str:
+    """A Fraction as p/q, a float to 12 significant digits."""
     if isinstance(value, Fraction):
         return str(value)
     return f"{float(value):.12g}"
 
 
-def _paint(text: str, code: str, colorize: bool) -> str:
+def paint(text: str, code: str, colorize: bool) -> str:
+    """Wrap `text` in the ANSI color `code` when `colorize` is set."""
     return f"\x1b[{code}m{text}\x1b[0m" if colorize else text
 
 
@@ -296,27 +313,27 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         "",
     ]
     for v in report.verdicts:
-        vel = ", ".join(_fmt_scalar(c) for c in v.foliation.velocity)
+        vel = ", ".join(format_scalar(c) for c in v.foliation.velocity)
         lines.append(
             f"foliation {v.foliation_index}: v = ({vel}), "
-            f"gamma = {_fmt_scalar(v.foliation.gamma)}"
+            f"gamma = {format_scalar(v.foliation.gamma)}"
         )
         lines.append(f"  collision leaves: {len(v.groups)}")
         for g in v.groups:
             pairs = ", ".join(f"({a},{b})" for a, b in g.pairs)
-            lines.append(f"    tau = {_fmt_scalar(g.tau)}: pairs {pairs}")
+            lines.append(f"    tau = {format_scalar(g.tau)}: pairs {pairs}")
         c = v.comparison
         if c.equal:
             lines.append(
                 "  verdict: "
-                + _paint("EQUAL", "32", colorize)
+                + paint("EQUAL", "32", colorize)
                 + f" (min |overlap| = {c.min_overlap:.12g})"
             )
         else:
             lines.append(
                 "  verdict: "
-                + _paint("DIFFER", "31", colorize)
-                + f" at tau = {_fmt_scalar(c.witness_tau)},"
+                + paint("DIFFER", "31", colorize)
+                + f" at tau = {format_scalar(c.witness_tau)},"
                 + f" |overlap| = {c.witness_overlap:.12g}"
             )
     lines.append("")
@@ -325,7 +342,7 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         df = next(v.foliation_index for v in report.verdicts if not v.equal)
         lines.append(
             "summary: "
-            + _paint("NON_NARRATABLE", "1;31", colorize)
+            + paint("NON_NARRATABLE", "1;31", colorize)
             + f" (equal under foliation {eq}; differs under foliation {df})"
         )
     elif all(v.equal for v in report.verdicts):
@@ -358,7 +375,7 @@ def narratability_report(
                 foliation_index=idx,
                 foliation=fol,
                 # raw schedule: the crossings exist whichever rule fires them
-                groups=tuple(collision_schedule(scenario.worldlines, fol)),
+                groups=tuple(group_by_leaf(scenario.events, fol)),
                 comparison=compare_histories(ha, hb, tol),
             )
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -37,6 +38,9 @@ SINGLET_PAIR = np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# 2 (S_a + S_b) along x, y and z on an ordered slot pair
+_PAIR_SPIN = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in (PAULI_X, PAULI_Y, PAULI_Z)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +93,12 @@ class TwoSlotUnitary:
             raise NonUnitaryMatrix("matrix is not unitary within 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def conserves_spin(self) -> bool:
+        """[U, S_a + S_b] = 0 along x, y and z, within 1e-12."""
+        m = self.matrix
+        return all(np.max(np.abs(m @ s - s @ m)) <= NORM_TOLERANCE for s in _PAIR_SPIN)
 
 
 def swap_unitary() -> TwoSlotUnitary:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from narratables.errors import (
     CoincidentWorldlines,
@@ -22,6 +24,7 @@ from narratables.geometry import (
     Worldline,
     boost_matrix,
     collide,
+    collision_events,
     collision_schedule,
     leaf_parameter,
     lorentz_gamma,
@@ -344,3 +347,36 @@ def test_worldline_superluminal_rejected():
 
 def test_metric_diagonal_convention():
     assert METRIC_DIAGONAL == (1, -1, -1, -1)
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+SPEEDS = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=6)
+VELOCITIES = st.tuples(SPEEDS, SPEEDS, SPEEDS)
+
+
+@st.composite
+def crossing_scenarios(draw):
+    # pairs of lines through shared random events, so every draw has crossings
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        event = Event(*draw(st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS)))
+        first = draw(VELOCITIES)
+        second = draw(VELOCITIES.filter(lambda v: v != first))
+        for velocity in (first, second):
+            lines.append(Worldline(len(lines), f"s{len(lines)}", event, velocity))
+    return lines
+
+
+@settings(deadline=None)
+@given(crossing_scenarios(), VELOCITIES)
+def test_collision_events_are_frame_independent(lines, velocity):
+    foliation = Foliation(velocity)
+    try:
+        events = collision_events(lines)
+        groups = collision_schedule(lines, foliation)
+    except (CoincidentWorldlines, OverlappingSimultaneousPairs):
+        assume(False)  # an accidental extra crossing; not what is probed here
+    assert len(events) >= len(lines) // 2
+    flattened = [hit for g in groups for hit in g.collisions]
+    assert len(flattened) == len(events)
+    assert set(flattened) == set(events)

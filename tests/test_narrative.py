@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from narratables.errors import FoliationMismatch, LittleGroupWarning
+from narratables import geometry, narrative
+from narratables.cli import built_in_demo
+from narratables.errors import CoincidentWorldlines, FoliationMismatch, LittleGroupWarning
 from narratables.geometry import Event, Foliation, Worldline, rest_foliation
 from narratables.narrative import (
     REFOLIATION_NOTE,
@@ -22,6 +24,7 @@ from narratables.narrative import (
 )
 from narratables.quantum import (
     SpinState,
+    TwoSlotUnitary,
     apply_contact,
     equal_up_to_phase,
     singlet_product,
@@ -65,6 +68,9 @@ def test_scenario_validation():
             (lines[0], lines[2].__class__(1, "s3", lines[2].start, lines[2].velocity)),
             singlet_product(4, [(0, 1), (2, 3)]),
         )
+    twin = Worldline(1, "s2", lines[0].position_at(3), lines[0].velocity)  # line 0 again
+    with pytest.raises(CoincidentWorldlines, match="worldlines 0 and 1 coincide"):
+        Scenario("bad", (lines[0], twin), singlet_product(2, [(0, 1)]))
 
 
 def test_evolve_free_rule_is_inert():
@@ -264,6 +270,54 @@ def test_little_group_guard():
         warnings.simplefilter("error")
         evolve(spinning, rest_foliation(), flip_rule())  # rest frame: no guard
         evolve(demo_scenario(), X_BOOST, flip_rule())  # spin zero: no guard
+
+
+def test_little_group_guard_covers_non_conserving_contacts():
+    # a CZ contact does not commute with S_a + S_b: under the x boost the
+    # singlets pick up spin after each crossing, though the initial state has none
+    bundle = built_in_demo()
+    cz = InteractionRule("cz", default=TwoSlotUnitary(np.diag([1, 1, 1, -1])))
+    with pytest.warns(LittleGroupWarning) as caught:
+        evolve(bundle.scenario, X_BOOST, cz)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "(s2, s4)" in messages[0] and "tau = 17/4" in messages[0]
+    assert "(s1, s3)" in messages[1] and "tau = 23/4" in messages[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evolve(bundle.scenario, rest_foliation(), cz)  # rest frame: no guard
+        for fol in bundle.foliations:
+            evolve(bundle.scenario, fol, bundle.rules["flip"])  # swap conserves spin
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_report_finds_each_crossing_once(monkeypatch):
+    calls = _counting(monkeypatch, geometry, "collide")
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
+    narratability_report(demo_scenario(), free_rule(), flip_rule(), foliations)
+    assert sorted((a.id, b.id) for a, b in calls) == [
+        (i, j) for i in range(4) for j in range(i + 1, 4)
+    ]
+
+
+def test_spin_guard_runs_once_per_scenario(monkeypatch):
+    calls = _counting(monkeypatch, narrative, "angular_momentum_norms")
+    scenario = demo_scenario()
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
+    narratability_report(scenario, free_rule(), flip_rule(), foliations)
+    narratability_report(scenario, flip_rule(), free_rule(), foliations)
+    assert len(calls) == 1
 
 
 def test_free_rule_constant_everywhere():

@@ -284,3 +284,9 @@ def test_angular_momentum_norms():
     assert jz == pytest.approx(1.0)  # Jz eigenstate, eigenvalue +1
     assert jx == pytest.approx(np.sqrt(0.5))
     assert jy == pytest.approx(np.sqrt(0.5))
+
+
+def test_conserves_spin():
+    assert swap_unitary().conserves_spin
+    assert identity_unitary().conserves_spin
+    assert not TwoSlotUnitary(np.diag([1, 1, 1, -1])).conserves_spin  # CZ
