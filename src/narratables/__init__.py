@@ -83,6 +83,7 @@ from .algebra import (
     SplitSystem,
     WSolution,
     boost_nontriviality_check,
+    boost_residual,
     bracket_residuals,
     same_history_check,
     solve_W,

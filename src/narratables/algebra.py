@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NonHermitianInput, NotNormalized
 
@@ -262,9 +261,11 @@ def _phase_evolver(h: np.ndarray, label: str):
         warnings.warn(f"{label} is not Hermitian; falling back to "
                       "scaling-and-squaring matrix exponentials",
                       NonHermitianInput, stacklevel=3)
+        # scipy serves only this branch; importing it here keeps it out of start-up
+        from scipy.linalg import expm
 
         def evolve(t, psi0):
-            return scipy.linalg.expm(1j * t * h) @ psi0
+            return expm(1j * t * h) @ psi0
 
     return evolve
 
@@ -307,10 +308,8 @@ def same_history_check(
     return same, samples
 
 
-def boost_nontriviality_check(
-    w: np.ndarray, psi: np.ndarray, tol: float = NONTRIVIALITY_TOLERANCE
-) -> bool:
-    """True when W|psi> is not proportional to |psi> (the boost acts)."""
+def boost_residual(w: np.ndarray, psi: np.ndarray) -> float:
+    """Norm of the part of W|psi> orthogonal to the normalized state |psi>."""
     w = _as_matrix(w, "W")
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     if vec.shape[0] != w.shape[0]:
@@ -320,5 +319,11 @@ def boost_nontriviality_check(
     if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
         raise NotNormalized("psi must be normalized")
     image = w @ vec
-    projection = np.vdot(vec, image) * vec
-    return bool(np.linalg.norm(image - projection) > tol)
+    return float(np.linalg.norm(image - np.vdot(vec, image) * vec))
+
+
+def boost_nontriviality_check(
+    w: np.ndarray, psi: np.ndarray, tol: float = NONTRIVIALITY_TOLERANCE
+) -> bool:
+    """True when W|psi> is not proportional to |psi> (the boost acts)."""
+    return boost_residual(w, psi) > tol

@@ -4,13 +4,17 @@ A kernel records the product of momentum delta functions attached to an
 interaction with named incoming and outgoing slots.  Cluster decomposition
 requires the constraints to amount to overall momentum conservation and
 nothing more; any further delta ties a proper subset of the momenta and
-survives as a witness.  All arithmetic is exact over Fractions.
+survives as a witness.  All arithmetic is exact: rows are eliminated as
+primitive integer rows and reported as Fractions.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import NotConserving
@@ -59,49 +63,88 @@ class MomentumKernel:
     def slots(self) -> tuple:
         return self.out_slots + self.in_slots
 
+    @cached_property
+    def _elimination(self) -> tuple:
+        """(reduced basis, pivots, conserves, residual rows), reduced once per kernel."""
+        basis, pivots = _rref(self.deltas)
+        basis = tuple(tuple(row) for row in basis)
+        c = conservation_vector(self)
+        conserves = bool(basis) and _in_span(c, _echelon(basis, pivots))
+        residuals = tuple(_residual_rows(basis, c)) if conserves else ()
+        return basis, tuple(pivots), conserves, residuals
+
 
 def conservation_vector(kernel: MomentumKernel) -> tuple:
     """+1 on every outgoing slot, -1 on every incoming slot."""
     return tuple([Fraction(1)] * len(kernel.out_slots) + [Fraction(-1)] * len(kernel.in_slots))
 
 
+def _integer_row(row) -> list:
+    """The primitive integer multiple of a rational row (a zero row stays zero)."""
+    dens = [x.denominator for x in row]
+    scale = lcm(*dens)
+    ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _cancel(v: list, row: list, col: int) -> list:
+    """Integer combination of v and row that vanishes in column col, made primitive."""
+    g = gcd(v[col], row[col])
+    a, b = v[col] // g, row[col] // g
+    out = [b * x - a * y for x, y in zip(v, row)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list, list]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Gauss-Jordan over primitive integer rows by cross-multiplication, each
+    combination divided by its gcd; rows are divided by their pivots only at
+    the end.  The reduced form is unique, so the Fraction rows are exactly
+    those of a Fraction elimination.
+    """
+    m = [_integer_row(r) for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [inv * v for v in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i != r and m[i][c]:
+                m[i] = _cancel(m[i], m[r], c)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [m[i] for i in range(r)], pivots
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(m, pivots)], pivots
 
 
-def _reduce_against(vector, rref_rows, pivots) -> list:
-    v = list(vector)
-    for row, p in zip(rref_rows, pivots):
-        if v[p] != 0:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
+def _echelon(rref_rows, pivots) -> list:
+    """(pivot, integer row) pairs in pivot order, the form `_remainder` reduces against."""
+    return [(p, _integer_row(row)) for row, p in zip(rref_rows, pivots)]
+
+
+def _remainder(vector, echelon) -> list:
+    """Integer remainder of vector against echelon rows, each zero before its pivot.
+
+    Zero exactly when the vector lies in their span; otherwise its leading
+    column is a new pivot.
+    """
+    v = _integer_row(vector)
+    for p, row in echelon:
+        if v[p]:
+            v = _cancel(v, row, p)
     return v
 
 
-def _in_span(vector, rref_rows, pivots) -> bool:
-    return not any(_reduce_against(vector, rref_rows, pivots))
+def _in_span(vector, echelon) -> bool:
+    return not any(_remainder(vector, echelon))
 
 
 def _support(row) -> tuple:
@@ -112,16 +155,18 @@ def _residual_rows(basis, c) -> list:
     """Spanning complement of c inside the row space, rows in support order.
 
     Greedy over the reduced basis sorted by lexicographic support: keep a row
-    whenever it is independent of c together with the rows kept so far.  This
+    whenever it is independent of c together with the rows kept so far, each
+    candidate being reduced against a running echelon of that span.  This
     projects the conservation constraint out of the spanning role and leaves
     the residual constraints.
     """
+    echelon = [(0, _integer_row(c))]  # c is +-1 in every column
     kept: list = []
     for row in sorted(basis, key=_support):
-        candidate = [list(c)] + [list(k) for k in kept] + [list(row)]
-        rref_rows, _ = _rref(candidate)
-        if len(rref_rows) > len(kept) + 1:
+        rest = _remainder(row, echelon)
+        if any(rest):
             kept.append(row)
+            insort(echelon, (_support(rest)[0], rest))
     return kept
 
 
@@ -142,18 +187,12 @@ def analyze(kernel: MomentumKernel) -> ClusterVerdict:
     produce a witness constraint on a proper subset of the slots, chosen as
     the reduced basis row with lexicographically smallest support.
     """
-    basis, pivots = _rref(kernel.deltas)
+    basis, _, conserves, residuals = kernel._elimination
     rank = len(basis)
-    c = list(conservation_vector(kernel))
-    conserves = rank > 0 and _in_span(c, basis, pivots)
     compliant = conserves and rank == 1
     witness = None
     if not compliant and rank > 0:
-        if conserves:
-            residuals = _residual_rows(basis, c)
-            chosen = residuals[0]
-        else:
-            chosen = min(basis, key=_support)
+        chosen = residuals[0] if conserves else min(basis, key=_support)
         names = kernel.slots
         witness = (
             tuple(chosen),
@@ -173,18 +212,17 @@ def canonicalize(kernel: MomentumKernel) -> MomentumKernel:
     Requires a conserving kernel; the row space is verified unchanged by
     mutual containment under elimination.
     """
-    basis, pivots = _rref(kernel.deltas)
-    c = list(conservation_vector(kernel))
-    if not (basis and _in_span(c, basis, pivots)):
+    basis, pivots, conserves, residuals = kernel._elimination
+    if not conserves:
         raise NotConserving("kernel does not contain overall momentum conservation")
-    residuals = _residual_rows(basis, c)
-    new_rows = [tuple(c)] + [tuple(r) for r in residuals]
-    new_basis, new_pivots = _rref(new_rows)
+    new_rows = [conservation_vector(kernel)] + list(residuals)
+    new_basis = _echelon(*_rref(new_rows))
     for row in kernel.deltas:
-        if any(_reduce_against(row, new_basis, new_pivots)):
+        if not _in_span(row, new_basis):
             raise RuntimeError("canonical rows lost part of the row space")
+    old_basis = _echelon(basis, pivots)
     for row in new_rows:
-        if any(_reduce_against(row, basis, pivots)):
+        if not _in_span(row, old_basis):
             raise RuntimeError("canonical rows added to the row space")
     return MomentumKernel(
         in_slots=kernel.in_slots,

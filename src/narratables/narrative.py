@@ -159,18 +159,26 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
 
     Under a boost, LittleGroupWarning fires when the initial state carries
     spin, or when a contact unitary that does not conserve spin leaves some."""
+    return _evolve_groups(scenario, foliation, group_by_leaf(scenario.events, foliation), rule)
+
+
+def _evolve_groups(
+    scenario: Scenario, foliation: Foliation, groups: Sequence, rule: InteractionRule
+) -> History:
+    """`evolve` over the foliation's collision groups, already found; warnings
+    point at the caller of `evolve` or `narratability_report`."""
     boosted = not foliation.is_rest
     if boosted and scenario.has_initial_spin:
         warnings.warn(
             "initial state carries nonzero total spin; re-foliated history "
             "ignores the boost's action on spins",
             LittleGroupWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     identity = np.eye(4, dtype=complex)
     fired, inert = [], []
     segments = [scenario.initial_state]
-    for group in group_by_leaf(scenario.events, foliation):
+    for group in groups:
         actions = []
         for (a, b), _event in group.collisions:
             u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
@@ -187,7 +195,7 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
                 f"history ignores the spin it leaves from tau = {format_scalar(group.tau)}",
                 LittleGroupWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     return History(
         foliation=foliation,
@@ -368,14 +376,15 @@ def narratability_report(
         raise ValueError("need at least two foliations to probe narratability")
     verdicts = []
     for idx, fol in enumerate(foliations):
-        ha = evolve(scenario, fol, rule_a)
-        hb = evolve(scenario, fol, rule_b)
+        # raw schedule: the crossings exist whichever rule fires them
+        groups = tuple(group_by_leaf(scenario.events, fol))
+        ha = _evolve_groups(scenario, fol, groups, rule_a)
+        hb = _evolve_groups(scenario, fol, groups, rule_b)
         verdicts.append(
             FrameVerdict(
                 foliation_index=idx,
                 foliation=fol,
-                # raw schedule: the crossings exist whichever rule fires them
-                groups=tuple(group_by_leaf(scenario.events, fol)),
+                groups=groups,
                 comparison=compare_histories(ha, hb, tol),
             )
         )

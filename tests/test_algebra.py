@@ -8,6 +8,7 @@ from narratables.algebra import (
     SplitSystem,
     WSolution,
     boost_nontriviality_check,
+    boost_residual,
     bracket_residuals,
     commutator,
     hermiticity_defect,
@@ -368,10 +369,22 @@ def test_boost_nontriviality_check():
 
 
 def test_boost_check_input_validation():
-    with pytest.raises(NotNormalized):
-        boost_nontriviality_check(np.eye(2), np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        boost_nontriviality_check(np.eye(2), np.array([1.0, 0.0, 0.0]))
+    for check in (boost_nontriviality_check, boost_residual):
+        with pytest.raises(NotNormalized):
+            check(np.eye(2), np.array([1.0, 1.0]))
+        with pytest.raises(DimensionMismatch):
+            check(np.eye(2), np.array([1.0, 0.0, 0.0]))
+
+
+def test_boost_residual_is_the_orthogonal_part():
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert boost_residual(sigma_x, np.array([1.0, 0.0])) == 1.0
+    assert boost_residual(np.diag([2.0, 5.0]), np.array([0.0, 1.0])) == 0.0
+    psi = np.array([0.6, 0.8j])
+    image = sigma_x @ psi
+    expected = np.linalg.norm(image - np.vdot(psi, image) * psi)
+    assert boost_residual(sigma_x, psi) == pytest.approx(expected, abs=1e-15)
+    assert boost_nontriviality_check(sigma_x, psi) == (expected > 1e-9)
 
 
 def test_wsolution_obstructed_property():

@@ -8,13 +8,25 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import narratables
+from narratables import algebra
 from narratables.cli import built_in_demo, main
-from narratables.fileio import dump_scenario, load_scenario_file, write_scenario_file
+from narratables.errors import ExactnessWarning
+from narratables.fileio import (
+    dump_scenario,
+    load_scenario_file,
+    parse_matrix,
+    parse_vector,
+    write_scenario_file,
+)
 
 DEMO = str(resources.files("narratables").joinpath("data", "demo_scenario.json"))
 
@@ -192,6 +204,21 @@ def test_compare_frames_same_rule_agrees_everywhere():
     assert "summary: histories agree under every tested foliation" in out
 
 
+def test_float_foliation_warns_once_per_grouping(tmp_path):
+    with open(DEMO) as fh:
+        doc = json.load(fh)
+    doc["foliations"].append([0.6, 0, 0])
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli("compare-frames", str(path))
+    assert code == 0
+    messages = [str(w.message) for w in caught if issubclass(w.category, ExactnessWarning)]
+    assert sum("leaf ties grouped" in m for m in messages) == 1
+    assert sum("float velocity component" in m for m in messages) == 1
+
+
 # -- cluster-check ------------------------------------------------------------
 
 
@@ -317,6 +344,36 @@ def test_algebra_boost_check(tmp_path):
     code, _, err = run_cli("algebra", "boost-check", sx, bad)
     assert code == 4
     assert "zero vector" in err
+
+
+def test_boost_check_prints_the_algebra_residual(tmp_path):
+    w = [[0.1, 0.2, 0], [0.3, -1, [0, 0.5]], [0, 1, 2]]
+    psi = [1, [0, 1], 0.5]
+    code, out, _ = run_cli("algebra", "boost-check",
+                           write_json(tmp_path / "w.json", w),
+                           write_json(tmp_path / "psi.json", psi))
+    assert code == 0
+    vec = parse_vector(psi, "psi")
+    residual = algebra.boost_residual(parse_matrix(w, "w"), vec / np.linalg.norm(vec))
+    assert out == f"W acts nontrivially on psi: yes (residual norm = {residual:.12g})\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only the non-Hermitian fallback of same-history
+    probe = (
+        "import sys, numpy as np, narratables.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from narratables.algebra import same_history_check\n"
+        "same_history_check(np.eye(2), np.array([[0, 1], [0, 0]]), np.zeros((2, 2)),\n"
+        "                   np.array([1, 0]), [0.5])\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(narratables.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-W", "ignore", "-c", probe],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["False", "True"]
 
 
 # -- usage, color, determinism ------------------------------------------------

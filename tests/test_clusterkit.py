@@ -5,7 +5,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from narratables import clusterkit
 from narratables.clusterkit import (
     ClusterVerdict,
     MomentumKernel,
@@ -267,3 +270,144 @@ def test_canonical_row_space_unchanged_oracle():
         )
         assert canonical.deltas[0] == conservation_vector(kernel)
         checked += 1
+
+
+# -- the integer elimination against a plain Fraction one ---------------------
+
+
+def fraction_rref(rows):
+    """Textbook Gauss-Jordan over Fractions: (nonzero rows, pivot columns)."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        i = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        lead = m[r][col]
+        m[r] = [x / lead for x in m[r]]
+        for j in range(len(m)):
+            factor = m[j][col]
+            if j != r and factor != 0:
+                m[j] = [a - factor * b for a, b in zip(m[j], m[r])]
+        pivots.append(col)
+        r += 1
+    return m[:r], pivots
+
+
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.integers(-5, 5).map(F),
+    st.fractions(min_value=-10, max_value=10, max_denominator=60),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rows plus zero rows, copies and combinations of earlier rows."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(RATIONALS, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "copy", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([F(0)] * ncols)
+        elif kind == "copy":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(RATIONALS), draw(RATIONALS)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+@settings(deadline=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(rows):
+    got_rows, got_pivots = clusterkit._rref(rows)
+    assert (got_rows, got_pivots) == fraction_rref(rows)
+    assert all(type(x) is F for row in got_rows for x in row)
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def kernels_with_row_ops(draw):
+    """A kernel (often conserving) and a list of (op, i, j, factor) row operations."""
+    n_out, n_in = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = n_out + n_in
+    rows = draw(st.lists(st.lists(SMALL, min_size=width, max_size=width).filter(any),
+                         max_size=3))
+    if draw(st.booleans()):
+        scale = draw(SMALL.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [scale] * n_out + [-scale] * n_in)
+    kernel = MomentumKernel(
+        in_slots=tuple(f"p{i + 1}" for i in range(n_in)),
+        out_slots=tuple(f"q{i + 1}" for i in range(n_out)),
+        deltas=tuple(map(tuple, rows)),
+    )
+    ops = draw(st.lists(st.tuples(st.sampled_from(["scale", "add", "swap"]),
+                                  st.integers(0, 5), st.integers(0, 5), SMALL),
+                        max_size=6))
+    return kernel, ops
+
+
+def apply_row_ops(rows, ops):
+    rows = [list(r) for r in rows]
+    for op, i, j, factor in ops:
+        if not rows:
+            break
+        i, j = i % len(rows), j % len(rows)
+        if op == "scale" and factor != 0:
+            rows[i] = [factor * x for x in rows[i]]
+        elif op == "add" and i != j:
+            added = [x + factor * y for x, y in zip(rows[i], rows[j])]
+            if any(added):  # zero delta rows are not allowed
+                rows[i] = added
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+@settings(deadline=None)
+@given(kernels_with_row_ops())
+def test_row_operations_keep_verdict_and_canonical_rows(case):
+    kernel, ops = case
+    moved = MomentumKernel(
+        in_slots=kernel.in_slots,
+        out_slots=kernel.out_slots,
+        deltas=tuple(map(tuple, apply_row_ops(kernel.deltas, ops))),
+    )
+    verdict = analyze(kernel)
+    assert analyze(moved) == verdict
+    if verdict.conserves_momentum:
+        assert canonicalize(moved).deltas == canonicalize(kernel).deltas
+
+
+def test_analyze_and_canonicalize_share_one_elimination(monkeypatch):
+    calls = []
+    original = clusterkit._rref
+
+    def counting(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(clusterkit, "_rref", counting)
+    three_swaps = MomentumKernel(  # rank 3, two residual rows
+        in_slots=("p1", "p2", "p3"),
+        out_slots=("q1", "q2", "q3"),
+        deltas=((1, 0, 0, -1, 0, 0), (0, 1, 0, 0, -1, 0), (0, 0, 1, 0, 0, -1)),
+    )
+    for kernel in (three_swaps, kernel_2x2(SPIN_SWAP_ROWS), kernel_2x2([CONSERVATION])):
+        calls.clear()
+        assert analyze(kernel).conserves_momentum
+        assert analyze(kernel) == analyze(kernel)
+        canonicalize(kernel)
+        # one for the kernel's rows, one for the canonical rows' check
+        assert len(calls) == 2
+    calls.clear()
+    assert not analyze(kernel_2x2([(1, 0, 0, 0)])).conserves_momentum
+    assert len(calls) == 1

@@ -311,6 +311,16 @@ def test_report_finds_each_crossing_once(monkeypatch):
     ]
 
 
+def test_report_groups_each_foliation_once(monkeypatch):
+    calls = _counting(monkeypatch, narrative, "group_by_leaf")
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
+    report = narratability_report(demo_scenario(), free_rule(), flip_rule(), foliations)
+    assert [fol for _events, fol in calls] == foliations
+    assert [v.groups for v in report.verdicts] == [
+        tuple(geometry.group_by_leaf(demo_scenario().events, fol)) for fol in foliations
+    ]
+
+
 def test_spin_guard_runs_once_per_scenario(monkeypatch):
     calls = _counting(monkeypatch, narrative, "angular_momentum_norms")
     scenario = demo_scenario()
