@@ -248,26 +248,40 @@ def solve_W(system: SplitSystem, axis: int = 0) -> WSolution:
     return WSolution(W=w, residual=residual, degenerate_obstructions=tuple(obstructions))
 
 
-def _phase_evolver(h: np.ndarray, label: str):
-    """psi(t) = exp(i h t) psi0, by spectral decomposition when Hermitian."""
+def _sampled_states(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, label: str):
+    """Rows exp(i h t) psi0 for t in times, a (len(times), dim) array.
+
+    Hermitian h: one eigendecomposition, every phase applied in one product.
+    Otherwise: walk out from t = 0 (ascending over t >= 0, descending over
+    t < 0), stepping by exp(i dt h) with one matrix exponential per distinct
+    increment dt; a repeated time reuses the state it already has.
+    """
     if hermiticity_defect(h) <= HERMITIAN_TOLERANCE:
         evals, q = np.linalg.eigh(h)
-        q_dag = q.conj().T
+        coeffs = q.conj().T @ psi0
+        return (q @ (np.exp(1j * np.outer(evals, times)) * coeffs[:, None])).T
+    warnings.warn(f"{label} is not Hermitian; falling back to "
+                  "scaling-and-squaring matrix exponentials",
+                  NonHermitianInput, stacklevel=3)
+    # scipy serves only this branch; importing it here keeps it out of start-up
+    from scipy.linalg import expm
 
-        def evolve(t, psi0):
-            return q @ (np.exp(1j * evals * t) * (q_dag @ psi0))
-
-    else:
-        warnings.warn(f"{label} is not Hermitian; falling back to "
-                      "scaling-and-squaring matrix exponentials",
-                      NonHermitianInput, stacklevel=3)
-        # scipy serves only this branch; importing it here keeps it out of start-up
-        from scipy.linalg import expm
-
-        def evolve(t, psi0):
-            return expm(1j * t * h) @ psi0
-
-    return evolve
+    states = np.empty((len(times), len(psi0)), dtype=complex)
+    steps = {}
+    order = np.argsort(times, kind="stable")
+    split = int(np.searchsorted(times[order], 0.0))
+    # each walk moves away from t = 0, so no step undoes a growing mode
+    for walk in (order[split:], order[:split][::-1]):
+        t_now, state = 0.0, psi0
+        for i in walk:
+            dt = times[i] - t_now
+            if dt != 0:
+                if dt not in steps:
+                    steps[dt] = expm(1j * dt * h)
+                state = steps[dt] @ state
+                t_now = times[i]
+            states[i] = state
+    return states
 
 
 def same_history_check(
@@ -282,7 +296,8 @@ def same_history_check(
 
     Returns (flag, samples) with samples = [(t, c(t))] where c(t) is the
     overlap <w(t)|u(t)>; the flag is True when |c| stays at 1 within tol,
-    i.e. the two evolutions differ only by a time-dependent phase.
+    i.e. the two evolutions differ only by a time-dependent phase.  Every
+    time must be finite.
     """
     h0 = _as_matrix(h0, "H0")
     v_a = _as_matrix(v_a, "Va")
@@ -294,17 +309,14 @@ def same_history_check(
         )
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise NotNormalized("psi0 must be normalized")
-    evolve_a = _phase_evolver(h0 + v_a, "H0 + Va")
-    evolve_b = _phase_evolver(h0 + v_b, "H0 + Vb")
-    same = True
-    samples = []
-    for t in times:
-        u = evolve_a(float(t), psi)
-        w = evolve_b(float(t), psi)
-        c = complex(np.vdot(w, u))
-        samples.append((float(t), c))
-        if abs(abs(c) - 1.0) > tol:
-            same = False
+    ts = np.array([float(t) for t in times])
+    if not np.isfinite(ts).all():
+        raise ValueError(f"sample times must be finite, got {ts[~np.isfinite(ts)][0]}")
+    u = _sampled_states(h0 + v_a, psi, ts, "H0 + Va")
+    w = _sampled_states(h0 + v_b, psi, ts, "H0 + Vb")
+    overlaps = np.einsum("tk,tk->t", w.conj(), u)
+    samples = [(t, complex(c)) for t, c in zip(ts.tolist(), overlaps)]
+    same = not any(abs(abs(c) - 1.0) > tol for _, c in samples)
     return same, samples
 
 

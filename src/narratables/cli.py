@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -259,9 +260,13 @@ def cmd_algebra_solve_w(args) -> int:
 
 def _parse_times(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        times = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"--times: cannot parse {text!r}") from exc
+    for t in times:
+        if not math.isfinite(t):
+            raise ParseError(f"--times: {t} is not a finite time")
+    return times
 
 
 def cmd_algebra_same_history(args) -> int:

@@ -138,7 +138,7 @@ class History:
         if len(self.segments) != len(self.groups) + 1:
             raise ValueError("need exactly one more segment than breakpoints")
 
-    @property
+    @cached_property
     def cores(self) -> tuple:
         return tuple(g.core for g in self.groups)
 
@@ -146,12 +146,16 @@ class History:
     def breakpoints(self) -> tuple:
         return tuple(g.tau for g in self.groups)
 
+    @cached_property
+    def _float_breakpoints(self) -> list:
+        return [float(t) for t in self.breakpoints]
+
     def state_at_core(self, core: Scalar) -> SpinState:
         # right-continuous: on a collision leaf the new segment already holds
         return self.segments[bisect_right(self.cores, core)]
 
     def state_at(self, tau) -> SpinState:
-        return self.segments[bisect_right([float(t) for t in self.breakpoints], float(tau))]
+        return self.segments[bisect_right(self._float_breakpoints, float(tau))]
 
 
 def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> History:

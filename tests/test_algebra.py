@@ -1,7 +1,12 @@
 """Bracket tables, the boost correction W, and the history checks."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narratables.algebra import (
     GeneratorSet,
@@ -339,6 +344,11 @@ def test_same_history_input_checks():
         same_history_check(h0, v, v, np.array([1.0, 1.0]), [0.0])
     with pytest.raises(DimensionMismatch):
         same_history_check(h0, v, v, np.array([1.0, 0.0, 0.0]), [0.0])
+    upper = np.array([[0.0, 0.4], [0.0, 0.0]])  # not Hermitian
+    for va in (v, upper):
+        for times in ([float("nan")], [float("inf")], [0.0, 0.5, -float("inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                same_history_check(h0, va, v, np.array([1.0, 0.0]), times)
 
 
 def test_same_history_non_hermitian_fallback_warns():
@@ -350,6 +360,108 @@ def test_same_history_non_hermitian_fallback_warns():
         same, samples = same_history_check(h0, va, vb, psi, [0.0, 0.5])
     assert len(samples) == 2
     assert all(np.isfinite(abs(c)) for _, c in samples)
+
+
+def reference_overlaps(h0, va, vb, psi, times, hermitian):
+    """c(t) sample by sample: a fresh eigh, or a fresh expm, for every t."""
+
+    def state(h, t):
+        if hermitian:
+            evals, q = np.linalg.eigh(h)
+            return q @ (np.exp(1j * evals * t) * (q.conj().T @ psi))
+        return scipy.linalg.expm(1j * t * h) @ psi
+
+    return [complex(np.vdot(state(h0 + vb, t), state(h0 + va, t))) for t in times]
+
+
+TIME_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.125, 0.25, 1.0, -1.0]),
+    st.integers(-16, 16).map(lambda k: k / 8),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@st.composite
+def history_cases(draw):
+    """(h0, va, vb, psi, times, hermitian): times unsorted, repeated and irregular."""
+    dim = draw(st.integers(2, 8))
+    hermitian = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h0, va, vb = (random_hermitian(rng, dim) for _ in range(3))
+    if not hermitian:
+        scale = draw(st.floats(0.05, 0.5))
+        va = va + scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        if draw(st.booleans()):
+            vb = vb + scale * np.triu(rng.normal(size=(dim, dim)), 1)
+    if draw(st.booleans()):
+        vb = va.copy()
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    times = draw(st.lists(TIME_VALUES, max_size=12))
+    repeats = draw(st.lists(st.integers(0, 11), max_size=4))
+    times += [times[i % len(times)] for i in repeats if times]
+    return h0, va, vb, psi, draw(st.permutations(times)), hermitian
+
+
+@settings(deadline=None)
+@given(history_cases())
+def test_same_history_matches_sample_by_sample_reference(case):
+    h0, va, vb, psi, times, hermitian = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonHermitianInput)
+        same, samples = same_history_check(h0, va, vb, psi, times)
+    expected = reference_overlaps(h0, va, vb, psi, times, hermitian)
+    assert [t for t, _ in samples] == [float(t) for t in times]
+    for (_, c), e in zip(samples, expected):
+        assert abs(c - e) <= 1e-10 * max(1.0, abs(e))
+    assert same == all(abs(abs(e) - 1.0) <= 1e-9 for e in expected)
+
+
+def test_same_history_non_hermitian_steps_away_from_zero():
+    # modes growing as e^t and e^-t along non-orthogonal axes: reaching t = -0.1
+    # by way of t = -10 would lose about eight digits to the e^-t mode
+    s = np.array([[1.0, 0.9], [0.0, 0.5]])
+    h = s @ np.diag([-1j, 1j]) @ np.linalg.inv(s)
+    psi = np.array([0.6, 0.8])
+    times = [-10.0, -0.1, 0.1, 10.0]
+    zero = np.zeros((2, 2))
+    with pytest.warns(NonHermitianInput):
+        _, samples = same_history_check(zero, h, zero, psi, times)
+    for t, c in samples:
+        expected = complex(np.vdot(psi, scipy.linalg.expm(1j * t * h) @ psi))
+        assert abs(c - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_same_history_one_expm_per_distinct_step(monkeypatch):
+    calls = []
+    original = scipy.linalg.expm
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    h0 = np.diag([1.0, 2.0, 4.0])
+    upper = np.triu(np.full((3, 3), 0.3), 1)  # not Hermitian
+    lower = upper.T * 0.5
+    hermitian = upper + upper.T
+    psi = np.array([0.6, 0.0, 0.8])
+    grid = [k / 8 for k in range(25)]
+
+    def count(va, vb, times):
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonHermitianInput)
+            same_history_check(h0, va, vb, psi, times)
+        return len(calls)
+
+    assert count(upper, lower, grid) == 2  # one per evolver
+    assert count(upper, lower, grid[::-1]) == 2  # sampled in any order
+    assert count(upper, hermitian, grid + grid[:5]) == 1  # repeats reuse states
+    assert count(upper, lower, [0.0, 0.25, 0.5, 0.75, 1.0]) == 2  # the CLI default
+    irregular = [0.3, -0.1, 0.0, 1.7, 0.4, -0.9, 2.2]
+    assert count(upper, lower, irregular) <= 2 * len(irregular)
+    assert count(hermitian, np.zeros((3, 3)), grid) == 0
 
 
 def test_boost_nontriviality_check():

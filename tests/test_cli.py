@@ -327,6 +327,14 @@ def test_algebra_same_history_yes_and_no(tmp_path):
     assert code == 4
     assert "--times" in err
 
+    upper = write_json(tmp_path / "upper.json", [[0, 0.4], [0, 0]])  # not Hermitian
+    for vb in (va, upper):
+        for times in ("nan", "inf", "0,0.5,-inf", "1,Infinity"):
+            code, out, err = run_cli("algebra", "same-history", h0, va, vb, psi,
+                                     "--times", times)
+            assert (code, out) == (4, ""), times
+            assert "--times" in err and "finite" in err
+
 
 def test_algebra_boost_check(tmp_path):
     zero = write_json(tmp_path / "zero.json", [[0, 0], [0, 0]])

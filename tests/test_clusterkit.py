@@ -387,6 +387,32 @@ def test_row_operations_keep_verdict_and_canonical_rows(case):
         assert canonicalize(moved).deltas == canonicalize(kernel).deltas
 
 
+@st.composite
+def conserving_kernels(draw):
+    """Random delta rows plus a multiple of the conservation row, in any order."""
+    n_out, n_in = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    width = n_out + n_in
+    rows = draw(st.lists(st.lists(SMALL, min_size=width, max_size=width).filter(any),
+                         max_size=4))
+    scale = draw(SMALL.filter(bool))
+    rows.insert(draw(st.integers(0, len(rows))), [scale] * n_out + [-scale] * n_in)
+    return MomentumKernel(
+        in_slots=tuple(f"p{i + 1}" for i in range(n_in)),
+        out_slots=tuple(f"q{i + 1}" for i in range(n_out)),
+        deltas=tuple(map(tuple, rows)),
+    )
+
+
+@settings(deadline=None)
+@given(conserving_kernels())
+def test_canonicalize_is_idempotent(kernel):
+    once = canonicalize(kernel)
+    twice = canonicalize(once)
+    assert twice.deltas == once.deltas
+    assert twice.slots == once.slots == kernel.slots
+    assert analyze(once) == analyze(kernel)
+
+
 def test_analyze_and_canonicalize_share_one_elimination(monkeypatch):
     calls = []
     original = clusterkit._rref

@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from narratables import geometry, narrative
 from narratables.cli import built_in_demo
-from narratables.errors import CoincidentWorldlines, FoliationMismatch, LittleGroupWarning
+from narratables.errors import (
+    CoincidentWorldlines,
+    FoliationMismatch,
+    LittleGroupWarning,
+    OverlappingSimultaneousPairs,
+)
 from narratables.geometry import Event, Foliation, Worldline, rest_foliation
 from narratables.narrative import (
     REFOLIATION_NOTE,
@@ -27,6 +34,7 @@ from narratables.quantum import (
     TwoSlotUnitary,
     apply_contact,
     equal_up_to_phase,
+    identity_unitary,
     singlet_product,
     swap_unitary,
 )
@@ -118,6 +126,9 @@ def test_history_right_continuous_at_breakpoints():
     assert np.array_equal(
         history.state_at(float(F(23, 4))).amplitudes, history.segments[2].amplitudes
     )
+    # the lookup tables are built once per history, not once per lookup
+    assert history.cores is history.cores
+    assert history._float_breakpoints is history._float_breakpoints
 
 
 def test_histories_equal_rest_but_not_boosted():
@@ -349,3 +360,46 @@ def test_mixed_rule_fires_only_matching_species():
     assert history.groups[0].pairs == ((1, 3),)
     assert len(history.inert_groups) == 1
     assert history.inert_groups[0].pairs == ((0, 2),)
+
+
+COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+SPEEDS = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=6)
+VELOCITIES = st.tuples(SPEEDS, SPEEDS, SPEEDS)
+SPECIES = ("a", "b", "c")
+
+
+@st.composite
+def identity_rule_cases(draw):
+    """Crossing pairs of lines, singlet-paired, and a rule of identity unitaries only."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        event = Event(*draw(st.tuples(COORDS, COORDS, COORDS, COORDS)))
+        first = draw(VELOCITIES)
+        second = draw(VELOCITIES.filter(lambda v: v != first))
+        for velocity in (first, second):
+            lines.append(Worldline(len(lines), draw(st.sampled_from(SPECIES)), event, velocity))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(SPECIES), st.sampled_from(SPECIES)),
+                          max_size=4))
+    explicit = TwoSlotUnitary(np.eye(4))
+    mapping = tuple((pair, draw(st.sampled_from([identity_unitary(), explicit])))
+                    for pair in pairs)
+    default = draw(st.sampled_from([None, identity_unitary(), explicit]))
+    rule = InteractionRule("identities", mapping, default)
+    initial = singlet_product(len(lines), [(i, i + 1) for i in range(0, len(lines), 2)])
+    return lines, initial, rule, Foliation(draw(VELOCITIES))
+
+
+@settings(deadline=None)
+@given(identity_rule_cases())
+def test_identity_rules_fire_no_groups(case):
+    lines, initial, rule, foliation = case
+    try:
+        scenario = Scenario(name="identities", worldlines=tuple(lines), initial_state=initial)
+        groups = geometry.group_by_leaf(scenario.events, foliation)
+    except (CoincidentWorldlines, OverlappingSimultaneousPairs):
+        assume(False)  # an accidental extra crossing; not what is probed here
+    history = evolve(scenario, foliation, rule)
+    assert history.groups == ()
+    assert history.segments == (scenario.initial_state,)
+    assert history.inert_groups == tuple(groups)
+    assert len(history.inert_groups) >= 1
