@@ -18,6 +18,7 @@ pairs with a nonzero numerator are reported as obstructions, not raised.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -233,19 +234,46 @@ def solve_W(system: SplitSystem, axis: int = 0) -> WSolution:
     m_eig = q_inv @ m @ q
     eps_deg = DEGENERACY_FACTOR * np.linalg.norm(h)
     eps_obs = OBSTRUCTION_FACTOR * np.linalg.norm(m)
-    n = len(energies)
-    w_eig = np.zeros((n, n), dtype=complex)
-    obstructions = []
-    for a in range(n):
-        for b in range(n):
-            gap = energies[a] - energies[b]
-            if abs(gap) > eps_deg:
-                w_eig[a, b] = m_eig[a, b] / gap
-            elif abs(m_eig[a, b]) > eps_obs:
-                obstructions.append((a, b))
+    gaps = energies[:, None] - energies[None, :]
+    solvable = np.abs(gaps) > eps_deg
+    w_eig = np.divide(m_eig, gaps, out=np.zeros_like(m_eig), where=solvable)
+    rows, cols = np.nonzero(~solvable & (np.abs(m_eig) > eps_obs))
+    obstructions = tuple(zip(rows.tolist(), cols.tolist()))
     w = q @ w_eig @ q_inv
     residual = float(np.linalg.norm(m + commutator(w, h)))
-    return WSolution(W=w, residual=residual, degenerate_obstructions=tuple(obstructions))
+    return WSolution(W=w, residual=residual, degenerate_obstructions=obstructions)
+
+
+# b_0..b_13 of the degree-13 Pade approximant to exp, and the 1-norm up to
+# which it is accurate to double precision (Higham 2005, SIAM J. Matrix Anal.
+# Appl. 26:1179, table 2.3 and eq. 2.1)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring the degree-13 Pade approximant."""
+    norm = np.linalg.norm(a, 1)
+    # an inf or nan norm gives s = 0 and a nan result rather than an OverflowError
+    s = math.ceil(math.log2(norm / _THETA13)) if _THETA13 < norm < math.inf else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def _sampled_states(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, label: str):
@@ -263,9 +291,6 @@ def _sampled_states(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, label: s
     warnings.warn(f"{label} is not Hermitian; falling back to "
                   "scaling-and-squaring matrix exponentials",
                   NonHermitianInput, stacklevel=3)
-    # scipy serves only this branch; importing it here keeps it out of start-up
-    from scipy.linalg import expm
-
     states = np.empty((len(times), len(psi0)), dtype=complex)
     steps = {}
     order = np.argsort(times, kind="stable")
@@ -277,7 +302,7 @@ def _sampled_states(h: np.ndarray, psi0: np.ndarray, times: np.ndarray, label: s
             dt = times[i] - t_now
             if dt != 0:
                 if dt not in steps:
-                    steps[dt] = expm(1j * dt * h)
+                    steps[dt] = _expm(1j * dt * h)
                 state = steps[dt] @ state
                 t_now = times[i]
             states[i] = state

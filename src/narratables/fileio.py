@@ -386,12 +386,11 @@ def dump_scenario(bundle: ScenarioBundle) -> dict:
     state = bundle.scenario.initial_state
 
     def unitary_doc(unitary):
-        m = unitary.matrix if hasattr(unitary, "matrix") else unitary
-        if np.array_equal(m, swap_unitary().matrix):
-            return "swap"
-        if np.array_equal(m, np.eye(4)):
+        if unitary.is_identity:
             return "identity"
-        return [[_complex_doc(v) for v in row] for row in np.asarray(m)]
+        if np.array_equal(unitary.matrix, swap_unitary().matrix):
+            return "swap"
+        return [[_complex_doc(v) for v in row] for row in unitary.matrix]
 
     rules = {}
     for name, rule in bundle.rules.items():

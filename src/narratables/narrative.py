@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import FoliationMismatch, LittleGroupWarning
 from .geometry import Foliation, Scalar, collision_events, group_by_leaf
 from .quantum import (
@@ -64,13 +62,12 @@ class InteractionRule:
     default: Optional[TwoSlotUnitary] = None
 
     def __post_init__(self):
-        table = {}
-        for key, u in self.mapping:
-            a, b = key
-            if not isinstance(u, TwoSlotUnitary):
-                u = TwoSlotUnitary(u)
-            table[_pair_key(a, b)] = u
-        object.__setattr__(self, "_table", table)
+        mapping = tuple(
+            (key, u if isinstance(u, TwoSlotUnitary) else TwoSlotUnitary(u))
+            for key, u in self.mapping
+        )
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "_table", {_pair_key(*key): u for key, u in mapping})
 
     def unitary_for(self, species_a: str, species_b: str) -> TwoSlotUnitary:
         u = self._table.get(_pair_key(species_a, species_b))
@@ -179,7 +176,6 @@ def _evolve_groups(
             LittleGroupWarning,
             stacklevel=3,
         )
-    identity = np.eye(4, dtype=complex)
     fired, inert = [], []
     segments = [scenario.initial_state]
     for group in groups:
@@ -187,7 +183,7 @@ def _evolve_groups(
         for (a, b), _event in group.collisions:
             u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
             actions.append((u, (a, b)))
-        if all(np.array_equal(u.matrix, identity) for u, _ in actions):
+        if all(u.is_identity for u, _ in actions):
             inert.append(group)
             continue
         fired.append(group)

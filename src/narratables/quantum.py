@@ -100,6 +100,10 @@ class TwoSlotUnitary:
         m = self.matrix
         return all(np.max(np.abs(m @ s - s @ m)) <= NORM_TOLERANCE for s in _PAIR_SPIN)
 
+    @cached_property
+    def is_identity(self) -> bool:
+        return np.array_equal(self.matrix, np.eye(4))
+
 
 def swap_unitary() -> TwoSlotUnitary:
     """Exchange the spin contents of two slots: |+-> <-> |-+>."""
@@ -109,8 +113,12 @@ def swap_unitary() -> TwoSlotUnitary:
     return TwoSlotUnitary(m)
 
 
+_IDENTITY = TwoSlotUnitary(np.eye(4, dtype=complex))
+
+
 def identity_unitary() -> TwoSlotUnitary:
-    return TwoSlotUnitary(np.eye(4, dtype=complex))
+    """The one shared identity contact unitary (immutable, so safe to share)."""
+    return _IDENTITY
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +164,9 @@ def singlet_product(n_slots: int, pairing) -> SpinState:
     `pairing` is a PairingSpec or a bare list of pairs.  The pairing together
     with the singles must cover slots 0..n_slots-1 exactly.
     """
+    if n_slots > MAX_SLOTS:
+        # before the product is built: 2**n_slots amplitudes can exhaust memory
+        raise TooManySlots(f"{n_slots} slots exceed the cap of {MAX_SLOTS}")
     if not isinstance(pairing, PairingSpec):
         pairing = PairingSpec(tuple(pairing))
     covered = pairing.covered_slots()

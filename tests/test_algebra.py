@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from narratables import algebra
 from narratables.algebra import (
     GeneratorSet,
     SplitSystem,
@@ -281,6 +282,60 @@ def test_solve_w_degenerate_obstruction():
     assert solution.residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def loop_solve_w(system):
+    """solve_W's eigenbasis division written entry by entry, as the reference."""
+    h = system.H
+    m = commutator(system.K0[0], system.V)
+    if hermiticity_defect(h) <= algebra.HERMITIAN_TOLERANCE:
+        energies, q = np.linalg.eigh(h)
+        q_inv = q.conj().T
+    else:
+        energies, q = np.linalg.eig(h)
+        q_inv = np.linalg.inv(q)
+    m_eig = q_inv @ m @ q
+    eps_deg = algebra.DEGENERACY_FACTOR * np.linalg.norm(h)
+    eps_obs = algebra.OBSTRUCTION_FACTOR * np.linalg.norm(m)
+    n = len(energies)
+    w_eig = np.zeros((n, n), dtype=complex)
+    obstructions = []
+    for a in range(n):
+        for b in range(n):
+            gap = energies[a] - energies[b]
+            if abs(gap) > eps_deg:
+                w_eig[a, b] = m_eig[a, b] / gap
+            elif abs(m_eig[a, b]) > eps_obs:
+                obstructions.append((a, b))
+    w = q @ w_eig @ q_inv
+    return w, float(np.linalg.norm(m + commutator(w, h))), tuple(obstructions)
+
+
+def test_solve_w_matches_entry_by_entry_reference():
+    rng = np.random.default_rng(2024)
+    v = random_hermitian(rng, 5)
+    systems = [
+        SplitSystem(H0=np.diag([1.0, 1.0, 2.0, 2.0, 3.0]) - v, V=v,
+                    K0=(random_hermitian(rng, 5),)),
+    ]
+    for dim in (1, 2, 5, 8, 24):
+        systems.append(random_solvable_system(rng, dim))
+        systems.append(SplitSystem(H0=random_hermitian(rng, dim), V=random_hermitian(rng, dim),
+                                   K0=(random_hermitian(rng, dim),)))
+    with pytest.warns(NonHermitianInput):
+        systems.append(SplitSystem(H0=random_hermitian(rng, 4),
+                                   V=np.triu(rng.normal(size=(4, 4)), 1),
+                                   K0=(random_hermitian(rng, 4),)))
+    for system in systems:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonHermitianInput)
+            solution = solve_W(system)
+            w, residual, obstructions = loop_solve_w(system)
+        assert np.array_equal(solution.W, w)
+        assert solution.residual == residual
+        assert solution.degenerate_obstructions == obstructions
+        assert all(type(i) is int for pair in obstructions for i in pair)
+    assert solve_W(systems[0]).degenerate_obstructions  # the degenerate pairs obstruct
+
+
 def test_solve_w_axis_bounds():
     system = SplitSystem(H0=np.eye(2), V=np.zeros((2, 2)), K0=(np.eye(2),))
     with pytest.raises(DimensionMismatch):
@@ -434,13 +489,13 @@ def test_same_history_non_hermitian_steps_away_from_zero():
 
 def test_same_history_one_expm_per_distinct_step(monkeypatch):
     calls = []
-    original = scipy.linalg.expm
+    original = algebra._expm
 
     def counting(a):
         calls.append(a)
         return original(a)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    monkeypatch.setattr(algebra, "_expm", counting)
     h0 = np.diag([1.0, 2.0, 4.0])
     upper = np.triu(np.full((3, 3), 0.3), 1)  # not Hermitian
     lower = upper.T * 0.5
@@ -462,6 +517,42 @@ def test_same_history_one_expm_per_distinct_step(monkeypatch):
     irregular = [0.3, -0.1, 0.0, 1.7, 0.4, -0.9, 2.2]
     assert count(upper, lower, irregular) <= 2 * len(irregular)
     assert count(hermitian, np.zeros((3, 3)), grid) == 0
+
+
+@st.composite
+def exponent_cases(draw):
+    """Random complex matrices of dimension 1-8 with 1-norms from 1e-3 to 1e3."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a * (draw(st.floats(1e-3, 1e3)) / np.linalg.norm(a, 1))
+
+
+@settings(deadline=None)
+@given(exponent_cases())
+def test_expm_matches_scipy(a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = scipy.linalg.expm(a)
+    # past e^709 the exponential itself overflows
+    assume(np.isfinite(expected).all())
+    got = algebra._expm(a)
+    # squaring s times amplifies the error of the scaled approximant, so the
+    # bound grows with the 1-norm once it passes 50 (along the positive real
+    # axis the error reaches about 6e-15 per unit of norm)
+    norm_a = np.linalg.norm(a, 1)
+    tol = 2e-14 * max(50.0, norm_a) * max(1.0, np.linalg.norm(expected, 1))
+    assert np.linalg.norm(got - expected, 1) <= tol
+
+
+def test_expm_exact_cases():
+    for dim in (1, 3, 6):
+        # the solve divides by its pivot through a reciprocal: one ulp off at most
+        got = algebra._expm(np.zeros((dim, dim), dtype=complex))
+        assert np.max(np.abs(got - np.eye(dim))) <= np.finfo(float).eps
+    d = np.array([-2.5, 0.0, 0.5j, 1.0 + 1.0j, 4.0, 12.0 - 3.0j])
+    got = algebra._expm(np.diag(d))
+    assert np.array_equal(got, np.diag(np.diag(got)))  # off-diagonal stays exactly zero
+    assert np.allclose(np.diag(got), np.exp(d), rtol=1e-13, atol=0)
 
 
 def test_boost_nontriviality_check():

@@ -186,6 +186,18 @@ def test_simulate_error_exits(tmp_path):
     )
     assert code == 4
 
+    crowded = tmp_path / "crowded.json"
+    doc["particles"] = [
+        {"id": i, "species": f"s{i}", "start": {"t": "0", "x": str(i), "y": "0", "z": "0"},
+         "velocity": ["0", "0", "0"]}
+        for i in range(14)
+    ]
+    doc["initial_state"] = {"singlet_pairs": [[2 * i, 2 * i + 1] for i in range(7)]}
+    crowded.write_text(json.dumps(doc))
+    code, out, err = run_cli("simulate", str(crowded), "--rule", "free", "--foliation", "0")
+    assert (code, out) == (4, "")
+    assert "14 slots exceed the cap of 12" in err
+
 
 # -- compare-frames -----------------------------------------------------------
 
@@ -367,21 +379,21 @@ def test_boost_check_prints_the_algebra_residual(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only the non-Hermitian fallback of same-history
+    # the package is numpy-only: not even a non-Hermitian history check loads scipy
     probe = (
         "import sys, numpy as np, narratables.cli\n"
         "print('scipy' in sys.modules)\n"
         "from narratables.algebra import same_history_check\n"
         "same_history_check(np.eye(2), np.array([[0, 1], [0, 0]]), np.zeros((2, 2)),\n"
         "                   np.array([1, 0]), [0.5])\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(narratables.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run([sys.executable, "-W", "ignore", "-c", probe],
                             capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False", "False"]
 
 
 # -- usage, color, determinism ------------------------------------------------

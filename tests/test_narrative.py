@@ -64,6 +64,11 @@ def test_rule_lookup():
     assert np.array_equal(rule.unitary_for("a", "c").matrix, np.eye(4))
     with_default = InteractionRule("d", (), default=swap_unitary())
     assert np.array_equal(with_default.unitary_for("x", "y").matrix, swap_unitary().matrix)
+    # a bare matrix entry is stored as the TwoSlotUnitary it is checked as
+    raw = InteractionRule("m", ((("a", "b"), np.diag([1, 1, 1, -1])),))
+    ((key, u),) = raw.mapping
+    assert key == ("a", "b") and isinstance(u, TwoSlotUnitary)
+    assert raw.unitary_for("b", "a") is u
 
 
 def test_scenario_validation():
@@ -339,6 +344,14 @@ def test_spin_guard_runs_once_per_scenario(monkeypatch):
     narratability_report(scenario, free_rule(), flip_rule(), foliations)
     narratability_report(scenario, flip_rule(), free_rule(), foliations)
     assert len(calls) == 1
+
+
+def test_free_rule_report_constructs_no_unitary(monkeypatch):
+    scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
+    calls = _counting(monkeypatch, TwoSlotUnitary, "__post_init__")
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
+    narratability_report(scenario, free, flip, foliations)
+    assert calls == []
 
 
 def test_free_rule_constant_everywhere():

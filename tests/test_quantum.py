@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from narratables import quantum
 from narratables.errors import (
     DimensionMismatch,
     EqualSlots,
@@ -89,6 +90,16 @@ def test_double_singlet_frozen_terms():
         ("-++-", pytest.approx(-0.5)),
         ("-+-+", pytest.approx(0.5)),
     ]
+
+
+def test_singlet_product_checks_the_cap_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a product past the slot cap")
+
+    monkeypatch.setattr(quantum.np, "kron", refuse)
+    n = MAX_SLOTS + 2
+    with pytest.raises(TooManySlots):
+        singlet_product(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
 def test_singlet_with_single_slots():
@@ -290,3 +301,11 @@ def test_conserves_spin():
     assert swap_unitary().conserves_spin
     assert identity_unitary().conserves_spin
     assert not TwoSlotUnitary(np.diag([1, 1, 1, -1])).conserves_spin  # CZ
+
+
+def test_identity_unitary_is_shared_and_flagged():
+    assert identity_unitary() is identity_unitary()
+    assert identity_unitary().is_identity
+    assert TwoSlotUnitary(np.eye(4)).is_identity
+    assert not swap_unitary().is_identity
+    assert not TwoSlotUnitary(np.diag([1, 1, 1, -1])).is_identity
