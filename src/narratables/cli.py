@@ -70,19 +70,21 @@ def built_in_demo() -> fileio.ScenarioBundle:
     return fileio.parse_scenario(_packaged_json("demo_scenario.json"), "builtin:demo")
 
 
-def cmd_demo_paper(args) -> int:
-    bundle = built_in_demo()
+def _report(bundle, rule_names, args) -> int:
+    """Print the narratability report of `bundle` under two of its rules, and
+    write its overlap samples when --csv is given."""
+    rule_a, rule_b = (_resolve_rule(bundle, name) for name in rule_names)
     report = narratability_report(
-        bundle.scenario,
-        bundle.rules["free"],
-        bundle.rules["flip"],
-        bundle.foliations,
-        tol=args.tolerance,
+        bundle.scenario, rule_a, rule_b, bundle.foliations, tol=args.tolerance
     )
     print(render_report(report, colorize=_color_enabled()))
     if args.csv:
         _write_overlap_csv(args.csv, report.csv_rows())
     return EXIT_OK
+
+
+def cmd_demo_paper(args) -> int:
+    return _report(built_in_demo(), ("free", "flip"), args)
 
 
 def _resolve_rule(bundle, name: str):
@@ -152,16 +154,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare_frames(args) -> int:
-    bundle = fileio.load_scenario_file(args.scenario)
-    rule_a = _resolve_rule(bundle, args.rules[0])
-    rule_b = _resolve_rule(bundle, args.rules[1])
-    report = narratability_report(
-        bundle.scenario, rule_a, rule_b, bundle.foliations, tol=args.tolerance
-    )
-    print(render_report(report, colorize=_color_enabled()))
-    if args.csv:
-        _write_overlap_csv(args.csv, report.csv_rows())
-    return EXIT_OK
+    return _report(fileio.load_scenario_file(args.scenario), args.rules, args)
 
 
 def _kernel_from_args(args) -> clusterkit.MomentumKernel:

@@ -7,7 +7,10 @@ simultaneity verdicts are decided by exact comparisons.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +31,11 @@ from .quantum import (
     swap_unitary,
 )
 
+# the longest rational string read from a file, and the largest decimal
+# exponent it may carry: Fraction("1e99999999") builds a 10**8-digit integer
+MAX_RATIONAL_CHARS = 100
+_EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
+
 
 def _fail(where: str, why: str):
     raise ParseError(f"{where}: {why}")
@@ -42,19 +50,30 @@ def _load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _exact_rational(value, where: str) -> Fraction:
+    """The one reader of exact rationals from files; oversized or non-finite
+    values fail before Fraction() sees them."""
     if isinstance(value, bool):
         _fail(where, f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_RATIONAL_CHARS:
+            _fail(where, f"rational string longer than {MAX_RATIONAL_CHARS} characters")
+        exponent = _EXPONENT.search(value)
+        if exponent and int(exponent[1].replace("_", "") or 0) > MAX_RATIONAL_CHARS:
+            _fail(where, f"rational {value!r} has an exponent beyond {MAX_RATIONAL_CHARS}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             _fail(where, f"cannot parse rational {value!r}")
     if isinstance(value, float):
+        if not math.isfinite(value):
+            _fail(where, f"{value!r} is not a finite number")
         warnings.warn(
             f"{where}: bare number {value!r} read as the decimal it prints as; "
             "write rationals as strings like \"3/5\" to keep results exact",
@@ -67,8 +86,6 @@ def _exact_rational(value, where: str) -> Fraction:
 
 def _foliation_component(value, where: str):
     # floats stay floats here: the foliation then groups ties within 1e-9
-    if isinstance(value, bool):
-        _fail(where, f"expected a velocity component, got {value!r}")
     if isinstance(value, float):
         warnings.warn(
             f"{where}: float velocity component; leaf grouping will use a "
@@ -77,26 +94,20 @@ def _foliation_component(value, where: str):
             stacklevel=3,
         )
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _fail(where, f"cannot parse rational {value!r}")
-    _fail(where, f"expected a velocity component, got {type(value).__name__}")
+    return _exact_rational(value, where)
 
 
 def _complex_entry(value, where: str) -> complex:
-    if isinstance(value, bool):
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         _fail(where, f"expected a number or [re, im], got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return complex(value[0], value[1])
-    _fail(where, f"expected a number or [re, im], got {value!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        _fail(where, "integer too large for a float")
+    if not cmath.isfinite(z):
+        _fail(where, f"{value!r} is not a finite number")
+    return z
 
 
 def parse_matrix(doc, where: str) -> np.ndarray:

@@ -14,7 +14,6 @@ and an `ExactnessWarning` is emitted.
 from __future__ import annotations
 
 import warnings
-from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -78,7 +77,7 @@ def speed_squared(velocity: Sequence[Scalar]) -> Scalar:
 def lorentz_gamma(velocity: Sequence[Scalar]) -> Scalar:
     """gamma = 1/sqrt(1 - v.v), exact when that square root is rational."""
     v2 = speed_squared(velocity)
-    if v2 >= 1:
+    if not v2 < 1:  # also catches a NaN component
         raise SuperluminalVelocity(f"|v|^2 = {v2} >= 1")
     if isinstance(v2, Fraction):
         root = _rational_sqrt(1 - v2)
@@ -234,6 +233,13 @@ class Foliation:
     def leaf(self, event: Event) -> Scalar:
         return self.gamma * self.leaf_core(event)
 
+    def same_leaf(self, first_core: Scalar, core: Scalar) -> bool:
+        """Whether `core` lies on the leaf starting at the earlier `first_core`:
+        equal for a rational velocity, within FLOAT_TIE_TOLERANCE for a float."""
+        if self.exact:
+            return core == first_core
+        return core - first_core <= FLOAT_TIE_TOLERANCE
+
 
 def rest_foliation() -> Foliation:
     return Foliation((Fraction(0), Fraction(0), Fraction(0)))
@@ -298,52 +304,40 @@ def collision_events(worldlines: Sequence[Worldline]) -> tuple:
     return tuple(events)
 
 
+def _leaf_group(foliation: Foliation, core: Scalar, members: list) -> CollisionGroup:
+    members.sort(key=lambda m: m[0])
+    seen: set[int] = set()
+    for pair, _ in members:
+        for slot in pair:
+            if slot in seen:
+                raise OverlappingSimultaneousPairs(
+                    f"particle {slot} collides twice on leaf core={core}"
+                )
+            seen.add(slot)
+    return CollisionGroup(core=core, tau=foliation.gamma * core, collisions=tuple(members))
+
+
 def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
     """Collision events grouped by leaf, ordered by increasing tau.
 
-    Grouping is exact for rational foliation velocities; float velocities
-    cluster cores within 1e-9 (with an ExactnessWarning).  A particle meeting
-    two partners on one leaf raises OverlappingSimultaneousPairs.
+    `Foliation.same_leaf` decides ties: exact for rational velocities, within
+    1e-9 for float ones (with an ExactnessWarning).  A particle meeting two
+    partners on one leaf raises OverlappingSimultaneousPairs.
     """
-    hits = [(foliation.leaf_core(event), pair, event) for pair, event in events]
-    if foliation.exact:
-        buckets: dict = {}
-        order: list = []
-        for core, pair, event in hits:
-            if core not in buckets:
-                buckets[core] = []
-                insort(order, core)
-            buckets[core].append((pair, event))
-        grouped = [(core, buckets[core]) for core in order]
-    else:
-        if hits:
-            warnings.warn(
-                "float foliation velocity: leaf ties grouped within 1e-9",
-                ExactnessWarning,
-                stacklevel=2,
-            )
-        grouped = []
-        for core, pair, event in sorted(hits, key=lambda h: h[0]):
-            if grouped and core - grouped[-1][0] <= FLOAT_TIE_TOLERANCE:
-                grouped[-1][1].append((pair, event))
-            else:
-                grouped.append((core, [(pair, event)]))
-
-    groups = []
-    for core, members in grouped:
-        members.sort(key=lambda m: m[0])
-        seen: set[int] = set()
-        for pair, _ in members:
-            for slot in pair:
-                if slot in seen:
-                    raise OverlappingSimultaneousPairs(
-                        f"particle {slot} collides twice on leaf core={core}"
-                    )
-                seen.add(slot)
-        groups.append(
-            CollisionGroup(core=core, tau=foliation.gamma * core, collisions=tuple(members))
+    hits = sorted(((foliation.leaf_core(e), pair, e) for pair, e in events), key=lambda h: h[0])
+    if hits and not foliation.exact:
+        warnings.warn(
+            "float foliation velocity: leaf ties grouped within 1e-9",
+            ExactnessWarning,
+            stacklevel=2,
         )
-    return groups
+    grouped: list = []
+    for core, pair, event in hits:
+        if grouped and foliation.same_leaf(grouped[-1][0], core):
+            grouped[-1][1].append((pair, event))
+        else:
+            grouped.append((core, [(pair, event)]))
+    return [_leaf_group(foliation, core, members) for core, members in grouped]
 
 
 def collision_schedule(

@@ -216,13 +216,10 @@ class HistoryComparison:
 
 
 def _merge_cores(h1: History, h2: History) -> list:
-    exact = h1.foliation.exact
-    cores = list(h1.cores) + list(h2.cores)
-    if exact:
-        return sorted(set(cores))
+    """The breakpoint cores of both histories, one per leaf, increasing."""
     merged: list = []
-    for c in sorted(cores):
-        if not merged or c - merged[-1] > 1e-9:
+    for c in sorted(h1.cores + h2.cores):
+        if not merged or not h1.foliation.same_leaf(merged[-1], c):
             merged.append(c)
     return merged
 

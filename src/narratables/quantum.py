@@ -61,7 +61,7 @@ class SpinState:
                 f"expected {2**self.n_slots} amplitudes, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise NotNormalized(f"state norm {norm} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -89,7 +89,7 @@ class TwoSlotUnitary:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise DimensionMismatch(f"expected a 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m.conj().T @ m - np.eye(4))) > NORM_TOLERANCE:
+        if not np.max(np.abs(m.conj().T @ m - np.eye(4))) <= NORM_TOLERANCE:
             raise NonUnitaryMatrix("matrix is not unitary within 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -199,32 +199,30 @@ def _check_pair(state: SpinState, pair) -> tuple[int, int]:
 
 def apply_contact(state: SpinState, u: TwoSlotUnitary, pair) -> SpinState:
     """Apply `u` to the ordered slot pair, identity on the rest."""
-    a, b = _check_pair(state, pair)
-    n = state.n_slots
-    arr = state.amplitudes.reshape([2] * n)
-    u4 = u.matrix.reshape(2, 2, 2, 2)
-    out = np.tensordot(u4, arr, axes=([2, 3], [a, b]))
-    out = np.moveaxis(out, [0, 1], [a, b])
-    return SpinState(n, out.reshape(-1))
+    return apply_group(state, [(u, pair)])
 
 
 def apply_group(state: SpinState, actions: Iterable) -> SpinState:
     """Apply disjoint contact unitaries for one simultaneous collision group.
 
     `actions` is an iterable of (TwoSlotUnitary, pair); the result does not
-    depend on the listing order because the pairs must be disjoint.
+    depend on the listing order because the pairs must be disjoint.  All
+    contacts act on one amplitude array; only the result is validated.
     """
-    actions = list(actions)
+    checked = []
     used: set[int] = set()
-    for _, pair in actions:
+    for u, pair in actions:
         a, b = _check_pair(state, pair)
         for s in (a, b):
             if s in used:
                 raise OverlappingPairs(f"slot {s} used by two simultaneous unitaries")
             used.add(s)
-    for u, pair in actions:
-        state = apply_contact(state, u, pair)
-    return state
+        checked.append((u, a, b))
+    arr = state.amplitudes.reshape([2] * state.n_slots)
+    for u, a, b in checked:
+        out = np.tensordot(u.matrix.reshape(2, 2, 2, 2), arr, axes=([2, 3], [a, b]))
+        arr = np.moveaxis(out, [0, 1], [a, b])
+    return SpinState(state.n_slots, arr.reshape(-1))
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

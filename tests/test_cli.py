@@ -435,3 +435,62 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     code_b, out_b, _ = run_cli("demo-paper", "--csv", str(second_csv))
     assert (code_a, out_a) == (code_b, out_b)
     assert first_csv.read_bytes() == second_csv.read_bytes()
+
+
+# -- hostile input ------------------------------------------------------------
+
+
+def _scenario_edit(key, edit):
+    def write(tmp_path):
+        with open(DEMO) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = tmp_path / "hostile.json"
+        # "HUGE" stands for a JSON integer beyond the interpreter's 4300-digit limit
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" * 5000))
+        return ["compare-frames", str(path)]
+    return pytest.param(write, id=key)
+
+
+def _kernel_coefficient(key, value):
+    def write(tmp_path):
+        doc = {"in_slots": ["p1"], "out_slots": ["q1"], "deltas": [{"q1": value, "p1": -1}]}
+        return ["cluster-check", write_json(tmp_path / "k.json", doc)]
+    return pytest.param(write, id=key)
+
+
+def _same_history_va(key, entry):
+    def write(tmp_path):
+        return ["algebra", "same-history",
+                write_json(tmp_path / "h0.json", [[1, 0], [0, 2]]),
+                write_json(tmp_path / "va.json", [[1, entry], [0, 1]]),
+                write_json(tmp_path / "vb.json", [[1, 0], [0, 1]]),
+                write_json(tmp_path / "psi.json", [1, 0])]
+    return pytest.param(write, id=key)
+
+
+def _set_x(value):
+    return lambda doc: doc["particles"][0]["start"].__setitem__("x", value)
+
+
+@pytest.mark.parametrize("write", [
+    _same_history_va("nan-matrix-entry", float("nan")),
+    _same_history_va("infinite-matrix-entry", float("inf")),
+    _scenario_edit("nan-amplitude", lambda doc: doc.__setitem__(
+        "initial_state", {"amplitudes": [float("nan")] + [0] * 15})),
+    _scenario_edit("float-overflowing-amplitude", lambda doc: doc.__setitem__(
+        "initial_state", {"amplitudes": [10**400] + [0] * 15})),
+    _scenario_edit("nan-foliation", lambda doc: doc["foliations"].append([float("nan"), 0, 0])),
+    _scenario_edit("nan-coordinate", _set_x(float("nan"))),
+    _scenario_edit("huge-exponent-coordinate", _set_x("1e99999999")),
+    _scenario_edit("long-rational-string", _set_x("1" * 101)),
+    _scenario_edit("integer-beyond-digit-limit", _set_x("HUGE")),
+    _kernel_coefficient("nan-kernel-coefficient", float("nan")),
+    _kernel_coefficient("huge-exponent-kernel-coefficient", "1e99999999"),
+])
+def test_hostile_numbers_exit_4(tmp_path, write):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        code, out, err = run_cli(*write(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ")

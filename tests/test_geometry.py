@@ -85,6 +85,8 @@ def test_gamma_superluminal():
         lorentz_gamma((0.8, 0.8, 0.0))
     with pytest.raises(SuperluminalVelocity):
         lorentz_gamma((F(101, 100), F(0), F(0)))
+    with pytest.raises(SuperluminalVelocity):
+        lorentz_gamma((float("nan"), 0.0, 0.0))
 
 
 def test_boost_frozen_entries():
@@ -380,3 +382,14 @@ def test_collision_events_are_frame_independent(lines, velocity):
     flattened = [hit for g in groups for hit in g.collisions]
     assert len(flattened) == len(events)
     assert set(flattened) == set(events)
+    cores = [g.core for g in groups]
+    assert all(a < b for a, b in zip(cores, cores[1:]))
+    for g in groups:
+        assert list(g.pairs) == sorted(g.pairs)
+        assert {foliation.leaf_core(event) for _, event in g.collisions} == {g.core}
+    # timelike-separated events (two crossings of one worldline) never reorder
+    leaf_of = {hit: g.core for g in groups for hit in g.collisions}
+    for line in lines:
+        mine = sorted((event.t, leaf_of[(pair, event)]) for pair, event in events
+                      if line.id in pair)
+        assert all(a[1] < b[1] for a, b in zip(mine, mine[1:]))

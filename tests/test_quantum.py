@@ -134,6 +134,8 @@ def test_basis_label_convention():
 def test_state_validation():
     with pytest.raises(NotNormalized):
         SpinState(1, np.array([1.0, 1.0]))
+    with pytest.raises(NotNormalized):
+        SpinState(1, np.array([np.nan, 0.0]))
     with pytest.raises(DimensionMismatch):
         SpinState(2, np.array([1.0, 0.0]))
     with pytest.raises(TooManySlots):
@@ -148,6 +150,8 @@ def test_state_validation():
 def test_unitary_validation():
     with pytest.raises(NonUnitaryMatrix):
         TwoSlotUnitary(np.eye(4) * 2.0)
+    with pytest.raises(NonUnitaryMatrix):
+        TwoSlotUnitary(np.full((4, 4), np.nan))
     with pytest.raises(DimensionMismatch):
         TwoSlotUnitary(np.eye(3))
     u = swap_unitary()
@@ -237,6 +241,20 @@ def test_apply_group_matches_sequential_and_rejects_overlap():
     assert np.array_equal(apply_group(state, []).amplitudes, state.amplitudes)
     with pytest.raises(OverlappingPairs):
         apply_group(state, [(swap_unitary(), (0, 2)), (swap_unitary(), (2, 3))])
+
+
+def test_apply_group_builds_one_state_per_group(monkeypatch):
+    state = singlet_product(4, [(0, 1), (2, 3)])
+    built = []
+    validate = SpinState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SpinState, "__post_init__", counting)
+    out = apply_group(state, [(swap_unitary(), (0, 2)), (swap_unitary(), (1, 3))])
+    assert built == [out]
 
 
 def test_repairing_round_trip():
