@@ -55,10 +55,13 @@ def _fmt_amplitude(z: complex) -> str:
 
 
 def _write_overlap_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("foliation_id,tau,overlap_magnitude\n")
-        for foliation_id, tau, mag in rows:
-            fh.write(f"{foliation_id},{float(tau):.17g},{float(mag):.17g}\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("foliation_id,tau,overlap_magnitude\n")
+            for foliation_id, tau, mag in rows:
+                fh.write(f"{foliation_id},{float(tau):.17g},{float(mag):.17g}\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _packaged_json(name: str):
@@ -73,6 +76,8 @@ def built_in_demo() -> fileio.ScenarioBundle:
 def _report(bundle, rule_names, args) -> int:
     """Print the narratability report of `bundle` under two of its rules, and
     write its overlap samples when --csv is given."""
+    if not 0 <= args.tolerance < math.inf:
+        raise ParseError(f"--tolerance: {args.tolerance} is not a finite, non-negative number")
     rule_a, rule_b = (_resolve_rule(bundle, name) for name in rule_names)
     report = narratability_report(
         bundle.scenario, rule_a, rule_b, bundle.foliations, tol=args.tolerance
@@ -104,6 +109,8 @@ def _resolve_foliation(bundle, index: int) -> Foliation:
 
 
 def cmd_simulate(args) -> int:
+    if args.tau_grid < 1:
+        raise ParseError(f"--tau-grid: {args.tau_grid} is not a positive number of samples")
     bundle = fileio.load_scenario_file(args.scenario)
     rule = _resolve_rule(bundle, args.rule)
     foliation = _resolve_foliation(bundle, args.foliation)

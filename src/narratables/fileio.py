@@ -84,6 +84,16 @@ def _exact_rational(value, where: str) -> Fraction:
     _fail(where, f"expected a rational, got {type(value).__name__}")
 
 
+def _slot(value, where: str) -> int:
+    """A slot number: a non-bool integer, or a digit string (JSON object keys,
+    as in `singles`, are always strings)."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(where, f"expected a slot number, got {value!r}")
+    return value
+
+
 def _foliation_component(value, where: str):
     # floats stay floats here: the foliation then groups ties within 1e-9
     if isinstance(value, float):
@@ -227,9 +237,10 @@ def _parse_particle(entry, where: str) -> Worldline:
     velocity = entry["velocity"]
     if not isinstance(velocity, list) or len(velocity) != 3:
         _fail(f"{where}.velocity", "expected a 3-list")
+    slot = _slot(entry["id"], f"{where}.id")
     try:
         return Worldline(
-            id=int(entry["id"]),
+            id=slot,
             species=str(entry["species"]),
             start=Event(*[_exact_rational(c, f"{where}.start") for c in coords]),
             velocity=tuple(
@@ -251,20 +262,27 @@ def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
         except NarratablesError as exc:
             raise ParseError(f"{here}: {exc}") from exc
     if "singlet_pairs" in doc:
-        pairs = doc["singlet_pairs"]
-        if not isinstance(pairs, list):
-            _fail(f"{where}.singlet_pairs", "expected a list of [a, b] pairs")
+        here = f"{where}.singlet_pairs"
+        if not isinstance(doc["singlet_pairs"], list):
+            _fail(here, "expected a list of [a, b] pairs")
+        pairs = []
+        for k, pair in enumerate(doc["singlet_pairs"]):
+            if not isinstance(pair, list) or len(pair) != 2:
+                _fail(f"{here}[{k}]", f"expected a pair [a, b], got {pair!r}")
+            pairs.append(tuple(_slot(v, f"{here}[{k}][{m}]") for m, v in enumerate(pair)))
+        if not isinstance(doc.get("singles", {}), dict):
+            _fail(f"{where}.singles", "expected an object of {slot: vector} entries")
         singles = []
-        for slot, vec in doc.get("singles", {}).items():
-            v = parse_vector(vec, f"{where}.singles[{slot}]")
+        for key, vec in doc.get("singles", {}).items():
+            at = f"{where}.singles[{key}]"
+            slot = _slot(key, at)
+            v = parse_vector(vec, at)
             norm = np.linalg.norm(v)
             if norm == 0:
-                _fail(f"{where}.singles[{slot}]", "zero vector")
-            singles.append((int(slot), v / norm))
+                _fail(at, "zero vector")
+            singles.append((slot, v / norm))
         try:
-            spec = PairingSpec(
-                tuple((int(a), int(b)) for a, b in pairs), tuple(singles)
-            )
+            spec = PairingSpec(tuple(pairs), tuple(singles))
             return singlet_product(n_slots, spec)
         except NarratablesError as exc:
             raise ParseError(f"{where}: {exc}") from exc

@@ -147,11 +147,8 @@ class History:
     def _float_breakpoints(self) -> list:
         return [float(t) for t in self.breakpoints]
 
-    def state_at_core(self, core: Scalar) -> SpinState:
-        # right-continuous: on a collision leaf the new segment already holds
-        return self.segments[bisect_right(self.cores, core)]
-
     def state_at(self, tau) -> SpinState:
+        # right-continuous: on a collision leaf the new segment already holds
         return self.segments[bisect_right(self._float_breakpoints, float(tau))]
 
 
@@ -215,49 +212,44 @@ class HistoryComparison:
     min_overlap: float
 
 
-def _merge_cores(h1: History, h2: History) -> list:
-    """The breakpoint cores of both histories, one per leaf, increasing."""
-    merged: list = []
-    for c in sorted(h1.cores + h2.cores):
-        if not merged or not h1.foliation.same_leaf(merged[-1], c):
-            merged.append(c)
-    return merged
-
-
 def compare_histories(
     h1: History, h2: History, tol: float = COMPARISON_TOLERANCE
 ) -> HistoryComparison:
-    """Sample both histories at breakpoints and interval midpoints."""
-    if h1.foliation != h2.foliation:
-        raise FoliationMismatch(
-            f"cannot compare histories under {h1.foliation.velocity} and "
-            f"{h2.foliation.velocity}"
-        )
-    cores = _merge_cores(h1, h2)
-    if cores:
-        points = [cores[0] - 1]
-        for i, c in enumerate(cores):
-            points.append(c)
-            if i + 1 < len(cores):
-                points.append((c + cores[i + 1]) / 2)
-        points.append(cores[-1] + 1)
-    else:
-        points = [Fraction(0) if h1.foliation.exact else 0.0]
+    """Sample both histories before the first merged leaf, on each leaf, and
+    at the midpoint after it (core + 1 after the last), in one walk.
 
-    gamma = h1.foliation.gamma
-    samples = []
-    witness = None
-    for c in points:
-        mag = abs(overlap(h1.state_at_core(c), h2.state_at_core(c)))
-        samples.append((c, gamma * c, mag))
-        if witness is None and abs(mag - 1.0) > tol:
-            witness = (c, gamma * c, mag)
+    A merged leaf is a run of breakpoint cores of either history within
+    `Foliation.same_leaf` of its first core; both histories step past every
+    breakpoint on it.  Right-continuity makes the leaf and the interval after
+    it hold the same two states, so one overlap serves both samples."""
+    fol = h1.foliation
+    if fol != h2.foliation:
+        raise FoliationMismatch(
+            f"cannot compare histories under {fol.velocity} and {h2.foliation.velocity}"
+        )
+    c1, c2 = h1.cores, h2.cores
+    leaf = min(c1[:1] + c2[:1], default=None)
+    before = (Fraction(0) if fol.exact else 0.0) if leaf is None else leaf - 1
+    points = [(before, abs(overlap(h1.segments[0], h2.segments[0])))]
+    i = j = 0
+    while leaf is not None:
+        while i < len(c1) and fol.same_leaf(leaf, c1[i]):
+            i += 1
+        while j < len(c2) and fol.same_leaf(leaf, c2[j]):
+            j += 1
+        mag = abs(overlap(h1.segments[i], h2.segments[j]))
+        following = min(c1[i:i + 1] + c2[j:j + 1], default=None)
+        after = leaf + 1 if following is None else (leaf + following) / 2
+        points += [(leaf, mag), (after, mag)]
+        leaf = following
+
+    gamma = fol.gamma
+    samples = tuple((c, gamma * c, mag) for c, mag in points)
+    witness = next((s for s in samples if abs(s[2] - 1.0) > tol), None)
     min_overlap = min(s[2] for s in samples)
     if witness is None:
-        return HistoryComparison(True, None, None, None, tuple(samples), min_overlap)
-    return HistoryComparison(
-        False, witness[0], witness[1], witness[2], tuple(samples), min_overlap
-    )
+        return HistoryComparison(True, None, None, None, samples, min_overlap)
+    return HistoryComparison(False, *witness, samples, min_overlap)
 
 
 def histories_equal(h1: History, h2: History, tol: float = COMPARISON_TOLERANCE) -> bool:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from narratables import algebra
@@ -458,7 +458,6 @@ def history_cases(draw):
     return h0, va, vb, psi, draw(st.permutations(times)), hermitian
 
 
-@settings(deadline=None)
 @given(history_cases())
 def test_same_history_matches_sample_by_sample_reference(case):
     h0, va, vb, psi, times, hermitian = case
@@ -528,7 +527,6 @@ def exponent_cases(draw):
     return a * (draw(st.floats(1e-3, 1e3)) / np.linalg.norm(a, 1))
 
 
-@settings(deadline=None)
 @given(exponent_cases())
 def test_expm_matches_scipy(a):
     with np.errstate(over="ignore", invalid="ignore"):

@@ -485,6 +485,16 @@ def _set_x(value):
     _scenario_edit("huge-exponent-coordinate", _set_x("1e99999999")),
     _scenario_edit("long-rational-string", _set_x("1" * 101)),
     _scenario_edit("integer-beyond-digit-limit", _set_x("HUGE")),
+    _scenario_edit("null-particle-id", lambda doc: doc["particles"][0].__setitem__("id", None)),
+    _scenario_edit("fractional-particle-id", lambda doc: doc["particles"][0].__setitem__("id", 0.5)),
+    _scenario_edit("null-pair-entry", lambda doc: doc["initial_state"].__setitem__(
+        "singlet_pairs", [[0, None], [2, 3]])),
+    _scenario_edit("one-entry-pair", lambda doc: doc["initial_state"].__setitem__(
+        "singlet_pairs", [[0], [2, 3]])),
+    _scenario_edit("singles-as-list", lambda doc: doc["initial_state"].__setitem__(
+        "singles", [[1, 0]])),
+    _scenario_edit("non-digit-singles-key", lambda doc: doc["initial_state"].update(
+        singlet_pairs=[[0, 1]], singles={"x": [1, 0], "3": [1, 0]})),
     _kernel_coefficient("nan-kernel-coefficient", float("nan")),
     _kernel_coefficient("huge-exponent-kernel-coefficient", "1e99999999"),
 ])
@@ -494,3 +504,38 @@ def test_hostile_numbers_exit_4(tmp_path, write):
         code, out, err = run_cli(*write(tmp_path))
     assert (code, out) == (4, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("demo-paper", "--tolerance", "nan"), id="nan-tolerance"),
+    pytest.param(("demo-paper", "--tolerance", "inf"), id="infinite-tolerance"),
+    pytest.param(("demo-paper", "--tolerance", "-1"), id="negative-tolerance"),
+    pytest.param(("compare-frames", DEMO, "--tolerance", "nan"), id="compare-nan-tolerance"),
+    pytest.param(("simulate", DEMO, "--rule", "flip", "--foliation", "1", "--tau-grid", "0"),
+                 id="zero-tau-grid"),
+    pytest.param(("simulate", DEMO, "--rule", "flip", "--foliation", "1", "--tau-grid", "-3"),
+                 id="negative-tau-grid"),
+])
+def test_bad_flag_values_exit_4(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {argv[-2]}: ")
+
+
+def test_tolerance_zero_is_allowed():
+    code, out, _ = run_cli("demo-paper", "--tolerance", "0")
+    assert code == 0
+    assert "summary:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("demo-paper",),
+    ("compare-frames", DEMO),
+    ("simulate", DEMO, "--rule", "flip", "--foliation", "1"),
+])
+def test_unwritable_csv_path_exits_4(tmp_path, argv):
+    target = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli(*argv, "--csv", str(target))
+    assert code == 4
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from narratables import clusterkit
@@ -322,7 +322,6 @@ def rational_matrices(draw):
     return draw(st.permutations(rows))
 
 
-@settings(deadline=None)
 @given(rational_matrices())
 def test_rref_matches_fraction_gauss_jordan(rows):
     got_rows, got_pivots = clusterkit._rref(rows)
@@ -372,7 +371,6 @@ def apply_row_ops(rows, ops):
     return rows
 
 
-@settings(deadline=None)
 @given(kernels_with_row_ops())
 def test_row_operations_keep_verdict_and_canonical_rows(case):
     kernel, ops = case
@@ -403,7 +401,6 @@ def conserving_kernels(draw):
     )
 
 
-@settings(deadline=None)
 @given(conserving_kernels())
 def test_canonicalize_is_idempotent(kernel):
     once = canonicalize(kernel)

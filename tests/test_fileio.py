@@ -7,16 +7,25 @@ float enters a field that exact simultaneity grouping depends on.
 
 import copy
 import json
+import re
 import warnings
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from narratables.clusterkit import analyze
-from narratables.errors import ExactnessWarning, ParseError
+from narratables.errors import (
+    CoincidentWorldlines,
+    ExactnessWarning,
+    OverlappingSimultaneousPairs,
+    ParseError,
+)
 from narratables.fileio import (
+    ScenarioBundle,
     dump_scenario,
     load_kernel_file,
     load_matrix_file,
@@ -28,7 +37,16 @@ from narratables.fileio import (
     parse_vector,
     write_scenario_file,
 )
-from narratables.quantum import PairingSpec, singlet_product, swap_unitary
+from narratables.geometry import Event, Foliation, Worldline
+from narratables.narrative import InteractionRule, Scenario, narratability_report, render_report
+from narratables.quantum import (
+    PairingSpec,
+    SpinState,
+    TwoSlotUnitary,
+    identity_unitary,
+    singlet_product,
+    swap_unitary,
+)
 
 
 def data_path(name):
@@ -88,6 +106,78 @@ def test_scenario_write_read_round_trip_is_byte_identical(tmp_path):
     write_scenario_file(reloaded, second)
     assert first.read_bytes() == second.read_bytes()
     assert dump_scenario(bundle) == dump_scenario(reloaded)
+
+
+COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+SPEEDS = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=6)
+VELOCITIES = st.tuples(SPEEDS, SPEEDS, SPEEDS)
+SPECIES = ("a", "b", "c")
+
+
+@st.composite
+def unitaries(draw):
+    kind = draw(st.sampled_from(["swap", "identity", "explicit"]))
+    if kind == "swap":
+        return swap_unitary()
+    if kind == "identity":
+        return identity_unitary()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return TwoSlotUnitary(q)
+
+
+@st.composite
+def rules(draw, name):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(SPECIES), st.sampled_from(SPECIES)),
+                          max_size=3))
+    mapping = tuple((pair, draw(unitaries())) for pair in pairs)
+    return InteractionRule(name, mapping, draw(st.none() | unitaries()))
+
+
+@st.composite
+def rational_bundles(draw):
+    """Pairs of lines crossing at drawn events, a drawn state, 1-3 rules and
+    2-3 rational foliations."""
+    lines = []
+    for _ in range(draw(st.integers(1, 2))):
+        event = Event(*draw(st.tuples(COORDS, COORDS, COORDS, COORDS)))
+        first = draw(VELOCITIES)
+        for velocity in (first, draw(VELOCITIES.filter(lambda v: v != first))):
+            lines.append(Worldline(len(lines), draw(st.sampled_from(SPECIES)), event, velocity))
+    amplitudes = np.array(draw(st.lists(
+        st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+        min_size=2 ** len(lines), max_size=2 ** len(lines))))
+    norm = np.linalg.norm(amplitudes)
+    assume(norm > 1e-3)
+    try:
+        scenario = Scenario("drawn", tuple(lines), SpinState(len(lines), amplitudes / norm))
+    except CoincidentWorldlines:
+        assume(False)
+    names = draw(st.lists(st.sampled_from(["free", "flip", "mixed"]), min_size=1, unique=True))
+    foliations = [Foliation(v) for v in draw(st.lists(VELOCITIES, min_size=2, max_size=3))]
+    return ScenarioBundle(scenario, {name: draw(rules(name)) for name in names}, foliations)
+
+
+def report_text(bundle):
+    """The report of the bundle's first and last rule (a lone rule against itself)."""
+    names = sorted(bundle.rules)
+    rule_a, rule_b = bundle.rules[names[0]], bundle.rules[names[-1]]
+    return render_report(narratability_report(bundle.scenario, rule_a, rule_b, bundle.foliations))
+
+
+@settings(max_examples=60)
+@given(rational_bundles())
+def test_scenario_files_round_trip(bundle):
+    doc = dump_scenario(bundle)
+    reloaded = parse_scenario(json.loads(json.dumps(doc)))
+    assert dump_scenario(reloaded) == doc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # little-group warnings for spin-carrying states
+        try:
+            expected = report_text(bundle)
+        except OverlappingSimultaneousPairs:
+            assume(False)
+        assert report_text(reloaded) == expected
 
 
 def test_dump_scenario_shape():
@@ -264,6 +354,43 @@ def test_bad_singlet_pairing_is_a_parse_error():
     doc["initial_state"] = {"singlet_pairs": [[0, 0]]}
     with pytest.raises(ParseError):
         parse_scenario(doc)
+
+
+def pair_doc(initial_state):
+    doc = minimal_doc()
+    doc["particles"].append(copy.deepcopy(doc["particles"][0]))
+    doc["particles"][1].update(id=1, start={"t": 0, "x": 1, "y": 0, "z": 0})
+    doc["initial_state"] = initial_state
+    return doc
+
+
+@pytest.mark.parametrize("initial_state, second_id, where", [
+    pytest.param({"singlet_pairs": [[0, 1]]}, 1.0, "particles[1].id", id="float-id"),
+    pytest.param({"singlet_pairs": [[0, 1]]}, True, "particles[1].id", id="bool-id"),
+    pytest.param({"singlet_pairs": [[0, 1.0]]}, 1, "singlet_pairs[0][1]", id="float-entry"),
+    pytest.param({"singlet_pairs": [[0, "x"]]}, 1, "singlet_pairs[0][1]", id="text-entry"),
+    pytest.param({"singlet_pairs": [[0, 1, 1]]}, 1, "singlet_pairs[0]", id="three-entries"),
+    pytest.param({"singlet_pairs": [{"a": 0}]}, 1, "singlet_pairs[0]", id="object-pair"),
+    pytest.param({"singlet_pairs": [], "singles": {"-1": [1, 0], "1": [1, 0]}}, 1,
+                 "singles[-1]", id="negative-key"),
+    pytest.param({"singlet_pairs": [], "singles": {"1.0": [1, 0], "0": [1, 0]}}, 1,
+                 "singles[1.0]", id="decimal-key"),
+    pytest.param({"singlet_pairs": [], "singles": [[1, 0], [1, 0]]}, 1,
+                 "initial_state.singles", id="singles-list"),
+])
+def test_slot_numbers_are_integers(initial_state, second_id, where):
+    doc = pair_doc(initial_state)
+    doc["particles"][1]["id"] = second_id
+    with pytest.raises(ParseError, match=re.escape(where)):
+        parse_scenario(doc)
+
+
+def test_slot_numbers_may_be_digit_strings():
+    doc = pair_doc({"singlet_pairs": [], "singles": {"0": [1, 0], "1": [0, 1]}})
+    doc["particles"][1]["id"] = "1"
+    bundle = parse_scenario(doc)
+    assert [w.id for w in bundle.scenario.worldlines] == [0, 1]
+    assert abs(bundle.scenario.initial_state.amplitudes[1]) == 1
 
 
 def test_rule_default_entry_round_trip():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from narratables.errors import (
@@ -369,7 +369,6 @@ def crossing_scenarios(draw):
     return lines
 
 
-@settings(deadline=None)
 @given(crossing_scenarios(), VELOCITIES)
 def test_collision_events_are_frame_independent(lines, velocity):
     foliation = Foliation(velocity)

@@ -1,24 +1,30 @@
 """Histories across foliations and the non-narratability verdict."""
 
 import warnings
+from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from narratables import geometry, narrative
 from narratables.cli import built_in_demo
 from narratables.errors import (
     CoincidentWorldlines,
+    ExactnessWarning,
     FoliationMismatch,
     LittleGroupWarning,
     OverlappingSimultaneousPairs,
 )
-from narratables.geometry import Event, Foliation, Worldline, rest_foliation
+from narratables.geometry import CollisionGroup, Event, Foliation, Worldline, rest_foliation
 from narratables.narrative import (
+    COMPARISON_TOLERANCE,
     REFOLIATION_NOTE,
+    History,
     InteractionRule,
     Scenario,
     compare_histories,
@@ -35,6 +41,7 @@ from narratables.quantum import (
     apply_contact,
     equal_up_to_phase,
     identity_unitary,
+    overlap,
     singlet_product,
     swap_unitary,
 )
@@ -121,11 +128,12 @@ def test_evolve_x_boost_three_segments():
 
 def test_history_right_continuous_at_breakpoints():
     history = evolve(demo_scenario(), X_BOOST, flip_rule())
+    assert history.breakpoints[0] == F(17, 4)
     assert np.array_equal(
-        history.state_at_core(F(17, 5)).amplitudes, history.segments[1].amplitudes
+        history.state_at(F(17, 4)).amplitudes, history.segments[1].amplitudes
     )
     assert np.array_equal(
-        history.state_at_core(F(17, 5) - F(1, 1000)).amplitudes,
+        history.state_at(F(17, 4) - F(1, 1000)).amplitudes,
         history.segments[0].amplitudes,
     )
     assert np.array_equal(
@@ -164,6 +172,47 @@ def test_comparison_sample_grid():
     assert cores == [F(12, 5), F(17, 5), F(4), F(23, 5), F(28, 5)]
     taus = [t for _, t, _ in comparison.samples]
     assert taus == [F(3), F(17, 4), F(5), F(23, 4), F(7)]
+
+
+def test_comparison_takes_one_overlap_per_merged_interval(monkeypatch):
+    calls = []
+    monkeypatch.setattr(narrative, "overlap", lambda a, b: calls.append(1) or overlap(a, b))
+    scenario = demo_scenario()
+    for foliation, rule_a, rule_b, expected in [
+        (X_BOOST, free_rule(), flip_rule(), 3),  # one before the leaves, one per leaf
+        (X_BOOST, flip_rule(), flip_rule(), 3),
+        (rest_foliation(), free_rule(), flip_rule(), 2),
+        (rest_foliation(), free_rule(), free_rule(), 1),
+    ]:
+        calls.clear()
+        comparison = compare_histories(
+            evolve(scenario, foliation, rule_a), evolve(scenario, foliation, rule_b)
+        )
+        assert len(calls) == expected
+        assert len(comparison.samples) == 2 * expected - 1
+
+
+def test_float_near_tie_reads_both_histories_past_the_leaf():
+    # the second history's (0,2) crossing sits 5e-10 later in core: within the
+    # float tie tolerance, so on that merged leaf both histories have fired
+    foliation = Foliation((0.6, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        early = evolve(demo_scenario(), foliation, flip_rule())
+    assert [g.pairs for g in early.groups] == [((1, 3),), ((0, 2),)]
+    first, crossing = early.groups
+    core = crossing.core + 5e-10
+    late = History(
+        foliation, (first, replace(crossing, core=core, tau=foliation.gamma * core)),
+        early.segments,
+    )
+    comparison = compare_histories(early, late)
+    assert comparison.equal
+    assert [c for c, _, _ in comparison.samples] == [
+        first.core - 1, first.core, (first.core + crossing.core) / 2,
+        crossing.core, crossing.core + 1,
+    ]
+    assert comparison.min_overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compare_requires_same_foliation():
@@ -402,7 +451,6 @@ def identity_rule_cases(draw):
     return lines, initial, rule, Foliation(draw(VELOCITIES))
 
 
-@settings(deadline=None)
 @given(identity_rule_cases())
 def test_identity_rules_fire_no_groups(case):
     lines, initial, rule, foliation = case
@@ -416,3 +464,61 @@ def test_identity_rules_fire_no_groups(case):
     assert history.segments == (scenario.initial_state,)
     assert history.inert_groups == tuple(groups)
     assert len(history.inert_groups) >= 1
+
+
+ONE_SLOT_STATES = (
+    SpinState(1, [1, 0]),
+    SpinState(1, [0, 1]),
+    SpinState(1, [2**-0.5, 2**-0.5]),
+)
+
+
+@st.composite
+def history_pairs(draw):
+    """Two histories under one exact foliation, on breakpoint cores drawn from
+    one small pool so that they often share leaves."""
+    foliation = Foliation(draw(VELOCITIES))
+    pool = draw(st.lists(COORDS, min_size=1, max_size=6, unique=True))
+
+    def history():
+        cores = sorted(draw(st.lists(st.sampled_from(pool), unique=True)))
+        groups = tuple(CollisionGroup(c, foliation.gamma * c, ()) for c in cores)
+        segments = tuple(draw(st.sampled_from(ONE_SLOT_STATES)) for _ in range(len(cores) + 1))
+        return History(foliation, groups, segments)
+
+    return history(), history()
+
+
+def merge_and_bisect_comparison(h1, h2):
+    """The comparison in two steps: merge the breakpoint cores under the tie
+    rule, then look every sample up in each history by bisection."""
+    fol = h1.foliation
+    merged = []
+    for c in sorted(h1.cores + h2.cores):
+        if not merged or not fol.same_leaf(merged[-1], c):
+            merged.append(c)
+    points = [merged[0] - 1] if merged else [F(0)]
+    for k, c in enumerate(merged):
+        points += [c, (c + merged[k + 1]) / 2 if k + 1 < len(merged) else c + 1]
+    samples = tuple(
+        (c, fol.gamma * c, abs(overlap(h1.segments[bisect_right(h1.cores, c)],
+                                       h2.segments[bisect_right(h2.cores, c)])))
+        for c in points
+    )
+    witness = next((s for s in samples if abs(s[2] - 1.0) > COMPARISON_TOLERANCE), None)
+    return samples, witness, min(s[2] for s in samples), len(merged)
+
+
+@given(history_pairs())
+def test_walk_matches_merge_and_bisect_reference(pair):
+    h1, h2 = pair
+    samples, witness, least, leaves = merge_and_bisect_comparison(h1, h2)
+    with mock.patch.object(narrative, "overlap", wraps=overlap) as counted:
+        comparison = compare_histories(h1, h2)
+    assert comparison.samples == samples
+    assert comparison.equal == (witness is None)
+    assert (comparison.witness_core, comparison.witness_tau, comparison.witness_overlap) == (
+        witness or (None, None, None)
+    )
+    assert comparison.min_overlap == least
+    assert counted.call_count == leaves + 1
