@@ -74,17 +74,17 @@ def built_in_demo() -> fileio.ScenarioBundle:
 
 
 def _report(bundle, rule_names, args) -> int:
-    """Print the narratability report of `bundle` under two of its rules, and
-    write its overlap samples when --csv is given."""
+    """Print the narratability report of `bundle` under two of its rules, after
+    writing its overlap samples when --csv is given."""
     if not 0 <= args.tolerance < math.inf:
         raise ParseError(f"--tolerance: {args.tolerance} is not a finite, non-negative number")
     rule_a, rule_b = (_resolve_rule(bundle, name) for name in rule_names)
     report = narratability_report(
         bundle.scenario, rule_a, rule_b, bundle.foliations, tol=args.tolerance
     )
-    print(render_report(report, colorize=_color_enabled()))
     if args.csv:
         _write_overlap_csv(args.csv, report.csv_rows())
+    print(render_report(report, colorize=_color_enabled()))
     return EXIT_OK
 
 
@@ -115,6 +115,20 @@ def cmd_simulate(args) -> int:
     rule = _resolve_rule(bundle, args.rule)
     foliation = _resolve_foliation(bundle, args.foliation)
     history = evolve(bundle.scenario, foliation, rule)
+    taus = history.breakpoints
+
+    if args.csv:
+        if taus:
+            lo, hi = float(taus[0]) - 1.0, float(taus[-1]) + 1.0
+        else:
+            lo, hi = -1.0, 1.0
+        initial = history.segments[0]
+        rows = []
+        for k in range(args.tau_grid):
+            tau = lo + (hi - lo) * k / (args.tau_grid - 1) if args.tau_grid > 1 else lo
+            state = history.state_at(tau)
+            rows.append((args.foliation, tau, abs(overlap(initial, state))))
+        _write_overlap_csv(args.csv, rows)
 
     vel = ", ".join(format_scalar(c) for c in foliation.velocity)
     print(f"scenario: {bundle.scenario.name}")
@@ -130,7 +144,6 @@ def cmd_simulate(args) -> int:
         print(f"  tau = {format_scalar(g.tau)}: pairs {pairs} at {events}")
     if history.inert_groups:
         print(f"inert crossings (identity unitary): {len(history.inert_groups)}")
-    taus = history.breakpoints
     print(f"segments: {len(history.segments)}")
     for i, segment in enumerate(history.segments):
         if not taus:
@@ -144,19 +157,6 @@ def cmd_simulate(args) -> int:
         print(f"segment {i} ({span}):")
         for label, amp in segment.nonzero_terms():
             print(f"  |{label}> {_fmt_amplitude(amp)}")
-
-    if args.csv:
-        if taus:
-            lo, hi = float(taus[0]) - 1.0, float(taus[-1]) + 1.0
-        else:
-            lo, hi = -1.0, 1.0
-        initial = history.segments[0]
-        rows = []
-        for k in range(args.tau_grid):
-            tau = lo + (hi - lo) * k / (args.tau_grid - 1) if args.tau_grid > 1 else lo
-            state = history.state_at(tau)
-            rows.append((args.foliation, tau, abs(overlap(initial, state))))
-        _write_overlap_csv(args.csv, rows)
     return EXIT_OK
 
 

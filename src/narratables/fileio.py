@@ -383,10 +383,10 @@ def load_scenario_file(path) -> ScenarioBundle:
     return parse_scenario(_load_json(path), str(path))
 
 
-def _rational_str(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(float(value))
+def _scalar_doc(value):
+    # a rational as a string; a float (a float foliation's velocity) as a JSON
+    # number, which parses back to the same float
+    return value if isinstance(value, float) else str(value)
 
 
 def _complex_doc(z: complex):
@@ -396,7 +396,8 @@ def _complex_doc(z: complex):
 
 
 def dump_scenario(bundle: ScenarioBundle) -> dict:
-    """Serialize a bundle back to the file format (rationals as strings)."""
+    """Serialize a bundle back to the file format (rationals as strings,
+    float foliation components as numbers)."""
     particles = []
     for w in bundle.scenario.worldlines:
         particles.append(
@@ -404,12 +405,12 @@ def dump_scenario(bundle: ScenarioBundle) -> dict:
                 "id": w.id,
                 "species": w.species,
                 "start": {
-                    "t": _rational_str(w.start.t),
-                    "x": _rational_str(w.start.x),
-                    "y": _rational_str(w.start.y),
-                    "z": _rational_str(w.start.z),
+                    "t": _scalar_doc(w.start.t),
+                    "x": _scalar_doc(w.start.x),
+                    "y": _scalar_doc(w.start.y),
+                    "z": _scalar_doc(w.start.z),
                 },
-                "velocity": [_rational_str(v) for v in w.velocity],
+                "velocity": [_scalar_doc(v) for v in w.velocity],
             }
         )
     state = bundle.scenario.initial_state
@@ -437,7 +438,7 @@ def dump_scenario(bundle: ScenarioBundle) -> dict:
         },
         "rules": rules,
         "foliations": [
-            [_rational_str(c) for c in f.velocity] for f in bundle.foliations
+            [_scalar_doc(c) for c in f.velocity] for f in bundle.foliations
         ],
     }
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, sqrt
+from functools import cached_property
+from math import isqrt, lcm, sqrt
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -137,7 +138,12 @@ class Worldline:
         )
 
     def base_point(self) -> tuple[Fraction, Fraction, Fraction]:
-        # spatial position extrapolated to t = 0
+        """Spatial position extrapolated to t = 0."""
+        return self._base_point
+
+    @cached_property
+    def _base_point(self) -> tuple[Fraction, Fraction, Fraction]:
+        # computed once per line; `collide` reads it for every pair
         p = self.position_at(0)
         return (p.x, p.y, p.z)
 
@@ -317,27 +323,51 @@ def _leaf_group(foliation: Foliation, core: Scalar, members: list) -> CollisionG
     return CollisionGroup(core=core, tau=foliation.gamma * core, collisions=tuple(members))
 
 
+def _integer_leaf_keys(events: Sequence, velocity) -> tuple[list, int]:
+    """Exact leaf keys as integers, and the scale that turns a key into a core.
+
+    With every event coordinate and velocity component over one common
+    denominator d (t = T/d, x = X/d, ..., v = (a, b, c)/d), the core is
+    t - v . x = (T*d - (a*X + b*Y + c*Z)) / d**2."""
+    d = lcm(*(v.denominator for v in velocity),
+            *(c.denominator for _, e in events for c in e.coordinates()))
+    a, b, c = (v.numerator * (d // v.denominator) for v in velocity)
+    keys = []
+    for _, e in events:
+        t, x, y, z = (q.numerator * (d // q.denominator) for q in e.coordinates())
+        keys.append(t * d - (a * x + b * y + c * z))
+    return keys, d * d
+
+
 def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
     """Collision events grouped by leaf, ordered by increasing tau.
 
     `Foliation.same_leaf` decides ties: exact for rational velocities, within
-    1e-9 for float ones (with an ExactnessWarning).  A particle meeting two
-    partners on one leaf raises OverlappingSimultaneousPairs.
+    1e-9 for float ones (with an ExactnessWarning).  An exact foliation sorts
+    and ties integer keys and builds one Fraction core per leaf.  A particle
+    meeting two partners on one leaf raises OverlappingSimultaneousPairs.
     """
-    hits = sorted(((foliation.leaf_core(e), pair, e) for pair, e in events), key=lambda h: h[0])
-    if hits and not foliation.exact:
-        warnings.warn(
-            "float foliation velocity: leaf ties grouped within 1e-9",
-            ExactnessWarning,
-            stacklevel=2,
-        )
+    if foliation.exact:
+        keys, scale = _integer_leaf_keys(events, foliation.velocity)
+    else:
+        keys = [foliation.leaf_core(e) for _, e in events]
+        if keys:
+            warnings.warn(
+                "float foliation velocity: leaf ties grouped within 1e-9",
+                ExactnessWarning,
+                stacklevel=2,
+            )
     grouped: list = []
-    for core, pair, event in hits:
-        if grouped and foliation.same_leaf(grouped[-1][0], core):
-            grouped[-1][1].append((pair, event))
+    # keys order like cores, so `same_leaf` (equality when exact) ties them too
+    for key, member in sorted(zip(keys, events), key=lambda h: h[0]):
+        if grouped and foliation.same_leaf(grouped[-1][0], key):
+            grouped[-1][1].append(member)
         else:
-            grouped.append((core, [(pair, event)]))
-    return [_leaf_group(foliation, core, members) for core, members in grouped]
+            grouped.append((key, [member]))
+    return [
+        _leaf_group(foliation, Fraction(key, scale) if foliation.exact else key, members)
+        for key, members in grouped
+    ]
 
 
 def collision_schedule(

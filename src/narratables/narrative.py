@@ -161,10 +161,19 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
 
 
 def _evolve_groups(
-    scenario: Scenario, foliation: Foliation, groups: Sequence, rule: InteractionRule
+    scenario: Scenario,
+    foliation: Foliation,
+    groups: Sequence,
+    rule: InteractionRule,
+    previous: Optional[History] = None,
 ) -> History:
     """`evolve` over the foliation's collision groups, already found; warnings
-    point at the caller of `evolve` or `narratability_report`."""
+    point at the caller of `evolve` or `narratability_report`.
+
+    `previous` is a history of the same scenario and rule under another
+    foliation.  While the groups fired so far have the same pairs as its
+    groups, in the same order, its segments are the states they produce, so
+    they are reused; `apply_group` runs from the first group that differs."""
     boosted = not foliation.is_rest
     if boosted and scenario.has_initial_spin:
         warnings.warn(
@@ -173,6 +182,7 @@ def _evolve_groups(
             LittleGroupWarning,
             stacklevel=3,
         )
+    shared = previous.groups if previous is not None else ()
     fired, inert = [], []
     segments = [scenario.initial_state]
     for group in groups:
@@ -183,8 +193,13 @@ def _evolve_groups(
         if all(u.is_identity for u, _ in actions):
             inert.append(group)
             continue
+        k = len(fired)
         fired.append(group)
-        segments.append(apply_group(segments[-1], actions))
+        if k < len(shared) and shared[k].pairs == group.pairs:
+            segments.append(previous.segments[k + 1])
+        else:
+            shared = ()
+            segments.append(apply_group(segments[-1], actions))
         culprits = [pair for u, pair in actions if not u.conserves_spin]
         if boosted and culprits and _carries_spin(segments[-1]):
             species = ", ".join("({}, {})".format(*map(scenario.species_of, p)) for p in culprits)
@@ -364,11 +379,13 @@ def narratability_report(
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
     verdicts = []
+    ha = hb = None
     for idx, fol in enumerate(foliations):
         # raw schedule: the crossings exist whichever rule fires them
         groups = tuple(group_by_leaf(scenario.events, fol))
-        ha = _evolve_groups(scenario, fol, groups, rule_a)
-        hb = _evolve_groups(scenario, fol, groups, rule_b)
+        # each rule's history in the previous frame lends its shared prefix
+        ha = _evolve_groups(scenario, fol, groups, rule_a, previous=ha)
+        hb = _evolve_groups(scenario, fol, groups, rule_b, previous=hb)
         verdicts.append(
             FrameVerdict(
                 foliation_index=idx,

@@ -534,8 +534,9 @@ def test_tolerance_zero_is_allowed():
     ("simulate", DEMO, "--rule", "flip", "--foliation", "1"),
 ])
 def test_unwritable_csv_path_exits_4(tmp_path, argv):
+    # the CSV is written before the report is printed: nothing reaches stdout
     target = tmp_path / "missing" / "out.csv"
-    code, _, err = run_cli(*argv, "--csv", str(target))
-    assert code == 4
+    code, out, err = run_cli(*argv, "--csv", str(target))
+    assert (code, out) == (4, "")
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.exists()

@@ -37,7 +37,7 @@ from narratables.fileio import (
     parse_vector,
     write_scenario_file,
 )
-from narratables.geometry import Event, Foliation, Worldline
+from narratables.geometry import FLOAT_TIE_TOLERANCE, Event, Foliation, Worldline
 from narratables.narrative import InteractionRule, Scenario, narratability_report, render_report
 from narratables.quantum import (
     PairingSpec,
@@ -111,6 +111,8 @@ def test_scenario_write_read_round_trip_is_byte_identical(tmp_path):
 COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 SPEEDS = st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2), max_denominator=6)
 VELOCITIES = st.tuples(SPEEDS, SPEEDS, SPEEDS)
+FLOAT_SPEED = st.floats(min_value=-0.5, max_value=0.5)
+FLOAT_VELOCITIES = st.tuples(FLOAT_SPEED, FLOAT_SPEED, FLOAT_SPEED)
 SPECIES = ("a", "b", "c")
 
 
@@ -134,10 +136,17 @@ def rules(draw, name):
     return InteractionRule(name, mapping, draw(st.none() | unitaries()))
 
 
+def clear_of_ties(events, foliation):
+    """Whether every two leaf cores of `events` under the float `foliation`
+    are equal or further apart than 1000 times the tie tolerance."""
+    cores = sorted(foliation.leaf_core(e) for _, e in events)
+    return all(b == a or b - a > 1000 * FLOAT_TIE_TOLERANCE for a, b in zip(cores, cores[1:]))
+
+
 @st.composite
-def rational_bundles(draw):
+def scenario_bundles(draw):
     """Pairs of lines crossing at drawn events, a drawn state, 1-3 rules and
-    2-3 rational foliations."""
+    2-3 foliations, rational or float (away from float ties)."""
     lines = []
     for _ in range(draw(st.integers(1, 2))):
         event = Event(*draw(st.tuples(COORDS, COORDS, COORDS, COORDS)))
@@ -154,7 +163,11 @@ def rational_bundles(draw):
     except CoincidentWorldlines:
         assume(False)
     names = draw(st.lists(st.sampled_from(["free", "flip", "mixed"]), min_size=1, unique=True))
-    foliations = [Foliation(v) for v in draw(st.lists(VELOCITIES, min_size=2, max_size=3))]
+    velocities = draw(st.lists(VELOCITIES | FLOAT_VELOCITIES, min_size=2, max_size=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        foliations = [Foliation(v) for v in velocities]
+    assume(all(f.exact or clear_of_ties(scenario.events, f) for f in foliations))
     return ScenarioBundle(scenario, {name: draw(rules(name)) for name in names}, foliations)
 
 
@@ -166,11 +179,15 @@ def report_text(bundle):
 
 
 @settings(max_examples=60)
-@given(rational_bundles())
+@given(scenario_bundles())
 def test_scenario_files_round_trip(bundle):
     doc = dump_scenario(bundle)
-    reloaded = parse_scenario(json.loads(json.dumps(doc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)  # float foliation components
+        reloaded = parse_scenario(json.loads(json.dumps(doc)))
     assert dump_scenario(reloaded) == doc
+    assert [f.velocity for f in reloaded.foliations] == [f.velocity for f in bundle.foliations]
+    assert [f.exact for f in reloaded.foliations] == [f.exact for f in bundle.foliations]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # little-group warnings for spin-carrying states
         try:
@@ -224,6 +241,19 @@ def test_float_foliation_component_stays_float():
     assert isinstance(fol.velocity[0], float)
     assert fol.velocity[0] == 0.3
     assert not fol.exact
+
+
+def test_float_foliation_dumps_as_numbers_and_reads_back_float():
+    bundle = load_scenario_file(data_path("demo_scenario.json"))
+    bundle.foliations.append(Foliation((0.6, 0, 0)))
+    doc = dump_scenario(bundle)
+    assert doc["foliations"][3] == [0.6, 0.0, 0.0]
+    assert doc["foliations"][1] == ["3/5", "0", "0"]
+    with pytest.warns(ExactnessWarning, match="1e-9 tolerance"):
+        reloaded = parse_scenario(json.loads(json.dumps(doc)))
+    assert reloaded.foliations[3].velocity == (0.6, 0.0, 0.0)
+    assert not reloaded.foliations[3].exact
+    assert dump_scenario(reloaded) == doc
 
 
 def test_invalid_json_reports_line_and_column(tmp_path):

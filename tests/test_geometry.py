@@ -26,6 +26,7 @@ from narratables.geometry import (
     collide,
     collision_events,
     collision_schedule,
+    group_by_leaf,
     leaf_parameter,
     lorentz_gamma,
     rest_foliation,
@@ -392,3 +393,97 @@ def test_collision_events_are_frame_independent(lines, velocity):
         mine = sorted((event.t, leaf_of[(pair, event)]) for pair, event in events
                       if line.id in pair)
         assert all(a[1] < b[1] for a, b in zip(mine, mine[1:]))
+
+
+# mixed denominators and both signs; |v|^2 <= 3/4 keeps every draw subluminal
+MIXED_SPEEDS = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=12)
+MIXED_COORDS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+
+
+@st.composite
+def leaf_event_sets(draw):
+    """An exact velocity and events with distinct pairs, most placed on a few
+    drawn leaves t - v.x = u, so that leaves often hold three or more events
+    and a slot often meets two partners on one leaf."""
+    velocity = draw(st.tuples(MIXED_SPEEDS, MIXED_SPEEDS, MIXED_SPEEDS))
+    leaves = draw(st.lists(MIXED_COORDS, min_size=1, max_size=3))
+    # up to six disjoint pairs, then a few more that may share a slot with them
+    order = draw(st.permutations(range(12)))
+    pairs = [tuple(sorted(order[k:k + 2])) for k in range(0, 2 * draw(st.integers(1, 6)), 2)]
+    all_pairs = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+    pairs += draw(st.lists(st.sampled_from(all_pairs).filter(lambda p: p not in pairs),
+                           max_size=2, unique=True))
+    events = []
+    for pair in pairs:
+        x, y, z = draw(st.tuples(MIXED_COORDS, MIXED_COORDS, MIXED_COORDS))
+        leaf = draw(st.integers(0, len(leaves)))  # len(leaves): off every drawn leaf
+        t = draw(MIXED_COORDS) if leaf == len(leaves) else leaves[leaf] + sum(
+            v * p for v, p in zip(velocity, (x, y, z)))
+        events.append((pair, Event(t, x, y, z)))
+    return velocity, events
+
+
+def reference_grouping(events, velocity):
+    """Leaves keyed by the Fraction t - v.x, in increasing order, members by
+    pair; the first slot met twice on a leaf raises, as `group_by_leaf` does."""
+    leaves = {}
+    for pair, event in events:
+        core = event.t - sum(v * p for v, p in zip(velocity, event.position()))
+        leaves.setdefault(core, []).append((pair, event))
+    gamma = lorentz_gamma(velocity)
+    groups = []
+    for core in sorted(leaves):
+        members = sorted(leaves[core], key=lambda m: m[0])
+        seen = set()
+        for pair, _ in members:
+            for slot in pair:
+                if slot in seen:
+                    raise OverlappingSimultaneousPairs(
+                        f"particle {slot} collides twice on leaf core={core}")
+                seen.add(slot)
+        groups.append((core, gamma * core, tuple(members)))
+    return groups
+
+
+def grouping_outcome(group):
+    try:
+        return group()
+    except OverlappingSimultaneousPairs as exc:
+        return str(exc)
+
+
+@given(leaf_event_sets(), st.randoms(use_true_random=False))
+def test_integer_leaf_keys_match_a_fraction_reference(case, rng):
+    velocity, events = case
+    rng.shuffle(events)  # the grouping does not depend on the listing order
+    expected = grouping_outcome(lambda: reference_grouping(events, velocity))
+    got = grouping_outcome(lambda: [
+        (g.core, g.tau, g.collisions) for g in group_by_leaf(events, Foliation(velocity))])
+    assert got == expected
+    if isinstance(got, list):
+        assert all(type(core) is Fraction for core, _, _ in got)
+
+
+@given(crossing_scenarios(), VELOCITIES)
+def test_float_foliation_groups_like_the_exact_one_away_from_ties(lines, velocity):
+    exact = Foliation(velocity)
+    approx = Foliation(tuple(float(v) for v in velocity))
+    try:
+        events = collision_events(lines)
+    except CoincidentWorldlines:
+        assume(False)
+    cores = sorted({exact.leaf_core(e) for _, e in events})
+    # exact ties stay ties in floats; distinct leaves sit far beyond the tolerance
+    assume(all(b - a > 1000 * FLOAT_TIE_TOLERANCE for a, b in zip(cores, cores[1:])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        expected = grouping_outcome(lambda: group_by_leaf(events, exact))
+        got = grouping_outcome(lambda: group_by_leaf(events, approx))
+    if isinstance(expected, str):
+        assert isinstance(got, str)
+        return
+    assert [g.collisions for g in got] == [g.collisions for g in expected]
+    for g, e in zip(got, expected):
+        assert isinstance(g.core, float)
+        assert g.core == pytest.approx(float(e.core), abs=1e-12)
+        assert g.tau == pytest.approx(float(e.tau), abs=1e-12)

@@ -522,3 +522,141 @@ def test_walk_matches_merge_and_bisect_reference(pair):
     )
     assert comparison.min_overlap == least
     assert counted.call_count == leaves + 1
+
+
+def report_histories(scenario, rule_a, rule_b, foliations):
+    """The report, and the histories it evolved: rule a then rule b per frame."""
+    made = []
+    original = narrative._evolve_groups
+
+    def recording(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(narrative, "_evolve_groups", recording):
+        report = narratability_report(scenario, rule_a, rule_b, foliations)
+    return report, made
+
+
+def random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return TwoSlotUnitary(q)
+
+
+@st.composite
+def shared_prefix_cases(draw):
+    """Crossing line pairs, two drawn rules, and 2-5 foliations from a small
+    pool, so that neighbouring frames often fire the same groups in order."""
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        event = Event(*draw(st.tuples(COORDS, COORDS, COORDS, COORDS)))
+        first = draw(VELOCITIES)
+        second = draw(VELOCITIES.filter(lambda v: v != first))
+        for velocity in (first, second):
+            lines.append(Worldline(len(lines), draw(st.sampled_from(SPECIES)), event, velocity))
+    unitary = st.sampled_from([swap_unitary(), identity_unitary()]) | st.integers(0, 99).map(
+        random_unitary)
+
+    def rule(name):
+        keys = draw(st.lists(st.tuples(st.sampled_from(SPECIES), st.sampled_from(SPECIES)),
+                             max_size=3))
+        return InteractionRule(name, tuple((k, draw(unitary)) for k in keys),
+                               draw(st.none() | unitary))
+
+    pool = [rest_foliation(), X_BOOST, Y_BOOST] + [Foliation(v) for v in draw(
+        st.lists(VELOCITIES, min_size=1, max_size=2))]
+    foliations = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5))
+    initial = singlet_product(len(lines), [(i, i + 1) for i in range(0, len(lines), 2)])
+    return lines, initial, rule("a"), rule("b"), foliations
+
+
+@given(shared_prefix_cases())
+def test_report_histories_equal_fresh_evolutions(case):
+    lines, initial, rule_a, rule_b, foliations = case
+    try:
+        scenario = Scenario(name="prefixes", worldlines=tuple(lines), initial_state=initial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LittleGroupWarning)
+            _, made = report_histories(scenario, rule_a, rule_b, foliations)
+            fresh = [evolve(scenario, fol, rule)
+                     for fol in foliations for rule in (rule_a, rule_b)]
+    except (CoincidentWorldlines, OverlappingSimultaneousPairs):
+        assume(False)  # an accidental extra crossing; not what is probed here
+    assert len(made) == len(fresh)
+    for got, want in zip(made, fresh):
+        assert got.foliation == want.foliation
+        assert got.groups == want.groups
+        assert got.inert_groups == want.inert_groups
+        assert len(got.segments) == len(want.segments)
+        for a, b in zip(got.segments, want.segments):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def test_prefix_reuse_stops_at_the_first_differing_group(monkeypatch):
+    # four crossings of disjoint pairs: A long before B, D and E, with B and D
+    # on either side of E along x.  The x boosts +1/2 and -1/2 fire A, B, E, D
+    # and A, D, E, B: E sits third in both, but after different states.
+    crossings = [(-100, 0, 0), (2, 10, 1), (2, -10, 2), (2, 0, 3)]  # (t, x, y): A, B, D, E
+    lines = []
+    for t, x, y in crossings:
+        for w in (F(1, 2), F(-1, 2)):
+            lines.append(Worldline(len(lines), "s", Event.of(t, x, y, 0), (0, 0, w)))
+    rng = np.random.default_rng(5)
+    amplitudes = rng.normal(size=256) + 1j * rng.normal(size=256)
+    initial = SpinState(8, amplitudes / np.linalg.norm(amplitudes))
+    scenario = Scenario("diverging", tuple(lines), initial)
+    rule = InteractionRule("random", default=random_unitary(7))
+    forward, backward = Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0))
+    calls = _counting(monkeypatch, narrative, "apply_group")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LittleGroupWarning)
+        _, made = report_histories(scenario, free_rule(), rule, [forward, backward])
+    assert [g.pairs for g in made[1].groups] == [((0, 1),), ((2, 3),), ((6, 7),), ((4, 5),)]
+    assert [g.pairs for g in made[3].groups] == [((0, 1),), ((4, 5),), ((6, 7),), ((2, 3),)]
+    assert len(calls) == 4 + 3  # only A is shared
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LittleGroupWarning)
+        fresh = evolve(scenario, backward, rule)
+    for a, b in zip(made[3].segments, fresh.segments):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert not np.allclose(made[3].segments[3].amplitudes, made[1].segments[3].amplitudes)
+
+
+def test_same_fired_order_in_the_next_frame_applies_no_contact(monkeypatch):
+    # the 3/5 and 4/5 x boosts both fire (1,3) and then (0,2)
+    scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
+    calls = _counting(monkeypatch, narrative, "apply_group")
+    evolve(scenario, X_BOOST, flip)
+    assert len(calls) == 2
+    calls.clear()
+    narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(4, 5), 0, 0))])
+    assert len(calls) == 2  # all in the first frame
+    calls.clear()
+    # the -3/5 boost fires (0,2) first, so it shares no prefix and applies both
+    narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(-3, 5), 0, 0))])
+    assert len(calls) == 4
+
+
+def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
+    # a CZ contact leaves spin behind under a boost: each frame warns with its
+    # own tau, though the second frame reuses every state of the first
+    scenario = built_in_demo().scenario
+    cz = InteractionRule("cz", default=TwoSlotUnitary(np.diag([1, 1, 1, -1])))
+    foliations = [X_BOOST, Foliation((F(4, 5), 0, 0)), rest_foliation(), X_BOOST]
+
+    def caught(run):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            run()
+        return [(w.category, str(w.message)) for w in seen]
+
+    calls = _counting(monkeypatch, narrative, "apply_group")
+    in_report = caught(lambda: narratability_report(scenario, free_rule(), cz, foliations))
+    assert len(calls) == 2 + 0 + 1 + 2
+    fresh = caught(lambda: [evolve(scenario, fol, rule)
+                            for fol in foliations for rule in (free_rule(), cz)])
+    assert in_report == fresh
+    assert {category for category, _ in in_report} == {LittleGroupWarning}
+    taus = [message.split("tau = ")[1] for _, message in in_report]
+    assert taus == ["17/4", "23/4", "16/3", "8", "17/4", "23/4"]
