@@ -33,7 +33,7 @@ OBSTRUCTION_FACTOR = 1e-9
 HISTORY_TOLERANCE = 1e-9
 NONTRIVIALITY_TOLERANCE = 1e-9
 
-_GENERATOR_NAMES = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
+GENERATOR_NAMES = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
 
 _EPSILON = {
     (1, 2): (3, 1),
@@ -60,6 +60,17 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return m
 
 
+def _as_state(value, label: str, m: np.ndarray, m_name: str) -> np.ndarray:
+    """A flat state vector with the dimension of the square matrix `m` and
+    unit norm within 1e-10."""
+    vec = np.asarray(value, dtype=complex).reshape(-1)
+    if vec.shape[0] != m.shape[0]:
+        raise DimensionMismatch(f"state has dimension {vec.shape[0]}, {m_name} has {m.shape[0]}")
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+        raise NotNormalized(f"{label} must be normalized")
+    return vec
+
+
 @dataclass(eq=False)
 class GeneratorSet:
     """Any subset of the ten toy generators, all of one dimension."""
@@ -77,7 +88,7 @@ class GeneratorSet:
 
     def __post_init__(self):
         dim = None
-        for name in _GENERATOR_NAMES:
+        for name in GENERATOR_NAMES:
             value = getattr(self, name)
             if value is None:
                 continue
@@ -96,7 +107,7 @@ class GeneratorSet:
     def present(self) -> dict:
         return {
             name: getattr(self, name)
-            for name in _GENERATOR_NAMES
+            for name in GENERATOR_NAMES
             if getattr(self, name) is not None
         }
 
@@ -327,13 +338,7 @@ def same_history_check(
     h0 = _as_matrix(h0, "H0")
     v_a = _as_matrix(v_a, "Va")
     v_b = _as_matrix(v_b, "Vb")
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi.shape[0] != h0.shape[0]:
-        raise DimensionMismatch(
-            f"state has dimension {psi.shape[0]}, H0 has {h0.shape[0]}"
-        )
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise NotNormalized("psi0 must be normalized")
+    psi = _as_state(psi0, "psi0", h0, "H0")
     ts = np.array([float(t) for t in times])
     if not np.isfinite(ts).all():
         raise ValueError(f"sample times must be finite, got {ts[~np.isfinite(ts)][0]}")
@@ -348,13 +353,7 @@ def same_history_check(
 def boost_residual(w: np.ndarray, psi: np.ndarray) -> float:
     """Norm of the part of W|psi> orthogonal to the normalized state |psi>."""
     w = _as_matrix(w, "W")
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    if vec.shape[0] != w.shape[0]:
-        raise DimensionMismatch(
-            f"state has dimension {vec.shape[0]}, W has {w.shape[0]}"
-        )
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-        raise NotNormalized("psi must be normalized")
+    vec = _as_state(psi, "psi", w, "W")
     image = w @ vec
     return float(np.linalg.norm(image - np.vdot(vec, image) * vec))
 

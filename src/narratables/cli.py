@@ -10,6 +10,7 @@ Set NARRATABLES_COLOR to auto (default), never, or always.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,8 @@ from importlib import resources
 from . import algebra, clusterkit, fileio
 from .errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
 from .geometry import Foliation
-from .narrative import evolve, format_scalar, narratability_report, paint, render_report
+from .narrative import (evolve, format_foliation, format_pairs, format_scalar,
+                        narratability_report, paint, render_report)
 from .quantum import overlap
 
 EXIT_OK = 0
@@ -30,6 +32,15 @@ EXIT_UNKNOWN_RULE = 5
 EXIT_INDEX = 6
 EXIT_DOMAIN = 7
 EXIT_USAGE = 64
+
+# error class -> exit code; the first class the error is an instance of wins
+ERROR_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    UnknownRule: EXIT_UNKNOWN_RULE,
+    IndexOutOfRange: EXIT_INDEX,
+    NarratablesError: EXIT_DOMAIN,
+    ValueError: EXIT_DOMAIN,
+}
 
 BUILTIN_KERNELS = {
     "spin-swap": "spin_swap.kernel.json",
@@ -130,18 +141,16 @@ def cmd_simulate(args) -> int:
             rows.append((args.foliation, tau, abs(overlap(initial, state))))
         _write_overlap_csv(args.csv, rows)
 
-    vel = ", ".join(format_scalar(c) for c in foliation.velocity)
     print(f"scenario: {bundle.scenario.name}")
     print(f"rule: {rule.name}")
-    print(f"foliation {args.foliation}: v = ({vel}), gamma = {format_scalar(foliation.gamma)}")
+    print(format_foliation(args.foliation, foliation))
     print(f"collision leaves: {len(history.groups)}")
     for g in history.groups:
-        pairs = ", ".join(f"({a},{b})" for a, b in g.pairs)
         events = ", ".join(
             "(t={}, x={}, y={}, z={})".format(*(map(format_scalar, e.coordinates())))
             for _, e in g.collisions
         )
-        print(f"  tau = {format_scalar(g.tau)}: pairs {pairs} at {events}")
+        print(f"  tau = {format_scalar(g.tau)}: pairs {format_pairs(g.pairs)} at {events}")
     if history.inert_groups:
         print(f"inert crossings (identity unitary): {len(history.inert_groups)}")
     print(f"segments: {len(history.segments)}")
@@ -213,21 +222,8 @@ def cmd_cluster_check(args) -> int:
 
 
 def cmd_algebra_residuals(args) -> int:
-    doc = fileio._load_json(args.generators)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{args.generators}: expected an object of named generators")
-    allowed = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise ParseError(
-            f"{args.generators}: unknown generator names {unknown}; allowed: {list(allowed)}"
-        )
-    matrices = {
-        name: fileio.parse_matrix(value, f"{args.generators}.{name}")
-        for name, value in doc.items()
-    }
-    gens = algebra.GeneratorSet(**matrices)
-    print(f"generators: {', '.join(sorted(matrices))} (dim {gens.dim})")
+    gens = algebra.GeneratorSet(**fileio.load_generator_file(args.generators))
+    print(f"generators: {', '.join(sorted(gens.present()))} (dim {gens.dim})")
     print("hermiticity defects:")
     for name, defect in gens.hermiticity_residuals().items():
         print(f"  {name}: {defect:.12g}")
@@ -301,7 +297,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every later call."""
     parser = _Parser(prog="narratables", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -367,22 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(ERROR_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnknownRule as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_RULE
-    except IndexOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDEX
-    except (NarratablesError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in ERROR_EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def entry() -> None:

@@ -1,4 +1,4 @@
-"""JSON input formats: scenario, kernel, and matrix files.
+"""JSON input formats: scenario, kernel, matrix, vector and generator files.
 
 Rationals are written as strings like "3/5" (or "-1/2"); bare JSON numbers
 are accepted where noted but degrade exactness, which matters because
@@ -12,12 +12,14 @@ import json
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from .algebra import GENERATOR_NAMES
 from .clusterkit import MomentumKernel
 from .errors import ExactnessWarning, NarratablesError, ParseError
 from .geometry import Event, Foliation, Worldline
@@ -41,17 +43,27 @@ def _fail(where: str, why: str):
     raise ParseError(f"{where}: {why}")
 
 
+@contextmanager
+def _located(where):
+    """A domain error (ParseError included), ValueError or TypeError raised while
+    building an object from file data becomes a ParseError prefixed with `where`."""
+    try:
+        yield
+    except (NarratablesError, ValueError, TypeError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _load_json(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
-    except ValueError as exc:  # an integer beyond the interpreter's digit limit
-        raise ParseError(f"{path}: {exc}") from exc
+    # a plain ValueError here is an integer beyond the interpreter's digit limit
+    with _located(path):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}") from exc
 
 
 def _exact_rational(value, where: str) -> Fraction:
@@ -163,6 +175,17 @@ def load_vector_file(path) -> np.ndarray:
     return parse_vector(_load_json(path), str(path))
 
 
+def load_generator_file(path) -> dict:
+    """{name: matrix} from a file holding an object of matrices named from GENERATOR_NAMES."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        _fail(path, "expected an object of named generators")
+    unknown = [k for k in doc if k not in GENERATOR_NAMES]
+    if unknown:
+        _fail(path, f"unknown generator names {unknown}; allowed: {list(GENERATOR_NAMES)}")
+    return {name: parse_matrix(value, f"{path}.{name}") for name, value in doc.items()}
+
+
 # -- kernel files -----------------------------------------------------------
 
 def parse_kernel(doc: dict, where: str = "kernel") -> MomentumKernel:
@@ -194,7 +217,7 @@ def parse_kernel(doc: dict, where: str = "kernel") -> MomentumKernel:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         _fail(where, "metadata must be an object")
-    try:
+    with _located(where):
         return MomentumKernel(
             in_slots=tuple(str(s) for s in in_slots),
             out_slots=tuple(str(s) for s in out_slots),
@@ -202,8 +225,6 @@ def parse_kernel(doc: dict, where: str = "kernel") -> MomentumKernel:
             smooth_prefactor_present=bool(doc.get("smooth_prefactor_present", False)),
             metadata=tuple((str(k), str(v)) for k, v in metadata.items()),
         )
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def load_kernel_file(path) -> MomentumKernel:
@@ -238,7 +259,7 @@ def _parse_particle(entry, where: str) -> Worldline:
     if not isinstance(velocity, list) or len(velocity) != 3:
         _fail(f"{where}.velocity", "expected a 3-list")
     slot = _slot(entry["id"], f"{where}.id")
-    try:
+    with _located(where):
         return Worldline(
             id=slot,
             species=str(entry["species"]),
@@ -247,8 +268,6 @@ def _parse_particle(entry, where: str) -> Worldline:
                 _exact_rational(v, f"{where}.velocity[{i}]") for i, v in enumerate(velocity)
             ),
         )
-    except NarratablesError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
@@ -257,10 +276,8 @@ def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
     if "amplitudes" in doc:
         here = f"{where}.amplitudes"
         vec = normalize_vector(parse_vector(doc["amplitudes"], here), here)
-        try:
+        with _located(here):
             return SpinState(n_slots, vec)
-        except NarratablesError as exc:
-            raise ParseError(f"{here}: {exc}") from exc
     if "singlet_pairs" in doc:
         here = f"{where}.singlet_pairs"
         if not isinstance(doc["singlet_pairs"], list):
@@ -281,11 +298,8 @@ def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
             if norm == 0:
                 _fail(at, "zero vector")
             singles.append((slot, v / norm))
-        try:
-            spec = PairingSpec(tuple(pairs), tuple(singles))
-            return singlet_product(n_slots, spec)
-        except NarratablesError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+        with _located(where):
+            return singlet_product(n_slots, PairingSpec(tuple(pairs), tuple(singles)))
     _fail(where, "need either 'singlet_pairs' or 'amplitudes'")
 
 
@@ -298,10 +312,8 @@ def _parse_contact_unitary(u, where: str) -> TwoSlotUnitary:
         matrix = parse_matrix(u, where)
     except ParseError:
         _fail(where, "expected 'swap', 'identity', or a 4x4 matrix")
-    try:
+    with _located(where):
         return TwoSlotUnitary(matrix)
-    except NarratablesError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _parse_rule(name: str, entries, where: str) -> InteractionRule:
@@ -325,10 +337,8 @@ def _parse_rule(name: str, entries, where: str) -> InteractionRule:
         if not isinstance(pair, list) or len(pair) != 2:
             _fail(f"{here}.pair", "expected two species names")
         mapping.append(((str(pair[0]), str(pair[1])), unitary))
-    try:
+    with _located(where):
         return InteractionRule(name, tuple(mapping), default)
-    except NarratablesError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
 
 
 def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
@@ -346,14 +356,12 @@ def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
     state = _parse_initial_state(
         doc["initial_state"], len(worldlines), f"{where}.initial_state"
     )
-    try:
+    with _located(where):
         scenario = Scenario(
             name=str(doc.get("name", "scenario")),
             worldlines=tuple(worldlines),
             initial_state=state,
         )
-    except (NarratablesError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
     rules_doc = doc["rules"]
     if not isinstance(rules_doc, dict) or not rules_doc:
         _fail(f"{where}.rules", "expected a non-empty object of rule definitions")
@@ -372,10 +380,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
         components = tuple(
             _foliation_component(v, f"{here}[{j}]") for j, v in enumerate(vel)
         )
-        try:
+        with _located(here):
             foliations.append(Foliation(components))
-        except NarratablesError as exc:
-            raise ParseError(f"{here}: {exc}") from exc
     return ScenarioBundle(scenario=scenario, rules=rules, foliations=foliations)
 
 

@@ -311,6 +311,17 @@ def format_scalar(value) -> str:
     return f"{float(value):.12g}"
 
 
+def format_foliation(index: int, foliation: Foliation) -> str:
+    """The header line of one frame: `foliation i: v = (…), gamma = …`."""
+    vel = ", ".join(format_scalar(c) for c in foliation.velocity)
+    return f"foliation {index}: v = ({vel}), gamma = {format_scalar(foliation.gamma)}"
+
+
+def format_pairs(pairs) -> str:
+    """Slot pairs as `(a,b), (c,d)`."""
+    return ", ".join(f"({a},{b})" for a, b in pairs)
+
+
 def paint(text: str, code: str, colorize: bool) -> str:
     """Wrap `text` in the ANSI color `code` when `colorize` is set."""
     return f"\x1b[{code}m{text}\x1b[0m" if colorize else text
@@ -325,15 +336,10 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         "",
     ]
     for v in report.verdicts:
-        vel = ", ".join(format_scalar(c) for c in v.foliation.velocity)
-        lines.append(
-            f"foliation {v.foliation_index}: v = ({vel}), "
-            f"gamma = {format_scalar(v.foliation.gamma)}"
-        )
+        lines.append(format_foliation(v.foliation_index, v.foliation))
         lines.append(f"  collision leaves: {len(v.groups)}")
         for g in v.groups:
-            pairs = ", ".join(f"({a},{b})" for a, b in g.pairs)
-            lines.append(f"    tau = {format_scalar(g.tau)}: pairs {pairs}")
+            lines.append(f"    tau = {format_scalar(g.tau)}: pairs {format_pairs(g.pairs)}")
         c = v.comparison
         if c.equal:
             lines.append(

@@ -395,9 +395,9 @@ def test_same_history_swap_symmetry():
 def test_same_history_input_checks():
     h0 = np.diag([1.0, 2.0])
     v = np.zeros((2, 2))
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized, match="^psi0 must be normalized$"):
         same_history_check(h0, v, v, np.array([1.0, 1.0]), [0.0])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^state has dimension 3, H0 has 2$"):
         same_history_check(h0, v, v, np.array([1.0, 0.0, 0.0]), [0.0])
     upper = np.array([[0.0, 0.4], [0.0, 0.0]])  # not Hermitian
     for va in (v, upper):
@@ -571,9 +571,9 @@ def test_boost_nontriviality_check():
 
 def test_boost_check_input_validation():
     for check in (boost_nontriviality_check, boost_residual):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(NotNormalized, match="^psi must be normalized$"):
             check(np.eye(2), np.array([1.0, 1.0]))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="^state has dimension 3, W has 2$"):
             check(np.eye(2), np.array([1.0, 0.0, 0.0]))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import narratables
-from narratables import algebra
+from narratables import algebra, cli
 from narratables.cli import built_in_demo, main
 from narratables.errors import ExactnessWarning
 from narratables.fileio import (
@@ -409,6 +409,23 @@ def test_usage_errors_exit_64():
 
     code, _, err = run_cli("no-such-command")
     assert code == 64
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # one argparse tree serves every call: after a usage error, and without
+    # carrying a previous call's --csv into the next
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "demo.csv"
+    cli.build_parser.cache_clear()
+    assert run_cli("cluster-check", "--builtin", "spin-swap")[0] == 2
+    assert run_cli("demo-paper", "--tolerance")[0] == 64
+    code, with_csv, _ = run_cli("demo-paper", "--csv", str(target))
+    assert code == 0
+    target.unlink()
+    assert run_cli("demo-paper") == (0, with_csv, "")
+    assert run_cli("cluster-check", "--builtin", "single-delta")[0] == 0
+    assert cli.build_parser.cache_info()[:2] == (4, 1)  # hits, builds
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_color_modes():

@@ -27,6 +27,7 @@ from narratables.errors import (
 from narratables.fileio import (
     ScenarioBundle,
     dump_scenario,
+    load_generator_file,
     load_kernel_file,
     load_matrix_file,
     load_scenario_file,
@@ -620,3 +621,22 @@ def test_matrix_and_vector_files(tmp_path):
     vpath = tmp_path / "v.json"
     vpath.write_text(json.dumps([1, 0, 0]))
     np.testing.assert_array_equal(load_vector_file(vpath), [1, 0, 0])
+
+
+def test_generator_files(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"H": [[1, 0], [0, 2]], "K1": {"matrix": [[0, 1], [1, 0]]}}))
+    gens = load_generator_file(path)
+    assert list(gens) == ["H", "K1"]
+    np.testing.assert_array_equal(gens["K1"], [[0, 1], [1, 0]])
+
+    for doc, located in [
+        ([[0]], ": expected an object of named generators"),
+        ({"H": [[0]], "Q": [[0]]}, ": unknown generator names ['Q']; allowed: ['H', 'P1', 'P2', "
+                                   "'P3', 'J1', 'J2', 'J3', 'K1', 'K2', 'K3']"),
+        ({"H": [[0, "x"]]}, ".H[0][1]: expected a number or [re, im], got 'x'"),
+    ]:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as caught:
+            load_generator_file(path)
+        assert str(caught.value) == f"{path}{located}"
