@@ -222,7 +222,7 @@ def cmd_cluster_check(args) -> int:
 
 
 def cmd_algebra_residuals(args) -> int:
-    gens = algebra.GeneratorSet(**fileio.load_generator_file(args.generators))
+    gens = fileio.load_generator_file(args.generators)
     print(f"generators: {', '.join(sorted(gens.present()))} (dim {gens.dim})")
     print("hermiticity defects:")
     for name, defect in gens.hermiticity_residuals().items():

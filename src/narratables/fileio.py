@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import GENERATOR_NAMES
+from .algebra import GENERATOR_NAMES, GeneratorSet
 from .clusterkit import MomentumKernel
 from .errors import ExactnessWarning, NarratablesError, ParseError
 from .geometry import Event, Foliation, Worldline
@@ -175,15 +175,21 @@ def load_vector_file(path) -> np.ndarray:
     return parse_vector(_load_json(path), str(path))
 
 
-def load_generator_file(path) -> dict:
-    """{name: matrix} from a file holding an object of matrices named from GENERATOR_NAMES."""
+def load_generator_file(path) -> GeneratorSet:
+    """The generators in a file holding an object of at least two matrices,
+    named from GENERATOR_NAMES and all of one dimension."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         _fail(path, "expected an object of named generators")
     unknown = [k for k in doc if k not in GENERATOR_NAMES]
     if unknown:
         _fail(path, f"unknown generator names {unknown}; allowed: {list(GENERATOR_NAMES)}")
-    return {name: parse_matrix(value, f"{path}.{name}") for name, value in doc.items()}
+    matrices = {name: parse_matrix(value, f"{path}.{name}") for name, value in doc.items()}
+    with _located(path):
+        gens = GeneratorSet(**matrices)
+    if len(matrices) < 2:
+        _fail(path, "need at least two generators to check brackets")
+    return gens
 
 
 # -- kernel files -----------------------------------------------------------
@@ -250,23 +256,22 @@ def _parse_particle(entry, where: str) -> Worldline:
             _fail(where, f"missing key {key!r}")
     start = entry["start"]
     if isinstance(start, dict):
-        coords = [start.get(k, 0) for k in ("t", "x", "y", "z")]
+        coords = [(start.get(k, 0), f"{where}.start.{k}") for k in ("t", "x", "y", "z")]
     elif isinstance(start, list) and len(start) == 4:
-        coords = start
+        coords = [(c, f"{where}.start[{i}]") for i, c in enumerate(start)]
     else:
         _fail(f"{where}.start", "expected {t,x,y,z} or a 4-list")
     velocity = entry["velocity"]
     if not isinstance(velocity, list) or len(velocity) != 3:
         _fail(f"{where}.velocity", "expected a 3-list")
     slot = _slot(entry["id"], f"{where}.id")
+    event = Event(*[_exact_rational(c, at) for c, at in coords])
+    components = tuple(
+        _exact_rational(v, f"{where}.velocity[{i}]") for i, v in enumerate(velocity)
+    )
     with _located(where):
         return Worldline(
-            id=slot,
-            species=str(entry["species"]),
-            start=Event(*[_exact_rational(c, f"{where}.start") for c in coords]),
-            velocity=tuple(
-                _exact_rational(v, f"{where}.velocity[{i}]") for i, v in enumerate(velocity)
-            ),
+            id=slot, species=str(entry["species"]), start=event, velocity=components
         )
 
 

@@ -42,6 +42,17 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 # 2 (S_a + S_b) along x, y and z on an ordered slot pair
 _PAIR_SPIN = [np.kron(s, np.eye(2)) + np.kron(np.eye(2), s) for s in (PAULI_X, PAULI_Y, PAULI_Z)]
 
+# For the ordered pair (a, b) with lo < hi, the amplitudes are viewed as
+# (2^lo, 2, 2^(hi-lo-1), 2, 2^(n-hi-1)).  `front` brings a's axis, then b's,
+# before the rest in order, as a contraction over (a, b) would; `back` undoes
+# it.  Keyed by a < b.  np.dot, the product numpy's own contraction routine
+# calls, then sums every amplitude in the contraction's order: results are
+# bit-identical to it.
+_PAIR_FRONT = {
+    True: ((1, 3, 0, 2, 4), (2, 0, 3, 1, 4)),
+    False: ((3, 1, 0, 2, 4), (2, 1, 3, 0, 4)),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
@@ -60,7 +71,7 @@ class SpinState:
             raise DimensionMismatch(
                 f"expected {2**self.n_slots} amplitudes, got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
             raise NotNormalized(f"state norm {norm} is not 1")
         amps.setflags(write=False)
@@ -218,11 +229,15 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
                 raise OverlappingPairs(f"slot {s} used by two simultaneous unitaries")
             used.add(s)
         checked.append((u, a, b))
-    arr = state.amplitudes.reshape([2] * state.n_slots)
+    n = state.n_slots
+    arr = state.amplitudes
     for u, a, b in checked:
-        out = np.tensordot(u.matrix.reshape(2, 2, 2, 2), arr, axes=([2, 3], [a, b]))
-        arr = np.moveaxis(out, [0, 1], [a, b])
-    return SpinState(state.n_slots, arr.reshape(-1))
+        lo, hi = min(a, b), max(a, b)
+        view = arr.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+        front, back = _PAIR_FRONT[a < b]
+        moved = view.transpose(front)
+        arr = np.dot(u.matrix, moved.reshape(4, -1)).reshape(moved.shape).transpose(back)
+    return SpinState(n, arr.reshape(-1))
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:
@@ -236,9 +251,11 @@ def equal_up_to_phase(a: SpinState, b: SpinState, tol: float = PHASE_TOLERANCE) 
     return abs(abs(overlap(a, b)) - 1.0) <= tol
 
 
-def _apply_single(arr: np.ndarray, m2: np.ndarray, slot: int) -> np.ndarray:
-    out = np.tensordot(m2, arr, axes=([1], [slot]))
-    return np.moveaxis(out, 0, slot)
+def _add_single(acc: np.ndarray, arr: np.ndarray, m2: np.ndarray, slot: int) -> None:
+    """Add `m2` on one slot of the flat amplitudes `arr` to the flat `acc`."""
+    moved = arr.reshape(1 << slot, 2, -1).transpose(1, 0, 2)
+    acc.reshape(1 << slot, 2, -1).transpose(1, 0, 2)[...] += np.dot(
+        m2, moved.reshape(2, -1)).reshape(moved.shape)
 
 
 def angular_momentum_norms(state: SpinState) -> tuple[float, float, float]:
@@ -247,11 +264,11 @@ def angular_momentum_norms(state: SpinState) -> tuple[float, float, float]:
     All three vanish for products of singlets; that certifies the boosted
     re-foliation shortcut used by the narrative layer.
     """
-    arr = state.amplitudes.reshape([2] * state.n_slots)
+    arr = state.amplitudes
     norms = []
     for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
         acc = np.zeros_like(arr)
         for slot in range(state.n_slots):
-            acc = acc + _apply_single(arr, sigma / 2.0, slot)
-        norms.append(float(np.linalg.norm(acc.reshape(-1))))
+            _add_single(acc, arr, sigma / 2.0, slot)
+        norms.append(float(np.linalg.norm(acc)))
     return tuple(norms)

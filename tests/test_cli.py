@@ -301,6 +301,17 @@ def test_algebra_residuals_rejects_unknown_names(tmp_path):
     assert "unknown generator names ['Q']" in err
 
 
+@pytest.mark.parametrize("doc, why", [
+    ({"H": [[0]], "K1": [[0, 1], [1, 0]]}, "K1 is 2x2, others are 1x1"),
+    ({}, "no generators supplied"),
+    ({"H": [[0]]}, "need at least two generators to check brackets"),
+], ids=["mixed-dimensions", "empty-object", "one-generator"])
+def test_algebra_residuals_malformed_generator_file_exits_4(tmp_path, doc, why):
+    gens = write_json(tmp_path / "g.json", doc)
+    code, out, err = run_cli("algebra", "residuals", gens)
+    assert (code, out, err) == (4, "", f"error: {gens}: {why}\n")
+
+
 def test_algebra_solve_w_frozen_example(tmp_path):
     h0 = write_json(tmp_path / "h0.json", [[0, 0], [0, 1]])
     v = write_json(tmp_path / "v.json", [[0, 0], [0, 0.5]])
@@ -457,7 +468,8 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 # -- hostile input ------------------------------------------------------------
 
 
-def _scenario_edit(key, edit):
+def _scenario_edit(key, edit, located=None):
+    """`located`, when given, is the error's location after the file path."""
     def write(tmp_path):
         with open(DEMO) as fh:
             doc = json.load(fh)
@@ -466,14 +478,14 @@ def _scenario_edit(key, edit):
         # "HUGE" stands for a JSON integer beyond the interpreter's 4300-digit limit
         path.write_text(json.dumps(doc).replace('"HUGE"', "1" * 5000))
         return ["compare-frames", str(path)]
-    return pytest.param(write, id=key)
+    return pytest.param(write, located, id=key)
 
 
 def _kernel_coefficient(key, value):
     def write(tmp_path):
         doc = {"in_slots": ["p1"], "out_slots": ["q1"], "deltas": [{"q1": value, "p1": -1}]}
         return ["cluster-check", write_json(tmp_path / "k.json", doc)]
-    return pytest.param(write, id=key)
+    return pytest.param(write, None, id=key)
 
 
 def _same_history_va(key, entry):
@@ -483,14 +495,14 @@ def _same_history_va(key, entry):
                 write_json(tmp_path / "va.json", [[1, entry], [0, 1]]),
                 write_json(tmp_path / "vb.json", [[1, 0], [0, 1]]),
                 write_json(tmp_path / "psi.json", [1, 0])]
-    return pytest.param(write, id=key)
+    return pytest.param(write, None, id=key)
 
 
 def _set_x(value):
     return lambda doc: doc["particles"][0]["start"].__setitem__("x", value)
 
 
-@pytest.mark.parametrize("write", [
+@pytest.mark.parametrize("write, located", [
     _same_history_va("nan-matrix-entry", float("nan")),
     _same_history_va("infinite-matrix-entry", float("inf")),
     _scenario_edit("nan-amplitude", lambda doc: doc.__setitem__(
@@ -498,9 +510,9 @@ def _set_x(value):
     _scenario_edit("float-overflowing-amplitude", lambda doc: doc.__setitem__(
         "initial_state", {"amplitudes": [10**400] + [0] * 15})),
     _scenario_edit("nan-foliation", lambda doc: doc["foliations"].append([float("nan"), 0, 0])),
-    _scenario_edit("nan-coordinate", _set_x(float("nan"))),
-    _scenario_edit("huge-exponent-coordinate", _set_x("1e99999999")),
-    _scenario_edit("long-rational-string", _set_x("1" * 101)),
+    _scenario_edit("nan-coordinate", _set_x(float("nan")), ".particles[0].start.x: "),
+    _scenario_edit("huge-exponent-coordinate", _set_x("1e99999999"), ".particles[0].start.x: "),
+    _scenario_edit("long-rational-string", _set_x("1" * 101), ".particles[0].start.x: "),
     _scenario_edit("integer-beyond-digit-limit", _set_x("HUGE")),
     _scenario_edit("null-particle-id", lambda doc: doc["particles"][0].__setitem__("id", None)),
     _scenario_edit("fractional-particle-id", lambda doc: doc["particles"][0].__setitem__("id", 0.5)),
@@ -515,12 +527,13 @@ def _set_x(value):
     _kernel_coefficient("nan-kernel-coefficient", float("nan")),
     _kernel_coefficient("huge-exponent-kernel-coefficient", "1e99999999"),
 ])
-def test_hostile_numbers_exit_4(tmp_path, write):
+def test_hostile_numbers_exit_4(tmp_path, write, located):
+    argv = write(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExactnessWarning)
-        code, out, err = run_cli(*write(tmp_path))
+        code, out, err = run_cli(*argv)
     assert (code, out) == (4, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: " if located is None else f"error: {argv[-1]}{located}")
 
 
 @pytest.mark.parametrize("argv", [

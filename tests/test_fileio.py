@@ -627,8 +627,8 @@ def test_generator_files(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"H": [[1, 0], [0, 2]], "K1": {"matrix": [[0, 1], [1, 0]]}}))
     gens = load_generator_file(path)
-    assert list(gens) == ["H", "K1"]
-    np.testing.assert_array_equal(gens["K1"], [[0, 1], [1, 0]])
+    assert list(gens.present()) == ["H", "K1"]
+    np.testing.assert_array_equal(gens.K1, [[0, 1], [1, 0]])
 
     for doc, located in [
         ([[0]], ": expected an object of named generators"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from narratables import quantum
 from narratables.errors import (
@@ -147,6 +149,31 @@ def test_state_validation():
         state.amplitudes[0] = 0.0  # read-only
 
 
+@pytest.mark.parametrize("first", [np.nan, np.inf, -np.inf, complex(np.inf, np.inf), 1 + 2e-12],
+                         ids=["nan", "inf", "minus-inf", "complex-inf", "off-norm"])
+def test_state_guard_rejects_non_finite_and_off_norm(first):
+    with pytest.raises(NotNormalized):
+        SpinState(2, np.array([first, 0, 0, 0], dtype=complex))
+
+
+def test_states_copy_their_input_and_stay_read_only():
+    caller = np.array([0, 1.0, 0, 0], dtype=complex)
+    state = SpinState(2, caller)
+    assert caller.flags.writeable
+    caller[1] = 0.0
+    assert state.amplitudes[1] == 1.0
+
+    rng = np.random.default_rng(5)
+    state = random_state(rng, 5)
+    before = state.amplitudes.copy()
+    out = apply_group(state, [(random_unitary4(rng), (3, 1)), (swap_unitary(), (0, 4))])
+    assert np.array_equal(state.amplitudes, before)
+    assert not state.amplitudes.flags.writeable
+    assert not out.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 0.0
+
+
 def test_unitary_validation():
     with pytest.raises(NonUnitaryMatrix):
         TwoSlotUnitary(np.eye(4) * 2.0)
@@ -241,6 +268,69 @@ def test_apply_group_matches_sequential_and_rejects_overlap():
     assert np.array_equal(apply_group(state, []).amplitudes, state.amplitudes)
     with pytest.raises(OverlappingPairs):
         apply_group(state, [(swap_unitary(), (0, 2)), (swap_unitary(), (2, 3))])
+
+
+def contraction_group(state, actions):
+    """The contraction formula the kernel reproduces bit for bit: one tensordot
+    over (a, b) per contact, its two new axes moved back to a and b."""
+    arr = state.amplitudes.reshape([2] * state.n_slots)
+    for u, (a, b) in actions:
+        out = np.tensordot(u.matrix.reshape(2, 2, 2, 2), arr, axes=([2, 3], [a, b]))
+        arr = np.moveaxis(out, [0, 1], [a, b])
+    return arr.reshape(-1)
+
+
+def contraction_norms(state):
+    """angular_momentum_norms by the same contraction formula, one slot at a time."""
+    arr = state.amplitudes.reshape([2] * state.n_slots)
+    norms = []
+    for sigma in (quantum.PAULI_X, quantum.PAULI_Y, quantum.PAULI_Z):
+        acc = np.zeros_like(arr)
+        for slot in range(state.n_slots):
+            acc = acc + np.moveaxis(np.tensordot(sigma / 2.0, arr, axes=([1], [slot])), 0, slot)
+        norms.append(float(np.linalg.norm(acc.reshape(-1))))
+    return tuple(norms)
+
+
+def kron_operator(u4, n_slots, a, b):
+    """Independent oracle: u4 (x) identity on the slot order (a, b, rest...),
+    conjugated by the permutation matrix that brings slots into that order."""
+    order = [a, b] + [s for s in range(n_slots) if s not in (a, b)]
+    dim = 2**n_slots
+    perm = np.zeros((dim, dim))
+    for i in range(dim):
+        bits = [(i >> (n_slots - 1 - k)) & 1 for k in range(n_slots)]
+        perm[int("".join(str(bits[s]) for s in order), 2), i] = 1.0
+    return perm.T @ np.kron(u4, np.eye(2 ** (n_slots - 2))) @ perm
+
+
+@st.composite
+def contact_groups(draw):
+    """A random state on 2..8 slots and 1..3 random unitaries on disjoint
+    ordered pairs, listed in shuffled order."""
+    n = draw(st.integers(2, 8))
+    slots = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, min(3, n // 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    actions = [(random_unitary4(rng), (slots[2 * i], slots[2 * i + 1])) for i in range(k)]
+    return random_state(rng, n), draw(st.permutations(actions))
+
+
+@given(contact_groups())
+def test_apply_group_matches_kron_oracle_and_contraction_bit_for_bit(group):
+    state, actions = group
+    got = apply_group(state, actions).amplitudes
+    dense = np.eye(2**state.n_slots, dtype=complex)
+    for u, (a, b) in actions:
+        dense = kron_operator(u.matrix, state.n_slots, a, b) @ dense
+    assert np.max(np.abs(got - dense @ state.amplitudes)) <= 1e-12
+    assert np.array_equal(got, contraction_group(state, actions))
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_angular_momentum_norms_match_contraction_bit_for_bit(n_slots, seed):
+    state = random_state(np.random.default_rng(seed), n_slots)
+    assert angular_momentum_norms(state) == contraction_norms(state)
 
 
 def test_apply_group_builds_one_state_per_group(monkeypatch):
