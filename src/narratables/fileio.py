@@ -64,6 +64,8 @@ def _load_json(path) -> dict:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+        except RecursionError as exc:
+            raise ParseError("JSON nested too deeply to read") from exc
 
 
 def _exact_rational(value, where: str) -> Fraction:

@@ -84,7 +84,9 @@ def lorentz_gamma(velocity: Sequence[Scalar]) -> Scalar:
         root = _rational_sqrt(1 - v2)
         if root is not None:
             return 1 / root
-    return 1.0 / sqrt(1.0 - float(v2))
+    gap = 1.0 - float(v2)
+    # within rounding of light speed float(v2) is 1.0: take the exact gap instead
+    return 1.0 / sqrt(gap if gap > 0 else float(1 - v2))
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,17 @@ class Foliation:
     def leaf(self, event: Event) -> Scalar:
         return self.gamma * self.leaf_core(event)
 
+    def core_and_tau(self, key, scale: Optional[int]) -> tuple:
+        """The core key/scale and its tau, one Fraction each, for an integer key
+        over `scale`; a float foliation's key (scale None) is its core."""
+        if scale is None:
+            return key, self.gamma * key
+        gamma = self.gamma
+        if isinstance(gamma, Fraction):
+            return Fraction(key, scale), Fraction(key * gamma.numerator, scale * gamma.denominator)
+        core = Fraction(key, scale)
+        return core, gamma * core
+
     def same_leaf(self, first_core: Scalar, core: Scalar) -> bool:
         """Whether `core` lies on the leaf starting at the earlier `first_core`:
         equal for a rational velocity, within FLOAT_TIE_TOLERANCE for a float."""
@@ -295,7 +308,24 @@ class CollisionGroup:
         return tuple(pair for pair, _ in self.collisions)
 
 
-def collision_events(worldlines: Sequence[Worldline]) -> tuple:
+class Crossings(tuple):
+    """Collision events ((id_low, id_high), Event), sorted by pair, that put
+    their coordinates over one common denominator once (`integer_rows`)."""
+
+    @cached_property
+    def integer_rows(self) -> tuple[list, int]:
+        return _integer_rows(self)
+
+
+def _integer_rows(events: Sequence) -> tuple[list, int]:
+    """Each event's (T, X, Y, Z) as integers, and their common denominator d:
+    t = T/d, x = X/d, and so on."""
+    d = lcm(*(c.denominator for _, e in events for c in e.coordinates()))
+    return [tuple(c.numerator * (d // c.denominator) for c in e.coordinates())
+            for _, e in events], d
+
+
+def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
     """Every pairwise crossing as ((id_low, id_high), Event), sorted by pair;
     the same in every frame.  Identical lines raise CoincidentWorldlines."""
     lines = sorted(worldlines, key=lambda w: w.id)
@@ -307,10 +337,11 @@ def collision_events(worldlines: Sequence[Worldline]) -> tuple:
             event = collide(lines[ai], lines[bi])
             if event is not None:
                 events.append(((lines[ai].id, lines[bi].id), event))
-    return tuple(events)
+    return Crossings(events)
 
 
-def _leaf_group(foliation: Foliation, core: Scalar, members: list) -> CollisionGroup:
+def _leaf_group(foliation: Foliation, key, scale: Optional[int], members: list) -> CollisionGroup:
+    core, tau = foliation.core_and_tau(key, scale)
     members.sort(key=lambda m: m[0])
     seen: set[int] = set()
     for pair, _ in members:
@@ -320,23 +351,25 @@ def _leaf_group(foliation: Foliation, core: Scalar, members: list) -> CollisionG
                     f"particle {slot} collides twice on leaf core={core}"
                 )
             seen.add(slot)
-    return CollisionGroup(core=core, tau=foliation.gamma * core, collisions=tuple(members))
+    return CollisionGroup(core=core, tau=tau, collisions=tuple(members))
 
 
-def _integer_leaf_keys(events: Sequence, velocity) -> tuple[list, int]:
-    """Exact leaf keys as integers, and the scale that turns a key into a core.
+def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, Optional[int]]:
+    """Each event's leaf key, and the scale that turns a key into a core.
 
-    With every event coordinate and velocity component over one common
-    denominator d (t = T/d, x = X/d, ..., v = (a, b, c)/d), the core is
-    t - v . x = (T*d - (a*X + b*Y + c*Z)) / d**2."""
-    d = lcm(*(v.denominator for v in velocity),
-            *(c.denominator for _, e in events for c in e.coordinates()))
-    a, b, c = (v.numerator * (d // v.denominator) for v in velocity)
-    keys = []
-    for _, e in events:
-        t, x, y, z = (q.numerator * (d // q.denominator) for q in e.coordinates())
-        keys.append(t * d - (a * x + b * y + c * z))
-    return keys, d * d
+    With the event coordinates over their common denominator de (t = T/de,
+    ...) and a rational velocity over dv (v = (a, b, c)/dv), the core is
+    t - v . x = (T*dv - (a*X + b*Y + c*Z)) / (dv*de): an integer key over
+    dv*de.  A float velocity's key is the float core itself (scale None),
+    the same float `Foliation.leaf_core` gives."""
+    rows, de = events.integer_rows if isinstance(events, Crossings) else _integer_rows(events)
+    velocity = foliation.velocity
+    if not foliation.exact:
+        return [t / de - sum(v * (p / de) for v, p in zip(velocity, xyz))
+                for t, *xyz in rows], None
+    dv = lcm(*(v.denominator for v in velocity))
+    a, b, c = (v.numerator * (dv // v.denominator) for v in velocity)
+    return [t * dv - (a * x + b * y + c * z) for t, x, y, z in rows], dv * de
 
 
 def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
@@ -344,19 +377,16 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
 
     `Foliation.same_leaf` decides ties: exact for rational velocities, within
     1e-9 for float ones (with an ExactnessWarning).  An exact foliation sorts
-    and ties integer keys and builds one Fraction core per leaf.  A particle
-    meeting two partners on one leaf raises OverlappingSimultaneousPairs.
+    and ties integer keys and builds each leaf's core and tau from its key.  A
+    particle meeting two partners on one leaf raises OverlappingSimultaneousPairs.
     """
-    if foliation.exact:
-        keys, scale = _integer_leaf_keys(events, foliation.velocity)
-    else:
-        keys = [foliation.leaf_core(e) for _, e in events]
-        if keys:
-            warnings.warn(
-                "float foliation velocity: leaf ties grouped within 1e-9",
-                ExactnessWarning,
-                stacklevel=2,
-            )
+    keys, scale = _leaf_keys(events, foliation)
+    if scale is None and keys:
+        warnings.warn(
+            "float foliation velocity: leaf ties grouped within 1e-9",
+            ExactnessWarning,
+            stacklevel=2,
+        )
     grouped: list = []
     # keys order like cores, so `same_leaf` (equality when exact) ties them too
     for key, member in sorted(zip(keys, events), key=lambda h: h[0]):
@@ -364,10 +394,7 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
             grouped[-1][1].append(member)
         else:
             grouped.append((key, [member]))
-    return [
-        _leaf_group(foliation, Fraction(key, scale) if foliation.exact else key, members)
-        for key, members in grouped
-    ]
+    return [_leaf_group(foliation, key, scale, members) for key, members in grouped]
 
 
 def collision_schedule(

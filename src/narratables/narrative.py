@@ -18,6 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
@@ -157,18 +159,36 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
 
     Under a boost, LittleGroupWarning fires when the initial state carries
     spin, or when a contact unitary that does not conserve spin leaves some."""
-    return _evolve_groups(scenario, foliation, group_by_leaf(scenario.events, foliation), rule)
+    warned: list = []
+    groups = group_by_leaf(scenario.events, foliation)
+    history = _evolve_groups(scenario, foliation, groups, _unitaries(scenario, rule), warned)
+    _emit(warned)
+    return history
+
+
+def _unitaries(scenario: Scenario, rule: InteractionRule) -> dict:
+    """The rule's contact unitary for each crossing pair of the scenario."""
+    return {(a, b): rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
+            for (a, b), _event in scenario.events}
+
+
+def _emit(warned: list) -> None:
+    # two frames up: the caller of `evolve` or `narratability_report`
+    for message in warned:
+        warnings.warn(message, LittleGroupWarning, stacklevel=3)
 
 
 def _evolve_groups(
     scenario: Scenario,
     foliation: Foliation,
     groups: Sequence,
-    rule: InteractionRule,
+    unitaries: dict,
+    warned: list,
     previous: Optional[History] = None,
 ) -> History:
-    """`evolve` over the foliation's collision groups, already found; warnings
-    point at the caller of `evolve` or `narratability_report`.
+    """`evolve` over the foliation's collision groups, already found, with the
+    rule's `_unitaries`; each LittleGroupWarning message is appended to
+    `warned` for the caller to emit.
 
     `previous` is a history of the same scenario and rule under another
     foliation.  While the groups fired so far have the same pairs as its
@@ -176,20 +196,15 @@ def _evolve_groups(
     they are reused; `apply_group` runs from the first group that differs."""
     boosted = not foliation.is_rest
     if boosted and scenario.has_initial_spin:
-        warnings.warn(
+        warned.append(
             "initial state carries nonzero total spin; re-foliated history "
-            "ignores the boost's action on spins",
-            LittleGroupWarning,
-            stacklevel=3,
+            "ignores the boost's action on spins"
         )
     shared = previous.groups if previous is not None else ()
     fired, inert = [], []
     segments = [scenario.initial_state]
     for group in groups:
-        actions = []
-        for (a, b), _event in group.collisions:
-            u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
-            actions.append((u, (a, b)))
+        actions = [(unitaries[pair], pair) for pair, _event in group.collisions]
         if all(u.is_identity for u, _ in actions):
             inert.append(group)
             continue
@@ -203,11 +218,9 @@ def _evolve_groups(
         culprits = [pair for u, pair in actions if not u.conserves_spin]
         if boosted and culprits and _carries_spin(segments[-1]):
             species = ", ".join("({}, {})".format(*map(scenario.species_of, p)) for p in culprits)
-            warnings.warn(
+            warned.append(
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
-                f"history ignores the spin it leaves from tau = {format_scalar(group.tau)}",
-                LittleGroupWarning,
-                stacklevel=3,
+                f"history ignores the spin it leaves from tau = {format_scalar(group.tau)}"
             )
     return History(
         foliation=foliation,
@@ -230,41 +243,54 @@ class HistoryComparison:
 def compare_histories(
     h1: History, h2: History, tol: float = COMPARISON_TOLERANCE
 ) -> HistoryComparison:
-    """Sample both histories before the first merged leaf, on each leaf, and
-    at the midpoint after it (core + 1 after the last), in one walk.
+    """Sample both histories before the first merged leaf (core - 1), on each
+    leaf, and at the midpoint after it (core + 1 after the last), in one walk.
 
     A merged leaf is a run of breakpoint cores of either history within
     `Foliation.same_leaf` of its first core; both histories step past every
     breakpoint on it.  Right-continuity makes the leaf and the interval after
-    it hold the same two states, so one overlap serves both samples."""
+    it hold the same two states, so one overlap serves both samples.
+
+    The walk runs on keys: for an exact foliation the cores as integers over
+    the lcm D of their denominators, for a float one the cores themselves.  A
+    sample is the half-sum of two keys (over 2D when exact), and its core and
+    tau are built once from that."""
     fol = h1.foliation
     if fol != h2.foliation:
         raise FoliationMismatch(
             f"cannot compare histories under {fol.velocity} and {h2.foliation.velocity}"
         )
-    c1, c2 = h1.cores, h2.cores
-    leaf = min(c1[:1] + c2[:1], default=None)
-    before = (Fraction(0) if fol.exact else 0.0) if leaf is None else leaf - 1
-    points = [(before, abs(overlap(h1.segments[0], h2.segments[0])))]
+    if fol.exact:
+        unit = lcm(*(c.denominator for c in h1.cores + h2.cores))
+        k1, k2 = ([c.numerator * (unit // c.denominator) for c in h.cores] for h in (h1, h2))
+        half, scale = add, 2 * unit
+    else:
+        k1, k2, unit, half, scale = h1.cores, h2.cores, 1.0, _float_half_sum, None
+    leaf = min(k1[:1] + k2[:1], default=None)
+    before = unit * 0 if leaf is None else leaf - unit  # with no leaf: core 0, as int or float
+    points = [(half(before, before), abs(overlap(h1.segments[0], h2.segments[0])))]
     i = j = 0
     while leaf is not None:
-        while i < len(c1) and fol.same_leaf(leaf, c1[i]):
+        while i < len(k1) and fol.same_leaf(leaf, k1[i]):
             i += 1
-        while j < len(c2) and fol.same_leaf(leaf, c2[j]):
+        while j < len(k2) and fol.same_leaf(leaf, k2[j]):
             j += 1
         mag = abs(overlap(h1.segments[i], h2.segments[j]))
-        following = min(c1[i:i + 1] + c2[j:j + 1], default=None)
-        after = leaf + 1 if following is None else (leaf + following) / 2
-        points += [(leaf, mag), (after, mag)]
+        following = min(k1[i:i + 1] + k2[j:j + 1], default=None)
+        after = half(leaf + unit, leaf + unit) if following is None else half(leaf, following)
+        points += [(half(leaf, leaf), mag), (after, mag)]
         leaf = following
 
-    gamma = fol.gamma
-    samples = tuple((c, gamma * c, mag) for c, mag in points)
+    samples = tuple((*fol.core_and_tau(key, scale), mag) for key, mag in points)
     witness = next((s for s in samples if abs(s[2] - 1.0) > tol), None)
     min_overlap = min(s[2] for s in samples)
     if witness is None:
         return HistoryComparison(True, None, None, None, samples, min_overlap)
     return HistoryComparison(False, *witness, samples, min_overlap)
+
+
+def _float_half_sum(a: float, b: float) -> float:
+    return (a + b) / 2
 
 
 def histories_equal(h1: History, h2: History, tol: float = COMPARISON_TOLERANCE) -> bool:
@@ -381,27 +407,31 @@ def narratability_report(
     foliations: Sequence[Foliation],
     tol: float = COMPARISON_TOLERANCE,
 ) -> NarratabilityReport:
-    """Evolve under both rules in every frame and compare leaf by leaf."""
+    """Evolve under both rules in every frame and compare leaf by leaf.
+
+    Every frame is grouped first, in input order.  The frames are then evolved
+    in the order of their raw leaf sequences (each group's pairs), so each
+    rule's previous history lends the longest shared prefix any earlier frame
+    could.  Verdicts and LittleGroupWarnings come out in input order."""
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
-    verdicts = []
+    # raw schedules: the crossings exist whichever rule fires them
+    schedules = [tuple(group_by_leaf(scenario.events, fol)) for fol in foliations]
+    ua, ub = _unitaries(scenario, rule_a), _unitaries(scenario, rule_b)
+    comparisons, warned = [None] * len(foliations), [[] for _ in foliations]
     ha = hb = None
-    for idx, fol in enumerate(foliations):
-        # raw schedule: the crossings exist whichever rule fires them
-        groups = tuple(group_by_leaf(scenario.events, fol))
-        # each rule's history in the previous frame lends its shared prefix
-        ha = _evolve_groups(scenario, fol, groups, rule_a, previous=ha)
-        hb = _evolve_groups(scenario, fol, groups, rule_b, previous=hb)
-        verdicts.append(
-            FrameVerdict(
-                foliation_index=idx,
-                foliation=fol,
-                groups=groups,
-                comparison=compare_histories(ha, hb, tol),
-            )
-        )
+    for idx in sorted(range(len(foliations)), key=lambda i: [g.pairs for g in schedules[i]]):
+        fol, groups = foliations[idx], schedules[idx]
+        ha = _evolve_groups(scenario, fol, groups, ua, warned[idx], previous=ha)
+        hb = _evolve_groups(scenario, fol, groups, ub, warned[idx], previous=hb)
+        comparisons[idx] = compare_histories(ha, hb, tol)
+    for messages in warned:
+        _emit(messages)
     return NarratabilityReport(
         scenario_name=scenario.name,
         rule_names=(rule_a.name, rule_b.name),
-        verdicts=tuple(verdicts),
+        verdicts=tuple(
+            FrameVerdict(foliation_index=idx, foliation=fol, groups=groups, comparison=c)
+            for idx, (fol, groups, c) in enumerate(zip(foliations, schedules, comparisons))
+        ),
     )

@@ -66,16 +66,17 @@ class SpinState:
             raise ValueError("need at least one slot")
         if self.n_slots > MAX_SLOTS:
             raise TooManySlots(f"{self.n_slots} slots exceed the cap of {MAX_SLOTS}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_slots,):
-            raise DimensionMismatch(
-                f"expected {2**self.n_slots} amplitudes, got shape {amps.shape}"
-            )
-        norm = math.sqrt(np.vdot(amps, amps).real)
-        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
-            raise NotNormalized(f"state norm {norm} is not 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        amps = np.array(self.amplitudes, dtype=complex)  # the caller keeps its array
+        object.__setattr__(self, "amplitudes", _guarded(self.n_slots, amps))
+
+    @classmethod
+    def _owning(cls, n_slots: int, amps: np.ndarray) -> "SpinState":
+        """A state on a complex array no one else writes to, without copying it;
+        the same shape and norm guard runs."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_slots", n_slots)
+        object.__setattr__(state, "amplitudes", _guarded(n_slots, amps))
+        return state
 
     def nonzero_terms(self, floor: float = 1e-12) -> list[tuple[str, complex]]:
         return [
@@ -83,6 +84,17 @@ class SpinState:
             for i in range(len(self.amplitudes))
             if abs(self.amplitudes[i]) > floor
         ]
+
+
+def _guarded(n_slots: int, amps: np.ndarray) -> np.ndarray:
+    """`amps`, made read-only, once its shape and unit norm are checked."""
+    if amps.shape != (2**n_slots,):
+        raise DimensionMismatch(f"expected {2**n_slots} amplitudes, got shape {amps.shape}")
+    norm = math.sqrt(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:  # a NaN norm fails too
+        raise NotNormalized(f"state norm {norm} is not 1")
+    amps.setflags(write=False)
+    return amps
 
 
 def basis_label(index: int, n_slots: int) -> str:
@@ -218,7 +230,8 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
 
     `actions` is an iterable of (TwoSlotUnitary, pair); the result does not
     depend on the listing order because the pairs must be disjoint.  All
-    contacts act on one amplitude array; only the result is validated.
+    contacts act on one amplitude array; only the result is validated, and
+    it is not copied again.
     """
     checked = []
     used: set[int] = set()
@@ -237,7 +250,7 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
         front, back = _PAIR_FRONT[a < b]
         moved = view.transpose(front)
         arr = np.dot(u.matrix, moved.reshape(4, -1)).reshape(moved.shape).transpose(back)
-    return SpinState(n, arr.reshape(-1))
+    return SpinState._owning(n, arr.reshape(-1))
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

@@ -498,6 +498,14 @@ def _same_history_va(key, entry):
     return pytest.param(write, None, id=key)
 
 
+def _nested(key, command, text):
+    def write(tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        return [command, str(path)]
+    return pytest.param(write, ": JSON nested too deeply", id=key)
+
+
 def _set_x(value):
     return lambda doc: doc["particles"][0]["start"].__setitem__("x", value)
 
@@ -526,6 +534,8 @@ def _set_x(value):
         singlet_pairs=[[0, 1]], singles={"x": [1, 0], "3": [1, 0]})),
     _kernel_coefficient("nan-kernel-coefficient", float("nan")),
     _kernel_coefficient("huge-exponent-kernel-coefficient", "1e99999999"),
+    _nested("deeply-nested-scenario", "compare-frames", "[" * 10**5 + "]" * 10**5),
+    _nested("deeply-nested-kernel", "cluster-check", '{"a": ' * 50_000 + "1" + "}" * 50_000),
 ])
 def test_hostile_numbers_exit_4(tmp_path, write, located):
     argv = write(tmp_path)
@@ -534,6 +544,16 @@ def test_hostile_numbers_exit_4(tmp_path, write, located):
         code, out, err = run_cli(*argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: " if located is None else f"error: {argv[-1]}{located}")
+
+
+def test_foliation_within_rounding_of_light_speed_runs(tmp_path):
+    # v = 1 - 1e-48 squares to 1.0 in floats; gamma comes from the exact 1 - v.v
+    with open(DEMO) as fh:
+        doc = json.load(fh)
+    doc["foliations"].append(["9" * 48 + "/1" + "0" * 48, "0", "0"])
+    code, out, err = run_cli("compare-frames", write_json(tmp_path / "fast.json", doc))
+    assert (code, err) == (0, "")
+    assert "gamma = 7.07106781187e+23" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,6 +19,7 @@ from narratables.geometry import (
     FLOAT_TIE_TOLERANCE,
     METRIC_DIAGONAL,
     Boost,
+    Crossings,
     Event,
     Foliation,
     Worldline,
@@ -77,6 +78,17 @@ def test_gamma_float_and_irrational():
     g = lorentz_gamma((F(0), F(1, 2), F(0)))
     assert isinstance(g, float)
     assert g == pytest.approx(2.0 / np.sqrt(3.0))
+
+
+def test_gamma_stays_finite_within_rounding_of_light_speed():
+    # v = 1 - 1e-48: float(v.v) rounds to 1.0, the exact 1 - v.v does not
+    v = F("9" * 48 + "/1" + "0" * 48)
+    gamma = lorentz_gamma((v, F(0), F(0)))
+    assert gamma == pytest.approx((2e-48) ** -0.5, rel=1e-12)  # 1 - v.v = 2e-48 - 1e-96
+    with pytest.warns(ExactnessWarning):
+        boost = Boost((v, 0, 0))
+    assert boost.gamma == gamma
+    assert all(np.isfinite(float(c)) for row in boost.matrix for c in row)
 
 
 def test_gamma_superluminal():
@@ -460,6 +472,12 @@ def test_integer_leaf_keys_match_a_fraction_reference(case, rng):
     got = grouping_outcome(lambda: [
         (g.core, g.tau, g.collisions) for g in group_by_leaf(events, Foliation(velocity))])
     assert got == expected
+    # the same from the integer rows a Crossings tuple keeps
+    crossings = Crossings(sorted(events, key=lambda m: m[0]))
+    assert crossings.integer_rows is crossings.integer_rows
+    assert grouping_outcome(lambda: [
+        (g.core, g.tau, g.collisions) for g in group_by_leaf(crossings, Foliation(velocity))
+    ]) == expected
     if isinstance(got, list):
         assert all(type(core) is Fraction for core, _, _ in got)
 

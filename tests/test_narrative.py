@@ -473,12 +473,19 @@ ONE_SLOT_STATES = (
 )
 
 
+FLOAT_BOOST = Foliation((0.6, 0.0, 0.0))
+
+
 @st.composite
 def history_pairs(draw):
-    """Two histories under one exact foliation, on breakpoint cores drawn from
-    one small pool so that they often share leaves."""
-    foliation = Foliation(draw(VELOCITIES))
+    """Two histories under one foliation, on breakpoint cores drawn from one
+    small pool so that they often share leaves.  The foliation is exact with
+    a rational or an irrational gamma, or float; a float one's pool also has
+    cores within the 1e-9 tie tolerance of each other."""
+    foliation = draw(st.sampled_from([X_BOOST, Y_BOOST, FLOAT_BOOST]) | VELOCITIES.map(Foliation))
     pool = draw(st.lists(COORDS, min_size=1, max_size=6, unique=True))
+    if not foliation.exact:
+        pool = sorted({float(c) + draw(st.sampled_from([0.0, 4e-10, 2e-9])) for c in pool})
 
     def history():
         cores = sorted(draw(st.lists(st.sampled_from(pool), unique=True)))
@@ -497,7 +504,7 @@ def merge_and_bisect_comparison(h1, h2):
     for c in sorted(h1.cores + h2.cores):
         if not merged or not fol.same_leaf(merged[-1], c):
             merged.append(c)
-    points = [merged[0] - 1] if merged else [F(0)]
+    points = [merged[0] - 1] if merged else [F(0) if fol.exact else 0.0]
     for k, c in enumerate(merged):
         points += [c, (c + merged[k + 1]) / 2 if k + 1 < len(merged) else c + 1]
     samples = tuple(
@@ -525,7 +532,9 @@ def test_walk_matches_merge_and_bisect_reference(pair):
 
 
 def report_histories(scenario, rule_a, rule_b, foliations):
-    """The report, and the histories it evolved: rule a then rule b per frame."""
+    """The report, and the histories it evolved in input order: rule a then
+    rule b per frame.  The report evolves rule a then rule b in each frame, in
+    an order of its own; equal foliations evolve to equal histories."""
     made = []
     original = narrative._evolve_groups
 
@@ -535,7 +544,13 @@ def report_histories(scenario, rule_a, rule_b, foliations):
 
     with mock.patch.object(narrative, "_evolve_groups", recording):
         report = narratability_report(scenario, rule_a, rule_b, foliations)
-    return report, made
+    pending = [made[k:k + 2] for k in range(0, len(made), 2)]
+    in_order = []
+    for fol in foliations:
+        pair = next(p for p in pending if p[0].foliation == fol)
+        pending.remove(pair)
+        in_order += pair
+    return report, in_order
 
 
 def random_unitary(seed):
@@ -546,8 +561,9 @@ def random_unitary(seed):
 
 @st.composite
 def shared_prefix_cases(draw):
-    """Crossing line pairs, two drawn rules, and 2-5 foliations from a small
-    pool, so that neighbouring frames often fire the same groups in order."""
+    """Crossing line pairs, two drawn rules, and 2-6 foliations in any order,
+    often repeated, from a small pool of exact (rational and irrational gamma)
+    and float frames, so that frames often fire the same groups in order."""
     lines = []
     for _ in range(draw(st.integers(1, 3))):
         event = Event(*draw(st.tuples(COORDS, COORDS, COORDS, COORDS)))
@@ -564,9 +580,9 @@ def shared_prefix_cases(draw):
         return InteractionRule(name, tuple((k, draw(unitary)) for k in keys),
                                draw(st.none() | unitary))
 
-    pool = [rest_foliation(), X_BOOST, Y_BOOST] + [Foliation(v) for v in draw(
+    pool = [rest_foliation(), X_BOOST, Y_BOOST, FLOAT_BOOST] + [Foliation(v) for v in draw(
         st.lists(VELOCITIES, min_size=1, max_size=2))]
-    foliations = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5))
+    foliations = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
     initial = singlet_product(len(lines), [(i, i + 1) for i in range(0, len(lines), 2)])
     return lines, initial, rule("a"), rule("b"), foliations
 
@@ -578,6 +594,7 @@ def test_report_histories_equal_fresh_evolutions(case):
         scenario = Scenario(name="prefixes", worldlines=tuple(lines), initial_state=initial)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LittleGroupWarning)
+            warnings.simplefilter("ignore", ExactnessWarning)
             _, made = report_histories(scenario, rule_a, rule_b, foliations)
             fresh = [evolve(scenario, fol, rule)
                      for fol in foliations for rule in (rule_a, rule_b)]
@@ -591,6 +608,54 @@ def test_report_histories_equal_fresh_evolutions(case):
         assert len(got.segments) == len(want.segments)
         for a, b in zip(got.segments, want.segments):
             assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def distinct_prefixes(sequences):
+    return len({tuple(seq[:m]) for seq in sequences for m in range(1, len(seq) + 1)})
+
+
+@given(shared_prefix_cases())
+def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
+    """Every verdict and LittleGroupWarning equals those of a fresh evolution
+    and comparison of its frame, in input order, and the contacts applied lie
+    between the distinct fired prefixes (each needs one) and the distinct raw
+    prefixes that end in a fired group (which evolving in raw leaf-sequence
+    order never applies twice).  For a rule that fires every crossing or none
+    the two counts, and so the calls, agree."""
+    lines, initial, rule_a, rule_b, foliations = case
+
+    def spin_warnings(run):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            result = run()
+        return result, [str(w.message) for w in seen if w.category is LittleGroupWarning]
+
+    try:
+        scenario = Scenario(name="orders", worldlines=tuple(lines), initial_state=initial)
+        with mock.patch.object(narrative, "apply_group", wraps=narrative.apply_group) as calls:
+            report, in_report = spin_warnings(
+                lambda: narratability_report(scenario, rule_a, rule_b, foliations))
+        fresh, in_fresh = spin_warnings(lambda: [
+            [evolve(scenario, fol, rule) for rule in (rule_a, rule_b)] for fol in foliations])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactnessWarning)
+            raw = [[g.pairs for g in geometry.group_by_leaf(scenario.events, fol)]
+                   for fol in foliations]
+    except (CoincidentWorldlines, OverlappingSimultaneousPairs):
+        assume(False)  # an accidental extra crossing; not what is probed here
+    assert in_report == in_fresh
+    assert [v.foliation_index for v in report.verdicts] == list(range(len(foliations)))
+    for verdict, fol, (ha, hb) in zip(report.verdicts, foliations, fresh):
+        assert verdict.foliation is fol
+        assert verdict.comparison == compare_histories(ha, hb)
+    fired, ending_in_fired = 0, 0
+    for k in range(2):
+        histories = [pair[k] for pair in fresh]
+        fired += distinct_prefixes([[g.pairs for g in h.groups] for h in histories])
+        ending_in_fired += len({
+            tuple(seq[:m]) for seq, h in zip(raw, histories) for m in range(1, len(seq) + 1)
+            if seq[m - 1] in {g.pairs for g in h.groups}})
+    assert fired <= calls.call_count <= ending_in_fired
 
 
 def test_prefix_reuse_stops_at_the_first_differing_group(monkeypatch):
@@ -653,7 +718,8 @@ def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
 
     calls = _counting(monkeypatch, narrative, "apply_group")
     in_report = caught(lambda: narratability_report(scenario, free_rule(), cz, foliations))
-    assert len(calls) == 2 + 0 + 1 + 2
+    # evolved in the order rest, x 3/5, x 4/5, x 3/5: the boosts share every state
+    assert len(calls) == 3
     fresh = caught(lambda: [evolve(scenario, fol, rule)
                             for fol in foliations for rule in (free_rule(), cz)])
     assert in_report == fresh

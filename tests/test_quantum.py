@@ -154,6 +154,11 @@ def test_state_validation():
 def test_state_guard_rejects_non_finite_and_off_norm(first):
     with pytest.raises(NotNormalized):
         SpinState(2, np.array([first, 0, 0, 0], dtype=complex))
+    # the uncopied path that `apply_group` builds its results through
+    with pytest.raises(NotNormalized):
+        SpinState._owning(2, np.array([first, 0, 0, 0], dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        SpinState._owning(2, np.array([1, 0], dtype=complex))
 
 
 def test_states_copy_their_input_and_stay_read_only():
@@ -334,17 +339,19 @@ def test_angular_momentum_norms_match_contraction_bit_for_bit(n_slots, seed):
 
 
 def test_apply_group_builds_one_state_per_group(monkeypatch):
+    # one shape and norm guard per group, on the array the result holds
     state = singlet_product(4, [(0, 1), (2, 3)])
-    built = []
-    validate = SpinState.__post_init__
+    checked = []
+    guard = quantum._guarded
 
-    def counting(self):
-        built.append(self)
-        validate(self)
+    def counting(n_slots, amps):
+        checked.append(amps)
+        return guard(n_slots, amps)
 
-    monkeypatch.setattr(SpinState, "__post_init__", counting)
+    monkeypatch.setattr(quantum, "_guarded", counting)
     out = apply_group(state, [(swap_unitary(), (0, 2)), (swap_unitary(), (1, 3))])
-    assert built == [out]
+    assert len(checked) == 1
+    assert checked[0] is out.amplitudes
 
 
 def test_repairing_round_trip():
