@@ -40,7 +40,6 @@ from .geometry import (
     collision_events,
     collision_schedule,
     group_by_leaf,
-    leaf_parameter,
     lorentz_gamma,
     rest_foliation,
 )
@@ -66,7 +65,6 @@ from .narrative import (
     evolve,
     flip_rule,
     free_rule,
-    histories_equal,
     narratability_report,
     render_report,
 )

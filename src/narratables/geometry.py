@@ -141,13 +141,19 @@ class Worldline:
 
     def base_point(self) -> tuple[Fraction, Fraction, Fraction]:
         """Spatial position extrapolated to t = 0."""
-        return self._base_point
-
-    @cached_property
-    def _base_point(self) -> tuple[Fraction, Fraction, Fraction]:
-        # computed once per line; `collide` reads it for every pair
         p = self.position_at(0)
         return (p.x, p.y, p.z)
+
+    @cached_property
+    def _integer_line(self) -> tuple:
+        # computed once per line; `collide` reads it for every pair
+        return _over_lcm(self.base_point()), _over_lcm(self.velocity)
+
+
+def _over_lcm(values) -> tuple[tuple, int]:
+    """Rationals as integers over their common denominator d: (N, d), v = N/d."""
+    d = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 def _boost_rows(velocity, gamma, one):
@@ -264,35 +270,39 @@ def rest_foliation() -> Foliation:
     return Foliation((Fraction(0), Fraction(0), Fraction(0)))
 
 
-def leaf_parameter(foliation: Foliation, event: Event) -> Scalar:
-    """tau of the leaf through `event` under `foliation`."""
-    return foliation.leaf(event)
-
-
 def collide(a: Worldline, b: Worldline) -> Optional[Event]:
     """Exact intersection event of two worldlines, or None if they miss.
 
     Raises CoincidentWorldlines when the two trajectories are identical.
+
+    With each line's base point over one denominator (p = P/dp) and its
+    velocity over another (v = V/dv), the axis i meets at t = n_i/m_i times
+    the same factor dva*dvb/(dpa*dpb), where n_i = Pb*dpa - Pa*dpb and
+    m_i = Va*dvb - Vb*dva: the axes agree when their n/m cross-multiply
+    equal, and every coordinate of the hit is an integer over m*dpa*dpb.
     """
     if a.id == b.id:
         raise ValueError("collide() needs two distinct worldlines")
-    ca, cb = a.base_point(), b.base_point()
-    t: Optional[Fraction] = None
-    constrained = False
+    (pa, dpa), (va, dva) = a._integer_line
+    (pb, dpb), (vb, dvb) = b._integer_line
+    n = m = 0
     for i in range(3):
-        dv = a.velocity[i] - b.velocity[i]
-        dc = cb[i] - ca[i]
+        dv = va[i] * dvb - vb[i] * dva
+        dc = pb[i] * dpa - pa[i] * dpb
         if dv == 0:
             if dc != 0:
                 return None
             continue
-        ti = dc / dv
-        if constrained and ti != t:
+        if m and dc * m != n * dv:
             return None
-        t, constrained = ti, True
-    if not constrained:
+        n, m = dc, dv
+    if not m:
         raise CoincidentWorldlines(f"worldlines {a.id} and {b.id} coincide")
-    return a.position_at(t)
+    # t = n*dva*dvb / d and x = Pa/dpa + (Va/dva)*t, both over d = m*dpa*dpb
+    d = m * dpa * dpb
+    n *= dvb
+    return Event(Fraction(n * dva, d),
+                 *(Fraction(p * m * dpb + v * n, d) for p, v in zip(pa, va)))
 
 
 @dataclass(frozen=True)
@@ -320,9 +330,8 @@ class Crossings(tuple):
 def _integer_rows(events: Sequence) -> tuple[list, int]:
     """Each event's (T, X, Y, Z) as integers, and their common denominator d:
     t = T/d, x = X/d, and so on."""
-    d = lcm(*(c.denominator for _, e in events for c in e.coordinates()))
-    return [tuple(c.numerator * (d // c.denominator) for c in e.coordinates())
-            for _, e in events], d
+    flat, d = _over_lcm([c for _, e in events for c in e.coordinates()])
+    return [flat[k:k + 4] for k in range(0, len(flat), 4)], d
 
 
 def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
@@ -367,8 +376,7 @@ def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, Optional[i
     if not foliation.exact:
         return [t / de - sum(v * (p / de) for v, p in zip(velocity, xyz))
                 for t, *xyz in rows], None
-    dv = lcm(*(v.denominator for v in velocity))
-    a, b, c = (v.numerator * (dv // v.denominator) for v in velocity)
+    (a, b, c), dv = _over_lcm(velocity)
     return [t * dv - (a * x + b * y + c * z) for t, x, y, z in rows], dv * de
 
 

@@ -236,8 +236,16 @@ class HistoryComparison:
     witness_core: Optional[Scalar]
     witness_tau: Optional[Scalar]
     witness_overlap: Optional[float]
-    samples: tuple  # (core, tau, |overlap|)
     min_overlap: float
+    foliation: Foliation = field(repr=False)
+    points: tuple = field(repr=False)  # (half-key, |overlap|), one per sample
+    scale: Optional[int] = field(repr=False)  # half-key/scale is the core; None: float
+
+    @cached_property
+    def samples(self) -> tuple:
+        """(core, tau, |overlap|) per sample point, built when first read."""
+        fol, scale = self.foliation, self.scale
+        return tuple((*fol.core_and_tau(key, scale), mag) for key, mag in self.points)
 
 
 def compare_histories(
@@ -253,8 +261,9 @@ def compare_histories(
 
     The walk runs on keys: for an exact foliation the cores as integers over
     the lcm D of their denominators, for a float one the cores themselves.  A
-    sample is the half-sum of two keys (over 2D when exact), and its core and
-    tau are built once from that."""
+    sample is kept as the half-sum of two keys (over 2D when exact) with its
+    |overlap|; only the witness's core and tau are built here, the samples'
+    when `HistoryComparison.samples` is read."""
     fol = h1.foliation
     if fol != h2.foliation:
         raise FoliationMismatch(
@@ -281,21 +290,14 @@ def compare_histories(
         points += [(half(leaf, leaf), mag), (after, mag)]
         leaf = following
 
-    samples = tuple((*fol.core_and_tau(key, scale), mag) for key, mag in points)
-    witness = next((s for s in samples if abs(s[2] - 1.0) > tol), None)
-    min_overlap = min(s[2] for s in samples)
-    if witness is None:
-        return HistoryComparison(True, None, None, None, samples, min_overlap)
-    return HistoryComparison(False, *witness, samples, min_overlap)
+    witness = next(((*fol.core_and_tau(key, scale), mag) for key, mag in points
+                    if abs(mag - 1.0) > tol), (None, None, None))
+    min_overlap = min(mag for _, mag in points)
+    return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, tuple(points), scale)
 
 
 def _float_half_sum(a: float, b: float) -> float:
     return (a + b) / 2
-
-
-def histories_equal(h1: History, h2: History, tol: float = COMPARISON_TOLERANCE) -> bool:
-    """True when the two records agree (up to phase) on every leaf."""
-    return compare_histories(h1, h2, tol).equal
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,6 @@ from narratables.geometry import (
     collision_events,
     collision_schedule,
     group_by_leaf,
-    leaf_parameter,
     lorentz_gamma,
     rest_foliation,
 )
@@ -189,16 +188,16 @@ def test_boost_exactness_warning_paths():
 
 def test_leaf_parameter_values():
     rest = rest_foliation()
-    assert leaf_parameter(rest, Event.of(7, 123, -4, 9)) == 7
+    assert rest.leaf(Event.of(7, 123, -4, 9)) == 7
     fol = Foliation((F(3, 5), F(0), F(0)))
-    assert leaf_parameter(fol, Event.of(0, 1, 0, 0)) == F(-3, 4)
-    assert leaf_parameter(fol, Event.of(1, 1, 0, 0)) == F(1, 2)
+    assert fol.leaf(Event.of(0, 1, 0, 0)) == F(-3, 4)
+    assert fol.leaf(Event.of(1, 1, 0, 0)) == F(1, 2)
 
 
 def test_equal_time_events_split_by_x_boost():
     fol = Foliation((F(3, 5), F(0), F(0)))
     a, b = Event.of(4, -1, 0, 0), Event.of(4, 1, 0, 0)
-    assert leaf_parameter(fol, a) != leaf_parameter(fol, b)
+    assert fol.leaf(a) != fol.leaf(b)
     assert rest_foliation().leaf(a) == rest_foliation().leaf(b)
 
 
@@ -505,3 +504,81 @@ def test_float_foliation_groups_like_the_exact_one_away_from_ties(lines, velocit
         assert isinstance(g.core, float)
         assert g.core == pytest.approx(float(e.core), abs=1e-12)
         assert g.tau == pytest.approx(float(e.tau), abs=1e-12)
+
+
+def reference_collide(a, b):
+    """The crossing in Fraction arithmetic: t = dc / dv on every axis where the
+    velocities differ, then the event at t on `a`."""
+    ca, cb = a.base_point(), b.base_point()
+    t, constrained = None, False
+    for i in range(3):
+        dv = a.velocity[i] - b.velocity[i]
+        dc = cb[i] - ca[i]
+        if dv == 0:
+            if dc != 0:
+                return None
+            continue
+        ti = dc / dv
+        if constrained and ti != t:
+            return None
+        t, constrained = ti, True
+    if not constrained:
+        raise CoincidentWorldlines(f"worldlines {a.id} and {b.id} coincide")
+    return a.position_at(t)
+
+
+def collide_outcome(collide_pair, a, b):
+    try:
+        return collide_pair(a, b)
+    except CoincidentWorldlines:
+        return "coincident"
+
+
+LINE_PAIR_KINDS = ("meet", "miss", "parallel", "one axis", "one axis, offset", "coincide")
+
+
+@st.composite
+def line_pairs(draw, first_id=0):
+    """Two worldlines with mixed denominators that meet at a drawn event, miss
+    (skew, or parallel off each other), differ in velocity on one axis only
+    (through a shared event, or offset on another axis), or coincide."""
+    kind = draw(st.sampled_from(LINE_PAIR_KINDS))
+    event = Event(*draw(st.tuples(MIXED_COORDS, MIXED_COORDS, MIXED_COORDS, MIXED_COORDS)))
+    velocity = draw(st.tuples(MIXED_SPEEDS, MIXED_SPEEDS, MIXED_SPEEDS))
+    a = Worldline(first_id, "a", event, velocity)
+    start, other = event, velocity
+    if kind in ("meet", "miss"):
+        other = draw(st.tuples(MIXED_SPEEDS, MIXED_SPEEDS, MIXED_SPEEDS).filter(
+            lambda v: v != velocity))
+    elif kind.startswith("one axis"):
+        axis = draw(st.integers(0, 2))
+        speed = draw(MIXED_SPEEDS.filter(lambda s: s != velocity[axis]))
+        other = tuple(speed if i == axis else v for i, v in enumerate(velocity))
+    if kind == "coincide":
+        start = a.position_at(draw(MIXED_COORDS))
+    elif kind in ("miss", "parallel", "one axis, offset"):
+        shift = draw(st.tuples(MIXED_COORDS, MIXED_COORDS, MIXED_COORDS).filter(any))
+        start = Event(draw(MIXED_COORDS), *(p + s for p, s in zip(event.position(), shift)))
+    return a, Worldline(first_id + 1, "b", start, other)
+
+
+@given(line_pairs(), line_pairs(first_id=2))
+def test_integer_collide_matches_the_fraction_reference(first, second):
+    for a, b in (first, second, (first[0], second[1]), (second[0], first[1])):
+        expected = collide_outcome(reference_collide, a, b)
+        assert collide_outcome(collide, a, b) == expected
+        assert collide_outcome(collide, b, a) == collide_outcome(reference_collide, b, a)
+        if isinstance(expected, Event):
+            assert all(type(c) is Fraction for c in expected.coordinates())
+    lines = [*first, *second]
+    try:
+        expected = Crossings(
+            ((a.id, b.id), event) for k, a in enumerate(lines) for b in lines[k + 1:]
+            if (event := reference_collide(a, b)) is not None)
+    except CoincidentWorldlines:
+        with pytest.raises(CoincidentWorldlines):
+            collision_events(lines)
+        return
+    got = collision_events(lines)
+    assert got == expected
+    assert got.integer_rows == expected.integer_rows

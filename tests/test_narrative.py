@@ -4,6 +4,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,6 @@ from narratables.narrative import (
     evolve,
     flip_rule,
     free_rule,
-    histories_equal,
     narratability_report,
     render_report,
 )
@@ -149,8 +149,8 @@ def test_histories_equal_rest_but_not_boosted():
     free, flip = free_rule(), flip_rule()
     h_free = evolve(scenario, rest_foliation(), free)
     h_flip = evolve(scenario, rest_foliation(), flip)
-    assert histories_equal(h_free, h_flip)
-    assert histories_equal(h_free, h_free)
+    assert compare_histories(h_free, h_flip).equal
+    assert compare_histories(h_free, h_free).equal
 
     b_free = evolve(scenario, X_BOOST, free)
     b_flip = evolve(scenario, X_BOOST, flip)
@@ -228,14 +228,14 @@ def test_x_boost_sweep_and_y_boost():
     scenario = demo_scenario()
     for vx in (F(3, 5), F(4, 5), F(-3, 5)):
         fol = Foliation((vx, F(0), F(0)))
-        assert not histories_equal(
+        assert not compare_histories(
             evolve(scenario, fol, free_rule()), evolve(scenario, fol, flip_rule())
-        )
+        ).equal
     for vy in (F(1, 2), F(-1, 2)):
         fol = Foliation((F(0), vy, F(0)))
-        assert histories_equal(
+        assert compare_histories(
             evolve(scenario, fol, free_rule()), evolve(scenario, fol, flip_rule())
-        )
+        ).equal
 
 
 def test_same_group_sequence_gives_same_segments():
@@ -530,6 +530,64 @@ def test_walk_matches_merge_and_bisect_reference(pair):
     assert comparison.min_overlap == least
     assert counted.call_count == leaves + 1
 
+
+
+def eager_samples(h1, h2):
+    """The samples as the comparison built them before they were deferred:
+    every sample core (of the merge-and-bisect reference) as an integer key
+    over one scale when exact, and `core_and_tau` per point."""
+    fol = h1.foliation
+    points = merge_and_bisect_comparison(h1, h2)[0]
+    if not fol.exact:
+        return tuple((*fol.core_and_tau(c, None), mag) for c, _, mag in points)
+    scale = lcm(*(c.denominator for c, _, _ in points))
+    return tuple((*fol.core_and_tau(c.numerator * (scale // c.denominator), scale), mag)
+                 for c, _, mag in points)
+
+
+def counting_core_and_tau():
+    return mock.patch.object(Foliation, "core_and_tau", autospec=True,
+                             side_effect=Foliation.core_and_tau)
+
+
+@given(history_pairs())
+def test_samples_are_built_when_read_as_eagerly_before(pair):
+    h1, h2 = pair
+    with counting_core_and_tau() as built:
+        comparison = compare_histories(h1, h2)
+        assert built.call_count == (0 if comparison.equal else 1)  # the witness only
+        samples = comparison.samples
+        assert comparison.samples is samples
+        assert built.call_count == len(samples) + (not comparison.equal)
+    expected = eager_samples(h1, h2)
+    assert samples == expected
+    assert [tuple(map(type, s)) for s in samples] == [tuple(map(type, s)) for s in expected]
+
+
+def test_report_builds_core_and_tau_per_group_and_witness_only():
+    # rational gamma (rest, x 3/5), irrational gamma (y 1/2, (1/3, 1/4, 0)) and float
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(1, 3), F(1, 4), F(0))),
+                  FLOAT_BOOST]
+    scenario = demo_scenario()
+    mix = InteractionRule("mix", default=random_unitary(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        warnings.simplefilter("ignore", LittleGroupWarning)
+        for rule_a, rule_b in [(free_rule(), flip_rule()), (mix, free_rule())]:
+            with counting_core_and_tau() as built:
+                report = narratability_report(scenario, rule_a, rule_b, foliations)
+                render_report(report)
+            # free vs flip: EQUAL and DIFFER verdicts; mix vs free: DIFFER in every frame
+            assert [v.equal for v in report.verdicts] == (
+                [True, False, True, False, False] if rule_b.name == "flip" else [False] * 5)
+            assert built.call_count == sum(len(v.groups) + (not v.equal)
+                                           for v in report.verdicts)
+            expected = [
+                (idx, float(tau).hex(), mag.hex())
+                for idx, fol in enumerate(foliations)
+                for _, tau, mag in eager_samples(evolve(scenario, fol, rule_a),
+                                                 evolve(scenario, fol, rule_b))]
+            assert [(idx, tau.hex(), mag.hex()) for idx, tau, mag in report.csv_rows()] == expected
 
 def report_histories(scenario, rule_a, rule_b, foliations):
     """The report, and the histories it evolved in input order: rule a then
