@@ -132,6 +132,8 @@ class History:
     groups: tuple  # CollisionGroup, ordered by tau
     segments: tuple  # SpinState, one more than groups
     inert_groups: tuple = ()
+    # segments[k] keyed by the contact trace of the first k groups (`_trace_after`)
+    by_trace: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.segments) != len(self.groups) + 1:
@@ -185,38 +187,43 @@ def _evolve_groups(
     unitaries: dict,
     warned: list,
     previous: Optional[History] = None,
+    traces: Optional[dict] = None,
 ) -> History:
     """`evolve` over the foliation's collision groups, already found, with the
     rule's `_unitaries`; each LittleGroupWarning message is appended to
     `warned` for the caller to emit.
 
+    Each state is filed under its contact trace, interned in `traces`.
     `previous` is a history of the same scenario and rule under another
-    foliation.  While the groups fired so far have the same pairs as its
-    groups, in the same order, its segments are the states they produce, so
-    they are reused; `apply_group` runs from the first group that differs."""
+    foliation, evolved with the same `traces`: a state it filed under the
+    trace a group reaches equals that group's state exactly, so it is reused,
+    and `apply_group` runs only for traces it does not hold."""
     boosted = not foliation.is_rest
     if boosted and scenario.has_initial_spin:
         warned.append(
             "initial state carries nonzero total spin; re-foliated history "
             "ignores the boost's action on spins"
         )
-    shared = previous.groups if previous is not None else ()
+    earlier = previous.by_trace if previous is not None else {}
+    traces = {} if traces is None else traces
+    trace = (0,) * len(scenario.worldlines)
     fired, inert = [], []
     segments = [scenario.initial_state]
+    by_trace = {trace: scenario.initial_state}
     for group in groups:
         actions = [(unitaries[pair], pair) for pair, _event in group.collisions]
         if all(u.is_identity for u, _ in actions):
             inert.append(group)
             continue
-        k = len(fired)
         fired.append(group)
-        if k < len(shared) and shared[k].pairs == group.pairs:
-            segments.append(previous.segments[k + 1])
-        else:
-            shared = ()
-            segments.append(apply_group(segments[-1], actions))
+        trace = _trace_after(trace, actions, traces)
+        state = earlier.get(trace)
+        if state is None:
+            state = apply_group(segments[-1], actions)
+        segments.append(state)
+        by_trace[trace] = state
         culprits = [pair for u, pair in actions if not u.conserves_spin]
-        if boosted and culprits and _carries_spin(segments[-1]):
+        if boosted and culprits and _carries_spin(state):
             species = ", ".join("({}, {})".format(*map(scenario.species_of, p)) for p in culprits)
             warned.append(
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
@@ -227,7 +234,24 @@ def _evolve_groups(
         groups=tuple(fired),
         segments=tuple(segments),
         inert_groups=tuple(inert),
+        by_trace=by_trace,
     )
+
+
+def _trace_after(trace: tuple, actions: list, traces: dict) -> tuple:
+    """The contact trace `trace` after one group's (unitary, pair) actions.
+
+    A contact trace holds, per slot, the sequence of contacts that touched it,
+    interned in `traces` as (sequence id, pair) -> id.  A moves-only contact
+    touches its two slots; any other touches every slot, so it stays ordered
+    against every contact.  Moves-only contacts on disjoint slots commute
+    exactly, so two orders of the same contacts that reach one trace (the
+    Mazurkiewicz trace of the contact sequence) reach one state."""
+    slots = list(trace)
+    for u, pair in actions:
+        for s in pair if u.moves_only else range(len(slots)):
+            slots[s] = traces.setdefault((slots[s], pair), len(traces) + 1)
+    return tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -422,10 +446,11 @@ def narratability_report(
     ua, ub = _unitaries(scenario, rule_a), _unitaries(scenario, rule_b)
     comparisons, warned = [None] * len(foliations), [[] for _ in foliations]
     ha = hb = None
+    traces: dict = {}
     for idx in sorted(range(len(foliations)), key=lambda i: [g.pairs for g in schedules[i]]):
         fol, groups = foliations[idx], schedules[idx]
-        ha = _evolve_groups(scenario, fol, groups, ua, warned[idx], previous=ha)
-        hb = _evolve_groups(scenario, fol, groups, ub, warned[idx], previous=hb)
+        ha = _evolve_groups(scenario, fol, groups, ua, warned[idx], previous=ha, traces=traces)
+        hb = _evolve_groups(scenario, fol, groups, ub, warned[idx], previous=hb, traces=traces)
         comparisons[idx] = compare_histories(ha, hb, tol)
     for messages in warned:
         _emit(messages)

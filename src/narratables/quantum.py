@@ -53,6 +53,9 @@ _PAIR_FRONT = {
     False: ((3, 1, 0, 2, 4), (2, 1, 3, 0, 4)),
 }
 
+# the entries of a contact that only moves amplitudes and multiplies them by a unit
+_MOVING_ENTRIES = (0, 1, -1, 1j, -1j)
+
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
@@ -126,6 +129,16 @@ class TwoSlotUnitary:
     @cached_property
     def is_identity(self) -> bool:
         return np.array_equal(self.matrix, np.eye(4))
+
+    @cached_property
+    def moves_only(self) -> bool:
+        """Each row and column holds one nonzero entry, and it is 1, -1, i or
+        -i (identity, swap and CZ qualify): `apply_group` then only moves
+        amplitudes and multiplies them by that unit, which rounds nothing, so
+        two such contacts on disjoint slots give equal amplitudes in either
+        order.  Every entry in 0, 1, -1, i, -i suffices: the unit rows and
+        columns of a unitary then hold one nonzero entry each."""
+        return all(z in _MOVING_ENTRIES for row in self.matrix.tolist() for z in row)
 
 
 def swap_unitary() -> TwoSlotUnitary:

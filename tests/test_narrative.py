@@ -668,18 +668,29 @@ def test_report_histories_equal_fresh_evolutions(case):
             assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
-def distinct_prefixes(sequences):
-    return len({tuple(seq[:m]) for seq in sequences for m in range(1, len(seq) + 1)})
+def distinct_traces(scenario, rule, histories):
+    """The distinct contact traces that the fired groups of `histories` reach:
+    per slot, the pairs whose contacts touched it in order, where a contact
+    that is not moves-only touches every slot."""
+    seen = set()
+    for h in histories:
+        slots = [[] for _ in scenario.worldlines]
+        for g in h.groups:
+            for a, b in g.pairs:
+                u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
+                for s in (a, b) if u.moves_only else range(len(slots)):
+                    slots[s].append((a, b))
+            seen.add(tuple(map(tuple, slots)))
+    return len(seen)
 
 
 @given(shared_prefix_cases())
 def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     """Every verdict and LittleGroupWarning equals those of a fresh evolution
     and comparison of its frame, in input order, and the contacts applied lie
-    between the distinct fired prefixes (each needs one) and the distinct raw
-    prefixes that end in a fired group (which evolving in raw leaf-sequence
-    order never applies twice).  For a rule that fires every crossing or none
-    the two counts, and so the calls, agree."""
+    between the distinct contact traces the fired groups reach (each needs
+    one) and the distinct raw prefixes that end in a fired group (which
+    evolving in raw leaf-sequence order never applies twice)."""
     lines, initial, rule_a, rule_b, foliations = case
 
     def spin_warnings(run):
@@ -706,14 +717,14 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     for verdict, fol, (ha, hb) in zip(report.verdicts, foliations, fresh):
         assert verdict.foliation is fol
         assert verdict.comparison == compare_histories(ha, hb)
-    fired, ending_in_fired = 0, 0
-    for k in range(2):
+    traces, ending_in_fired = 0, 0
+    for k, rule in enumerate((rule_a, rule_b)):
         histories = [pair[k] for pair in fresh]
-        fired += distinct_prefixes([[g.pairs for g in h.groups] for h in histories])
+        traces += distinct_traces(scenario, rule, histories)
         ending_in_fired += len({
             tuple(seq[:m]) for seq, h in zip(raw, histories) for m in range(1, len(seq) + 1)
             if seq[m - 1] in {g.pairs for g in h.groups}})
-    assert fired <= calls.call_count <= ending_in_fired
+    assert traces <= calls.call_count <= ending_in_fired
 
 
 def test_prefix_reuse_stops_at_the_first_differing_group(monkeypatch):
@@ -756,9 +767,11 @@ def test_same_fired_order_in_the_next_frame_applies_no_contact(monkeypatch):
     narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(4, 5), 0, 0))])
     assert len(calls) == 2  # all in the first frame
     calls.clear()
-    # the -3/5 boost fires (0,2) first, so it shares no prefix and applies both
+    # the -3/5 boost fires (0,2) first and is evolved first; the 3/5 boost
+    # applies (1,3), and the disjoint swaps (0,2) and (1,3) then reach the
+    # contact trace whose state the -3/5 frame holds
     narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(-3, 5), 0, 0))])
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
@@ -776,8 +789,10 @@ def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
 
     calls = _counting(monkeypatch, narrative, "apply_group")
     in_report = caught(lambda: narratability_report(scenario, free_rule(), cz, foliations))
-    # evolved in the order rest, x 3/5, x 4/5, x 3/5: the boosts share every state
-    assert len(calls) == 3
+    # evolved in the order rest, x 3/5, x 4/5, x 3/5: the boosts share every
+    # state, and CZ is moves-only, so after both crossings the first boost
+    # reaches the rest frame's contact trace and reuses its state
+    assert len(calls) == 2
     fresh = caught(lambda: [evolve(scenario, fol, rule)
                             for fol in foliations for rule in (free_rule(), cz)])
     assert in_report == fresh

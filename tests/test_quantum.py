@@ -338,6 +338,80 @@ def test_angular_momentum_norms_match_contraction_bit_for_bit(n_slots, seed):
     assert angular_momentum_norms(state) == contraction_norms(state)
 
 
+UNITS = (1, -1, 1j, -1j)
+
+
+def times_unit(unit, z):
+    """unit * z for a unit 1, -1, i or -i, built from z's parts with no rounding."""
+    parts = {1: (z.real, z.imag), -1: (-z.real, -z.imag),
+             1j: (-z.imag, z.real), -1j: (z.imag, -z.real)}
+    return complex(*parts[unit])
+
+
+@st.composite
+def moving_contacts(draw):
+    """A 4x4 contact with one entry 1, -1, i or -i in each row and column."""
+    m = np.zeros((4, 4), dtype=complex)
+    for row, col in enumerate(draw(st.permutations(range(4)))):
+        m[row, col] = draw(st.sampled_from(UNITS))
+    return TwoSlotUnitary(m)
+
+
+def moved_amplitudes(u, state, a, b):
+    """Independent oracle: each amplitude of the result, index by index, is
+    the one u's nonzero entry in its row picks, times that entry."""
+    n = state.n_slots
+    out = np.empty(2**n, dtype=complex)
+    for i in range(2**n):
+        bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
+        row = 2 * bits[a] + bits[b]
+        col = int(np.flatnonzero(u.matrix[row])[0])
+        bits[a], bits[b] = divmod(col, 2)
+        out[i] = times_unit(complex(u.matrix[row, col]),
+                            state.amplitudes[int("".join(map(str, bits)), 2)])
+    return out
+
+
+@st.composite
+def moving_pairs(draw):
+    """A random state on 4..8 slots (no zero amplitude, so no zero's sign is
+    in play) and two moves-only contacts on disjoint ordered pairs."""
+    n = draw(st.integers(4, 8))
+    slots = draw(st.permutations(range(n)))
+    state = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return state, [(draw(moving_contacts()), (slots[0], slots[1])),
+                   (draw(moving_contacts()), (slots[2], slots[3]))]
+
+
+@given(moving_pairs())
+def test_moves_only_contacts_move_amplitudes_and_commute_bit_for_bit(case):
+    state, [(u, p), (v, q)] = case
+    assert u.moves_only and v.moves_only
+    assert (apply_group(state, [(u, p)]).amplitudes.tobytes()
+            == moved_amplitudes(u, state, *p).tobytes())
+    one = apply_group(apply_group(state, [(u, p)]), [(v, q)])
+    other = apply_group(apply_group(state, [(v, q)]), [(u, p)])
+    assert one.amplitudes.tobytes() == other.amplitudes.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_random_unitaries_are_not_moves_only(seed):
+    assert not random_unitary4(np.random.default_rng(seed)).moves_only
+
+
+def test_moves_only_names_exact_data_movement():
+    hadamard = np.array([[1, 1], [1, -1]]) * INV_SQRT2
+    cz = np.diag([1, 1, 1, -1])
+    assert identity_unitary().moves_only and swap_unitary().moves_only
+    assert TwoSlotUnitary(cz).moves_only
+    assert TwoSlotUnitary(cz * 1j).moves_only
+    assert not TwoSlotUnitary(np.kron(hadamard, np.eye(2))).moves_only
+    # a phase whose modulus rounds to 1 still rounds the amplitudes it multiplies
+    assert abs(0.6 + 0.8j) == 1.0
+    assert not TwoSlotUnitary(np.diag([1, 1, 1, 0.6 + 0.8j])).moves_only
+    assert not TwoSlotUnitary(np.diag([1, 1, 1, np.exp(0.3j)])).moves_only
+
+
 def test_apply_group_builds_one_state_per_group(monkeypatch):
     # one shape and norm guard per group, on the array the result holds
     state = singlet_product(4, [(0, 1), (2, 3)])
