@@ -431,7 +431,7 @@ def dump_scenario(bundle: ScenarioBundle) -> dict:
     def unitary_doc(unitary):
         if unitary.is_identity:
             return "identity"
-        if np.array_equal(unitary.matrix, swap_unitary().matrix):
+        if unitary.is_swap:
             return "swap"
         return [[_complex_doc(v) for v in row] for row in unitary.matrix]
 

@@ -169,9 +169,12 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
 
 
 def _unitaries(scenario: Scenario, rule: InteractionRule) -> dict:
-    """The rule's contact unitary for each crossing pair of the scenario."""
-    return {(a, b): rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
-            for (a, b), _event in scenario.events}
+    """The rule's contact unitary for each crossing pair of the scenario whose
+    unitary is not the identity: an identity contact changes no amplitude, so
+    it is left out of every group it shares."""
+    pairs = {(a, b): rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
+             for (a, b), _event in scenario.events}
+    return {pair: u for pair, u in pairs.items() if not u.is_identity}
 
 
 def _emit(warned: list) -> None:
@@ -211,8 +214,9 @@ def _evolve_groups(
     segments = [scenario.initial_state]
     by_trace = {trace: scenario.initial_state}
     for group in groups:
-        actions = [(unitaries[pair], pair) for pair, _event in group.collisions]
-        if all(u.is_identity for u, _ in actions):
+        actions = [(unitaries[pair], pair) for pair, _event in group.collisions
+                   if pair in unitaries]
+        if not actions:
             inert.append(group)
             continue
         fired.append(group)

@@ -131,6 +131,11 @@ class TwoSlotUnitary:
         return np.array_equal(self.matrix, np.eye(4))
 
     @cached_property
+    def is_swap(self) -> bool:
+        """The swap: `apply_group` then exchanges the two slots' bit axes."""
+        return np.array_equal(self.matrix, _SWAP.matrix)
+
+    @cached_property
     def moves_only(self) -> bool:
         """Each row and column holds one nonzero entry, and it is 1, -1, i or
         -i (identity, swap and CZ qualify): `apply_group` then only moves
@@ -141,15 +146,15 @@ class TwoSlotUnitary:
         return all(z in _MOVING_ENTRIES for row in self.matrix.tolist() for z in row)
 
 
-def swap_unitary() -> TwoSlotUnitary:
-    """Exchange the spin contents of two slots: |+-> <-> |-+>."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 1.0
-    m[1, 2] = m[2, 1] = 1.0
-    return TwoSlotUnitary(m)
-
-
+# |+-> <-> |-+>, diagonal states fixed
+_SWAP = TwoSlotUnitary(np.eye(4, dtype=complex)[[0, 2, 1, 3]])
 _IDENTITY = TwoSlotUnitary(np.eye(4, dtype=complex))
+
+
+def swap_unitary() -> TwoSlotUnitary:
+    """The one shared swap, exchanging the spin contents of two slots:
+    |+-> <-> |-+> (immutable, so safe to share)."""
+    return _SWAP
 
 
 def identity_unitary() -> TwoSlotUnitary:
@@ -244,7 +249,9 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
     `actions` is an iterable of (TwoSlotUnitary, pair); the result does not
     depend on the listing order because the pairs must be disjoint.  All
     contacts act on one amplitude array; only the result is validated, and
-    it is not copied again.
+    it is not copied again.  A swap is an exchange of the two slots' bit
+    axes, a view that moves amplitudes with no arithmetic; every other
+    unitary is one `np.dot` product.
     """
     checked = []
     used: set[int] = set()
@@ -260,6 +267,9 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
     for u, a, b in checked:
         lo, hi = min(a, b), max(a, b)
         view = arr.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
+        if u.is_swap:
+            arr = view.transpose(0, 3, 2, 1, 4)
+            continue
         front, back = _PAIR_FRONT[a < b]
         moved = view.transpose(front)
         arr = np.dot(u.matrix, moved.reshape(4, -1)).reshape(moved.shape).transpose(back)

@@ -439,6 +439,19 @@ def test_rule_default_entry_round_trip():
     )
 
 
+def test_swap_entries_parse_to_the_shared_swap():
+    doc = minimal_doc()
+    as_matrix = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    doc["rules"] = {"named": [{"unitary": "swap"}], "matrix": [{"unitary": as_matrix}]}
+    bundle = parse_scenario(doc)
+    named = bundle.rules["named"].unitary_for("a", "b")
+    assert named is swap_unitary()
+    # a swap written out as a matrix is a unitary of its own that is still a swap
+    spelled = bundle.rules["matrix"].unitary_for("a", "b")
+    assert spelled is not swap_unitary() and spelled.is_swap
+    assert dump_scenario(bundle)["rules"]["matrix"] == [{"unitary": "swap"}]
+
+
 def test_rule_matrix_unitary_round_trip():
     phase = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
     doc = minimal_doc()

@@ -249,6 +249,26 @@ def test_same_group_sequence_gives_same_segments():
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
+    # at rest both crossings share one leaf: (0, 2) swaps, (1, 3) is an identity
+    rule = InteractionRule("half", ((("s1", "s3"), swap_unitary()),
+                                    (("s2", "s4"), identity_unitary())))
+    calls = []
+    apply_group = narrative.apply_group
+
+    def recording(state, actions):
+        calls.append(list(actions))
+        return apply_group(state, actions)
+
+    monkeypatch.setattr(narrative, "apply_group", recording)
+    history = evolve(demo_scenario(), rest_foliation(), rule)
+    assert [g.pairs for g in history.groups] == [((0, 2), (1, 3))]
+    assert calls == [[(swap_unitary(), (0, 2))]]
+    start = (0, 0, 0, 0)
+    alone = narrative._trace_after(start, [(swap_unitary(), (0, 2))], {})
+    assert list(history.by_trace) == [start, alone]
+
+
 def test_report_flags_non_narratable():
     report = narratability_report(
         demo_scenario(),
@@ -670,14 +690,17 @@ def test_report_histories_equal_fresh_evolutions(case):
 
 def distinct_traces(scenario, rule, histories):
     """The distinct contact traces that the fired groups of `histories` reach:
-    per slot, the pairs whose contacts touched it in order, where a contact
-    that is not moves-only touches every slot."""
+    per slot, the pairs whose contacts touched it in order, where an identity
+    contact touches no slot and a contact that is not moves-only touches
+    every slot."""
     seen = set()
     for h in histories:
         slots = [[] for _ in scenario.worldlines]
         for g in h.groups:
             for a, b in g.pairs:
                 u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
+                if u.is_identity:
+                    continue
                 for s in (a, b) if u.moves_only else range(len(slots)):
                     slots[s].append((a, b))
             seen.add(tuple(map(tuple, slots)))

@@ -16,6 +16,7 @@ from narratables.errors import (
     SlotOutOfRange,
     TooManySlots,
 )
+from narratables.fileio import parse_matrix
 from narratables.quantum import (
     MAX_SLOTS,
     SINGLET_PAIR,
@@ -410,6 +411,79 @@ def test_moves_only_names_exact_data_movement():
     assert abs(0.6 + 0.8j) == 1.0
     assert not TwoSlotUnitary(np.diag([1, 1, 1, 0.6 + 0.8j])).moves_only
     assert not TwoSlotUnitary(np.diag([1, 1, 1, np.exp(0.3j)])).moves_only
+
+
+SWAP_DOC = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+
+
+def state_with_zeros(rng, n_slots):
+    """A random state in which about half the amplitudes are zero and a
+    quarter of the rest have a zero real part; every part has a random sign,
+    zeros included."""
+    dim = 2**n_slots
+    parts = rng.normal(size=(dim, 2))
+    parts[rng.random(dim) < 0.25, 0] = 0.0
+    parts[rng.random(dim) < 0.5] = 0.0
+    parts[rng.integers(dim)] = (1.0, 0.5)
+    parts = np.copysign(parts / np.linalg.norm(parts), rng.choice([-1.0, 1.0], size=(dim, 2)))
+    return SpinState(n_slots, parts.view(complex).reshape(-1))
+
+
+def stepwise(state, actions):
+    """Independent oracle for a group: its contacts one at a time in listing
+    order, a swap by `moved_amplitudes` and any other by the contraction."""
+    for u, pair in actions:
+        amps = (moved_amplitudes(u, state, *pair) if u.is_swap
+                else contraction_group(state, [(u, pair)]))
+        state = SpinState(state.n_slots, amps)
+    return state.amplitudes
+
+
+@st.composite
+def swap_groups(draw):
+    """A state on 4..8 slots with zero amplitudes and a group of two contacts
+    on disjoint pairs in either order: a swap, shared or built from a matrix
+    as a scenario file gives it, and a second swap or a random dense unitary."""
+    n = draw(st.integers(4, 8))
+    slots = draw(st.permutations(range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    swaps = st.sampled_from([swap_unitary(), TwoSlotUnitary(parse_matrix(SWAP_DOC, "u"))])
+    other = draw(st.one_of(swaps, st.just(random_unitary4(rng))))
+    actions = [(draw(swaps), (slots[0], slots[1])), (other, (slots[2], slots[3]))]
+    return state_with_zeros(rng, n), draw(st.permutations(actions))
+
+
+@given(swap_groups())
+def test_swap_contacts_move_amplitudes_bit_for_bit(case):
+    state, actions = case
+    (u, (a, b)) = next(action for action in actions if action[0].is_swap)
+    want = moved_amplitudes(u, state, a, b).tobytes()
+    assert apply_group(state, [(u, (a, b))]).amplitudes.tobytes() == want
+    assert apply_group(state, [(u, (b, a))]).amplitudes.tobytes() == want
+    assert apply_group(state, actions).amplitudes.tobytes() == stepwise(state, actions).tobytes()
+
+
+def test_swap_groups_make_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a swap ran a matrix product")
+
+    state = state_with_zeros(np.random.default_rng(3), 6)
+    fresh = TwoSlotUnitary(parse_matrix(SWAP_DOC, "u"))
+    want = stepwise(state, [(swap_unitary(), (4, 1)), (fresh, (0, 5))])
+    monkeypatch.setattr(quantum.np, "dot", refuse)
+    out = apply_group(state, [(swap_unitary(), (4, 1)), (fresh, (0, 5))])
+    assert out.amplitudes.tobytes() == want.tobytes()
+
+
+def test_swap_unitary_is_shared_flagged_and_read_only():
+    assert swap_unitary() is swap_unitary()
+    assert swap_unitary().is_swap
+    assert TwoSlotUnitary(parse_matrix(SWAP_DOC, "u")).is_swap
+    assert not identity_unitary().is_swap
+    assert not TwoSlotUnitary(-swap_unitary().matrix).is_swap
+    assert not TwoSlotUnitary(np.diag([1, 1, 1, -1])).is_swap
+    with pytest.raises(ValueError):
+        swap_unitary().matrix[0, 0] = 0.0
 
 
 def test_apply_group_builds_one_state_per_group(monkeypatch):
