@@ -30,7 +30,6 @@ from .errors import (
     UnknownRule,
 )
 from .geometry import (
-    Boost,
     CollisionGroup,
     Event,
     Foliation,

@@ -5,7 +5,7 @@ interaction with named incoming and outgoing slots.  Cluster decomposition
 requires the constraints to amount to overall momentum conservation and
 nothing more; any further delta ties a proper subset of the momenta and
 survives as a witness.  All arithmetic is exact: rows are eliminated as
-primitive integer rows and reported as Fractions.
+primitive integer rows, and only the witness and canonical rows are Fractions.
 """
 
 from __future__ import annotations
@@ -65,30 +65,41 @@ class MomentumKernel:
 
     @cached_property
     def _elimination(self) -> tuple:
-        """(reduced basis, pivots, conserves, residual rows), reduced once per kernel."""
-        basis, pivots = _rref(self.deltas)
-        basis = tuple(tuple(row) for row in basis)
-        c = conservation_vector(self)
-        conserves = bool(basis) and _in_span(c, _echelon(basis, pivots))
-        residuals = tuple(_residual_rows(basis, c)) if conserves else ()
-        return basis, tuple(pivots), conserves, residuals
+        """Integer (deltas, basis, (pivot, row) echelon, conserves, residuals), once."""
+        deltas = tuple(_integer_row(row) for row in self.deltas)
+        basis, pivots = _rref(deltas)
+        echelon = tuple(zip(pivots, basis))
+        c = _conservation_row(self)
+        conserves = bool(basis) and _in_span(c, echelon)
+        residuals = _residual_rows(basis, c) if conserves else ()
+        return deltas, basis, echelon, conserves, residuals
 
 
 def conservation_vector(kernel: MomentumKernel) -> tuple:
     """+1 on every outgoing slot, -1 on every incoming slot."""
-    return tuple([Fraction(1)] * len(kernel.out_slots) + [Fraction(-1)] * len(kernel.in_slots))
+    return tuple(map(Fraction, _conservation_row(kernel)))
 
 
-def _integer_row(row) -> list:
+def _conservation_row(kernel: MomentumKernel) -> tuple:
+    return (1,) * len(kernel.out_slots) + (-1,) * len(kernel.in_slots)
+
+
+def _integer_row(row) -> tuple:
     """The primitive integer multiple of a rational row (a zero row stays zero)."""
     dens = [x.denominator for x in row]
     scale = lcm(*dens)
     ints = [x.numerator * (scale // d) for x, d in zip(row, dens)]
     g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _cancel(v: list, row: list, col: int) -> list:
+def _fraction_row(row) -> tuple:
+    """A row over its leading entry: a reduced row as a Fraction elimination gives it."""
+    lead = next(x for x in row if x)
+    return tuple(Fraction(x, lead) for x in row)
+
+
+def _cancel(v, row, col: int) -> list:
     """Integer combination of v and row that vanishes in column col, made primitive."""
     g = gcd(v[col], row[col])
     a, b = v[col] // g, row[col] // g
@@ -97,20 +108,16 @@ def _cancel(v: list, row: list, col: int) -> list:
     return [x // g for x in out] if g > 1 else out
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list, list]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _rref(rows: Sequence[Sequence[int]]) -> tuple[tuple, list]:
+    """Reduced row echelon form of integer rows: (nonzero rows, pivot columns).
 
-    Gauss-Jordan over primitive integer rows by cross-multiplication, each
-    combination divided by its gcd; rows are divided by their pivots only at
-    the end.  The reduced form is unique, so the Fraction rows are exactly
-    those of a Fraction elimination.
+    Gauss-Jordan by cross-multiplication, each combination divided by its gcd,
+    so the rows stay primitive; `_fraction_row` divides one by its pivot.
     """
-    m = [_integer_row(r) for r in rows]
-    if not m:
-        return [], []
+    m = list(rows)
     pivots = []
     r = 0
-    for c in range(len(m[0])):
+    for c in range(len(m[0]) if m else 0):
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
@@ -122,21 +129,15 @@ def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list, list]:
         r += 1
         if r == len(m):
             break
-    return [[Fraction(x, row[p]) for x in row] for row, p in zip(m, pivots)], pivots
+    return tuple(tuple(row) for row in m[:r]), pivots
 
 
-def _echelon(rref_rows, pivots) -> list:
-    """(pivot, integer row) pairs in pivot order, the form `_remainder` reduces against."""
-    return [(p, _integer_row(row)) for row, p in zip(rref_rows, pivots)]
+def _remainder(v, echelon) -> Sequence[int]:
+    """Integer remainder of integer row v against echelon rows, each zero before its pivot.
 
-
-def _remainder(vector, echelon) -> list:
-    """Integer remainder of vector against echelon rows, each zero before its pivot.
-
-    Zero exactly when the vector lies in their span; otherwise its leading
-    column is a new pivot.
+    Zero exactly when v lies in their span; otherwise its leading column is a
+    new pivot.
     """
-    v = _integer_row(vector)
     for p, row in echelon:
         if v[p]:
             v = _cancel(v, row, p)
@@ -151,7 +152,7 @@ def _support(row) -> tuple:
     return tuple(i for i, c in enumerate(row) if c != 0)
 
 
-def _residual_rows(basis, c) -> list:
+def _residual_rows(basis, c) -> tuple:
     """Spanning complement of c inside the row space, rows in support order.
 
     Greedy over the reduced basis sorted by lexicographic support: keep a row
@@ -160,14 +161,14 @@ def _residual_rows(basis, c) -> list:
     projects the conservation constraint out of the spanning role and leaves
     the residual constraints.
     """
-    echelon = [(0, _integer_row(c))]  # c is +-1 in every column
+    echelon = [(0, c)]  # c is +-1 in every column
     kept: list = []
     for row in sorted(basis, key=_support):
         rest = _remainder(row, echelon)
         if any(rest):
             kept.append(row)
             insort(echelon, (_support(rest)[0], rest))
-    return kept
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -187,17 +188,14 @@ def analyze(kernel: MomentumKernel) -> ClusterVerdict:
     produce a witness constraint on a proper subset of the slots, chosen as
     the reduced basis row with lexicographically smallest support.
     """
-    basis, _, conserves, residuals = kernel._elimination
+    _, basis, _, conserves, residuals = kernel._elimination
     rank = len(basis)
     compliant = conserves and rank == 1
     witness = None
     if not compliant and rank > 0:
         chosen = residuals[0] if conserves else min(basis, key=_support)
         names = kernel.slots
-        witness = (
-            tuple(chosen),
-            tuple(names[i] for i in _support(chosen)),
-        )
+        witness = (_fraction_row(chosen), tuple(names[i] for i in _support(chosen)))
     return ClusterVerdict(
         conserves_momentum=conserves,
         compliant=compliant,
@@ -212,22 +210,22 @@ def canonicalize(kernel: MomentumKernel) -> MomentumKernel:
     Requires a conserving kernel; the row space is verified unchanged by
     mutual containment under elimination.
     """
-    basis, pivots, conserves, residuals = kernel._elimination
+    deltas, _, echelon, conserves, residuals = kernel._elimination
     if not conserves:
         raise NotConserving("kernel does not contain overall momentum conservation")
-    new_rows = [conservation_vector(kernel)] + list(residuals)
-    new_basis = _echelon(*_rref(new_rows))
-    for row in kernel.deltas:
-        if not _in_span(row, new_basis):
+    new_rows = (_conservation_row(kernel),) + residuals
+    new_basis, new_pivots = _rref(new_rows)
+    new_echelon = tuple(zip(new_pivots, new_basis))
+    for row in deltas:
+        if not _in_span(row, new_echelon):
             raise RuntimeError("canonical rows lost part of the row space")
-    old_basis = _echelon(basis, pivots)
     for row in new_rows:
-        if not _in_span(row, old_basis):
+        if not _in_span(row, echelon):
             raise RuntimeError("canonical rows added to the row space")
     return MomentumKernel(
         in_slots=kernel.in_slots,
         out_slots=kernel.out_slots,
-        deltas=tuple(new_rows),
+        deltas=(conservation_vector(kernel),) + tuple(map(_fraction_row, residuals)),
         smooth_prefactor_present=kernel.smooth_prefactor_present,
         metadata=kernel.metadata,
     )

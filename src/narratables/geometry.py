@@ -156,10 +156,24 @@ def _over_lcm(values) -> tuple[tuple, int]:
     return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
-def _boost_rows(velocity, gamma, one):
-    # one = Fraction(1) or 1.0 selects the arithmetic of the result
-    v2 = speed_squared(velocity)
-    if v2 == 0:
+def boost_matrix(velocity) -> tuple:
+    """4x4 boost matrix for the given velocity: rows of Fractions when gamma is rational.
+
+    Float input, or a rational velocity with irrational gamma, gives rows of
+    floats and an `ExactnessWarning`.
+    """
+    vel = _velocity(velocity)
+    gamma = lorentz_gamma(vel)
+    one = Fraction(1)  # selects the arithmetic of the result
+    if not isinstance(gamma, Fraction):
+        warnings.warn(
+            "boost matrix falls back to float arithmetic (gamma is not "
+            "rational); simultaneity ties would use a 1e-9 tolerance",
+            ExactnessWarning,
+            stacklevel=2,
+        )
+        vel, gamma, one = tuple(float(c) for c in vel), float(gamma), 1.0
+    if speed_squared(vel) == 0:
         return tuple(
             tuple(one if i == j else 0 * one for j in range(4)) for i in range(4)
         )
@@ -168,51 +182,10 @@ def _boost_rows(velocity, gamma, one):
     rows = [[one * 0] * 4 for _ in range(4)]
     rows[0][0] = gamma
     for i in range(3):
-        rows[0][i + 1] = rows[i + 1][0] = -gamma * velocity[i]
+        rows[0][i + 1] = rows[i + 1][0] = -gamma * vel[i]
         for j in range(3):
-            rows[i + 1][j + 1] = (one if i == j else 0 * one) + coef * velocity[i] * velocity[j]
+            rows[i + 1][j + 1] = (one if i == j else 0 * one) + coef * vel[i] * vel[j]
     return tuple(tuple(r) for r in rows)
-
-
-@dataclass(frozen=True)
-class Boost:
-    """A pure Lorentz boost; `matrix` is exact when gamma is rational."""
-
-    velocity: tuple
-    gamma: Scalar = field(init=False, compare=False)
-    matrix: tuple = field(init=False, compare=False, repr=False)
-    exact: bool = field(init=False, compare=False)
-
-    def __post_init__(self):
-        vel = _velocity(self.velocity)
-        object.__setattr__(self, "velocity", vel)
-        gamma = lorentz_gamma(vel)
-        exact = isinstance(gamma, Fraction) and all(
-            isinstance(c, Fraction) for c in vel
-        )
-        if not exact:
-            warnings.warn(
-                "boost matrix falls back to float arithmetic (gamma is not "
-                "rational); simultaneity ties would use a 1e-9 tolerance",
-                ExactnessWarning,
-                stacklevel=2,
-            )
-            vel = tuple(float(c) for c in vel)
-            object.__setattr__(self, "velocity", vel)
-            gamma = float(gamma)
-        one = Fraction(1) if exact else 1.0
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "matrix", _boost_rows(vel, gamma, one))
-        object.__setattr__(self, "exact", exact)
-
-    def transform(self, event: Event) -> tuple:
-        coords = event.coordinates()
-        return tuple(sum(row[k] * coords[k] for k in range(4)) for row in self.matrix)
-
-
-def boost_matrix(velocity) -> tuple:
-    """4x4 boost matrix for the given velocity (rows of Fractions or floats)."""
-    return Boost(tuple(velocity)).matrix
 
 
 @dataclass(frozen=True)
@@ -313,7 +286,7 @@ class CollisionGroup:
     tau: Scalar
     collisions: tuple  # ((id_low, id_high), Event), sorted by pair
 
-    @property
+    @cached_property
     def pairs(self) -> tuple:
         return tuple(pair for pair, _ in self.collisions)
 

@@ -324,7 +324,8 @@ def rational_matrices(draw):
 
 @given(rational_matrices())
 def test_rref_matches_fraction_gauss_jordan(rows):
-    got_rows, got_pivots = clusterkit._rref(rows)
+    got_rows, got_pivots = clusterkit._rref([clusterkit._integer_row(r) for r in rows])
+    got_rows = [list(clusterkit._fraction_row(row)) for row in got_rows]
     assert (got_rows, got_pivots) == fraction_rref(rows)
     assert all(type(x) is F for row in got_rows for x in row)
 
@@ -383,6 +384,54 @@ def test_row_operations_keep_verdict_and_canonical_rows(case):
     assert analyze(moved) == verdict
     if verdict.conserves_momentum:
         assert canonicalize(moved).deltas == canonicalize(kernel).deltas
+
+
+def fraction_witness_and_canonical_rows(kernel):
+    """(analyze's witness row, canonicalize's deltas or None), in Fraction arithmetic only."""
+    def support(row):
+        return tuple(i for i, x in enumerate(row) if x != 0)
+
+    basis, _ = fraction_rref(kernel.deltas)
+    c = list(conservation_vector(kernel))
+    if fraction_rref(basis + [c])[0] != basis:  # c lies outside the row space
+        return (tuple(min(basis, key=support)) if basis else None), None
+    kept = []  # greedy over the basis by support: rows independent of c and the kept ones
+    for row in sorted(basis, key=support):
+        if len(fraction_rref([c] + kept + [row])[0]) == len(kept) + 2:
+            kept.append(row)
+    return (tuple(kept[0]) if kept else None), tuple(map(tuple, [c] + kept))
+
+
+@st.composite
+def fraction_kernels(draw):
+    """Kernels with fractional rows, often with a scaled conservation row."""
+    n_out = draw(st.integers(0, 3))
+    n_in = draw(st.integers(max(1, 2 - n_out), 4))
+    width = n_out + n_in
+    rows = draw(st.lists(st.lists(RATIONALS, min_size=width, max_size=width).filter(any),
+                         max_size=4))
+    if draw(st.booleans()):
+        scale = draw(RATIONALS.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))), [scale] * n_out + [-scale] * n_in)
+    return MomentumKernel(
+        in_slots=tuple(f"p{i + 1}" for i in range(n_in)),
+        out_slots=tuple(f"q{i + 1}" for i in range(n_out)),
+        deltas=tuple(map(tuple, rows)),
+    )
+
+
+@given(fraction_kernels())
+def test_witness_and_canonical_rows_match_fraction_reference(kernel):
+    witness, canonical = fraction_witness_and_canonical_rows(kernel)
+    verdict = analyze(kernel)
+    got = verdict.witness[0] if verdict.witness else None
+    assert got == witness
+    assert all(type(x) is F for x in got or ())
+    assert verdict.conserves_momentum == (canonical is not None)
+    if canonical is not None:
+        deltas = canonicalize(kernel).deltas
+        assert deltas == canonical
+        assert all(type(x) is F for row in deltas for x in row)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Exact kinematics: boosts, leaf parameters, collisions, schedules."""
 
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -18,7 +19,7 @@ from narratables.errors import (
 from narratables.geometry import (
     FLOAT_TIE_TOLERANCE,
     METRIC_DIAGONAL,
-    Boost,
+    CollisionGroup,
     Crossings,
     Event,
     Foliation,
@@ -85,9 +86,9 @@ def test_gamma_stays_finite_within_rounding_of_light_speed():
     gamma = lorentz_gamma((v, F(0), F(0)))
     assert gamma == pytest.approx((2e-48) ** -0.5, rel=1e-12)  # 1 - v.v = 2e-48 - 1e-96
     with pytest.warns(ExactnessWarning):
-        boost = Boost((v, 0, 0))
-    assert boost.gamma == gamma
-    assert all(np.isfinite(float(c)) for row in boost.matrix for c in row)
+        matrix = boost_matrix((v, 0, 0))
+    assert matrix[0][0] == gamma
+    assert all(np.isfinite(float(c)) for row in matrix for c in row)
 
 
 def test_gamma_superluminal():
@@ -102,31 +103,40 @@ def test_gamma_superluminal():
 
 
 def test_boost_frozen_entries():
-    b = Boost((F(3, 5), F(0), F(0)))
-    assert b.exact
-    assert b.gamma == F(5, 4)
-    assert b.matrix[0][0] == F(5, 4)
-    assert b.matrix[0][1] == F(-3, 4)
-    assert b.matrix[1][0] == F(-3, 4)
-    assert b.matrix[1][1] == F(5, 4)
-    assert b.matrix[2][2] == 1 and b.matrix[3][3] == 1
-    assert all(isinstance(v, Fraction) for row in b.matrix for v in row)
+    m = boost_matrix((F(3, 5), F(0), F(0)))
+    assert lorentz_gamma((F(3, 5), F(0), F(0))) == F(5, 4)
+    assert m[0][0] == F(5, 4)
+    assert m[0][1] == F(-3, 4)
+    assert m[1][0] == F(-3, 4)
+    assert m[1][1] == F(5, 4)
+    assert m[2][2] == 1 and m[3][3] == 1
+    assert all(isinstance(v, Fraction) for row in m for v in row)
 
 
 def test_boost_identity_at_zero():
-    b = Boost((F(0), F(0), F(0)))
-    assert b.matrix == tuple(
+    assert boost_matrix((F(0), F(0), F(0))) == tuple(
         tuple(F(1) if i == j else F(0) for j in range(4)) for i in range(4)
     )
 
 
 def test_boost_transform_example():
-    b = Boost((F(3, 5), F(0), F(0)))
-    assert b.transform(Event.of(1, 1, 0, 0)) == (F(1, 2), F(1, 2), 0, 0)
+    def transform(matrix, event):
+        coords = event.coordinates()
+        return tuple(sum(row[k] * coords[k] for k in range(4)) for row in matrix)
+
+    m = boost_matrix((F(3, 5), F(0), F(0)))
+    assert transform(m, Event.of(1, 1, 0, 0)) == (F(1, 2), F(1, 2), 0, 0)
 
 
 def test_boost_matrix_function_matches_type():
-    assert boost_matrix((F(3, 5), 0, 0)) == Boost((F(3, 5), F(0), F(0))).matrix
+    # ints and rational strings are coerced to Fractions; a float makes every entry a float
+    exact = boost_matrix((F(3, 5), F(0), F(0)))
+    assert boost_matrix((F(3, 5), 0, 0)) == boost_matrix(("3/5", "0", 0)) == exact
+    assert all(type(v) is Fraction for row in boost_matrix((F(3, 5), 0, 0)) for v in row)
+    with pytest.warns(ExactnessWarning):
+        floats = boost_matrix((F(3, 5), 0.0, 0))
+    assert all(type(v) is float for row in floats for v in row)
+    assert np.allclose(np.array(floats, dtype=float), np.array(exact, dtype=float))
 
 
 def test_exact_metric_preservation():
@@ -137,9 +147,10 @@ def test_exact_metric_preservation():
         (F(9, 25), F(12, 25), F(0)),  # |v| = 3/5, gamma = 5/4
     ]
     for v in velocities:
-        b = Boost(v)
-        assert b.exact
-        assert eta_conjugate(b.matrix) == exact_eta()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # exact: no ExactnessWarning
+            m = boost_matrix(v)
+        assert eta_conjugate(m) == exact_eta()
 
 
 def test_float_metric_preservation_sampled():
@@ -150,8 +161,7 @@ def test_float_metric_preservation_sampled():
         direction /= np.linalg.norm(direction)
         v = tuple(direction * rng.uniform(0.0, 0.99))
         with pytest.warns(ExactnessWarning):
-            b = Boost(v)
-        m = np.array(b.matrix, dtype=float)
+            m = np.array(boost_matrix(v), dtype=float)
         defect = np.max(np.abs(m.T @ np.diag(ETA).astype(float) @ m - np.diag(ETA)))
         worst = max(worst, defect)
     assert worst <= 1e-12
@@ -159,8 +169,8 @@ def test_float_metric_preservation_sampled():
 
 def test_boost_inverse_composition():
     v = (F(3, 5), F(0), F(0))
-    fw = np.array(Boost(v).matrix, dtype=object)
-    bw = np.array(Boost(tuple(-c for c in v)).matrix, dtype=object)
+    fw = np.array(boost_matrix(v), dtype=object)
+    bw = np.array(boost_matrix(tuple(-c for c in v)), dtype=object)
     prod = fw @ bw
     assert all(prod[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
 
@@ -170,20 +180,22 @@ def test_boost_inverse_composition():
         direction /= np.linalg.norm(direction)
         vf = tuple(direction * rng.uniform(0.0, 0.95))
         with pytest.warns(ExactnessWarning):
-            m1 = np.array(Boost(vf).matrix, dtype=float)
+            m1 = np.array(boost_matrix(vf), dtype=float)
         with pytest.warns(ExactnessWarning):
-            m2 = np.array(Boost(tuple(-c for c in vf)).matrix, dtype=float)
+            m2 = np.array(boost_matrix(tuple(-c for c in vf)), dtype=float)
         assert np.max(np.abs(m1 @ m2 - np.eye(4))) <= 1e-12
 
 
 def test_boost_exactness_warning_paths():
     with pytest.warns(ExactnessWarning):
-        Boost((0.6, 0.0, 0.0))  # float input
+        boost_matrix((0.6, 0.0, 0.0))  # float input
     with pytest.warns(ExactnessWarning):
-        Boost((F(0), F(1, 2), F(0)))  # rational input, irrational gamma
+        boost_matrix((F(0), F(1, 2), F(0)))  # rational input, irrational gamma
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        Boost((F(3, 5), F(0), F(0)))  # fully exact: silent
+        boost_matrix((F(3, 5), F(0), F(0)))  # fully exact: silent
+    with pytest.raises(SuperluminalVelocity):
+        boost_matrix((F(4, 5), F(4, 5), F(0)))
 
 
 def test_leaf_parameter_values():
@@ -298,6 +310,16 @@ def test_schedule_y_boost_single_group_exact():
     assert isinstance(g.core, Fraction) and g.core == F(4)
     assert g.tau == pytest.approx(4 * 2 / np.sqrt(3.0))
     assert g.pairs == ((0, 2), (1, 3))
+
+
+def test_group_pairs_are_built_once():
+    (g,) = collision_schedule(crossing_lines(), Foliation((F(0), F(1, 2), F(0))))
+    rebuilt = CollisionGroup(g.core, g.tau, g.collisions)
+    assert g.pairs is g.pairs
+    # reading the cached pairs leaves the fields, equality and hash as they were
+    assert [f.name for f in dataclasses.fields(g)] == ["core", "tau", "collisions"]
+    assert g == rebuilt and hash(g) == hash(rebuilt)
+    assert rebuilt.pairs == g.pairs
 
 
 def test_schedule_permutation_invariant():
