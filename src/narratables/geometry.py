@@ -220,16 +220,11 @@ class Foliation:
     def leaf(self, event: Event) -> Scalar:
         return self.gamma * self.leaf_core(event)
 
-    def core_and_tau(self, key, scale: Optional[int]) -> tuple:
-        """The core key/scale and its tau, one Fraction each, for an integer key
-        over `scale`; a float foliation's key (scale None) is its core."""
-        if scale is None:
-            return key, self.gamma * key
-        gamma = self.gamma
-        if isinstance(gamma, Fraction):
-            return Fraction(key, scale), Fraction(key * gamma.numerator, scale * gamma.denominator)
-        core = Fraction(key, scale)
-        return core, gamma * core
+    def core_and_tau(self, key, scale: int) -> tuple:
+        """The core key/scale and its tau: a Fraction core for an integer key of
+        a rational velocity, a float core for a float key (scale 1)."""
+        core = Fraction(key, scale) if self.exact else key / scale
+        return core, self.gamma * core
 
     def same_leaf(self, first_core: Scalar, core: Scalar) -> bool:
         """Whether `core` lies on the leaf starting at the earlier `first_core`:
@@ -280,11 +275,21 @@ def collide(a: Worldline, b: Worldline) -> Optional[Event]:
 
 @dataclass(frozen=True)
 class CollisionGroup:
-    """All collisions sharing one leaf: tau = gamma * core."""
+    """All collisions sharing one leaf, keyed as `_leaf_keys` keys it: the
+    leaf's core is key/scale and its tau gamma * core, built when read."""
 
-    core: Scalar
-    tau: Scalar
+    key: Union[int, float]
+    scale: int
+    foliation: Foliation
     collisions: tuple  # ((id_low, id_high), Event), sorted by pair
+
+    @property
+    def core(self) -> Scalar:
+        return self.foliation.core_and_tau(self.key, self.scale)[0]
+
+    @property
+    def tau(self) -> Scalar:
+        return self.foliation.core_and_tau(self.key, self.scale)[1]
 
     @cached_property
     def pairs(self) -> tuple:
@@ -322,33 +327,33 @@ def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
     return Crossings(events)
 
 
-def _leaf_group(foliation: Foliation, key, scale: Optional[int], members: list) -> CollisionGroup:
-    core, tau = foliation.core_and_tau(key, scale)
+def _leaf_group(foliation: Foliation, key, scale: int, members: list) -> CollisionGroup:
     members.sort(key=lambda m: m[0])
     seen: set[int] = set()
     for pair, _ in members:
         for slot in pair:
             if slot in seen:
+                core = foliation.core_and_tau(key, scale)[0]
                 raise OverlappingSimultaneousPairs(
                     f"particle {slot} collides twice on leaf core={core}"
                 )
             seen.add(slot)
-    return CollisionGroup(core=core, tau=tau, collisions=tuple(members))
+    return CollisionGroup(key, scale, foliation, tuple(members))
 
 
-def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, Optional[int]]:
+def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, int]:
     """Each event's leaf key, and the scale that turns a key into a core.
 
     With the event coordinates over their common denominator de (t = T/de,
     ...) and a rational velocity over dv (v = (a, b, c)/dv), the core is
     t - v . x = (T*dv - (a*X + b*Y + c*Z)) / (dv*de): an integer key over
-    dv*de.  A float velocity's key is the float core itself (scale None),
+    dv*de.  A float velocity's key is the float core itself (scale 1),
     the same float `Foliation.leaf_core` gives."""
     rows, de = events.integer_rows if isinstance(events, Crossings) else _integer_rows(events)
     velocity = foliation.velocity
     if not foliation.exact:
         return [t / de - sum(v * (p / de) for v, p in zip(velocity, xyz))
-                for t, *xyz in rows], None
+                for t, *xyz in rows], 1
     (a, b, c), dv = _over_lcm(velocity)
     return [t * dv - (a * x + b * y + c * z) for t, x, y, z in rows], dv * de
 
@@ -357,12 +362,12 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
     """Collision events grouped by leaf, ordered by increasing tau.
 
     `Foliation.same_leaf` decides ties: exact for rational velocities, within
-    1e-9 for float ones (with an ExactnessWarning).  An exact foliation sorts
-    and ties integer keys and builds each leaf's core and tau from its key.  A
+    1e-9 for float ones (with an ExactnessWarning).  Each group keeps its
+    leaf's key and the frame's one scale; no core or tau is built here.  A
     particle meeting two partners on one leaf raises OverlappingSimultaneousPairs.
     """
     keys, scale = _leaf_keys(events, foliation)
-    if scale is None and keys:
+    if not foliation.exact and keys:
         warnings.warn(
             "float foliation velocity: leaf ties grouped within 1e-9",
             ExactnessWarning,

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add
 from typing import Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
@@ -138,10 +137,6 @@ class History:
     def __post_init__(self):
         if len(self.segments) != len(self.groups) + 1:
             raise ValueError("need exactly one more segment than breakpoints")
-
-    @cached_property
-    def cores(self) -> tuple:
-        return tuple(g.core for g in self.groups)
 
     @property
     def breakpoints(self) -> tuple:
@@ -266,8 +261,8 @@ class HistoryComparison:
     witness_overlap: Optional[float]
     min_overlap: float
     foliation: Foliation = field(repr=False)
-    points: tuple = field(repr=False)  # (half-key, |overlap|), one per sample
-    scale: Optional[int] = field(repr=False)  # half-key/scale is the core; None: float
+    points: tuple = field(repr=False)  # (sum of two keys, |overlap|), one per sample
+    scale: int = field(repr=False)  # sum/scale is the sample's core
 
     @cached_property
     def samples(self) -> tuple:
@@ -287,9 +282,9 @@ def compare_histories(
     breakpoint on it.  Right-continuity makes the leaf and the interval after
     it hold the same two states, so one overlap serves both samples.
 
-    The walk runs on keys: for an exact foliation the cores as integers over
-    the lcm D of their denominators, for a float one the cores themselves.  A
-    sample is kept as the half-sum of two keys (over 2D when exact) with its
+    The walk runs on the groups' keys over the lcm D of both histories' group
+    scales (integers for an exact foliation, float cores over 1 for a float
+    one).  A sample is kept as the sum of two keys, over 2D, with its
     |overlap|; only the witness's core and tau are built here, the samples'
     when `HistoryComparison.samples` is read."""
     fol = h1.foliation
@@ -297,15 +292,12 @@ def compare_histories(
         raise FoliationMismatch(
             f"cannot compare histories under {fol.velocity} and {h2.foliation.velocity}"
         )
-    if fol.exact:
-        unit = lcm(*(c.denominator for c in h1.cores + h2.cores))
-        k1, k2 = ([c.numerator * (unit // c.denominator) for c in h.cores] for h in (h1, h2))
-        half, scale = add, 2 * unit
-    else:
-        k1, k2, unit, half, scale = h1.cores, h2.cores, 1.0, _float_half_sum, None
+    unit = lcm(*{g.scale for g in h1.groups + h2.groups})
+    k1, k2 = ([g.key * (unit // g.scale) for g in h.groups] for h in (h1, h2))
+    scale = 2 * unit
     leaf = min(k1[:1] + k2[:1], default=None)
-    before = unit * 0 if leaf is None else leaf - unit  # with no leaf: core 0, as int or float
-    points = [(half(before, before), abs(overlap(h1.segments[0], h2.segments[0])))]
+    before = 0 if leaf is None else leaf - unit  # with no leaf: core 0
+    points = [(2 * before, abs(overlap(h1.segments[0], h2.segments[0])))]
     i = j = 0
     while leaf is not None:
         while i < len(k1) and fol.same_leaf(leaf, k1[i]):
@@ -314,18 +306,14 @@ def compare_histories(
             j += 1
         mag = abs(overlap(h1.segments[i], h2.segments[j]))
         following = min(k1[i:i + 1] + k2[j:j + 1], default=None)
-        after = half(leaf + unit, leaf + unit) if following is None else half(leaf, following)
-        points += [(half(leaf, leaf), mag), (after, mag)]
+        after = 2 * (leaf + unit) if following is None else leaf + following
+        points += [(2 * leaf, mag), (after, mag)]
         leaf = following
 
     witness = next(((*fol.core_and_tau(key, scale), mag) for key, mag in points
                     if abs(mag - 1.0) > tol), (None, None, None))
     min_overlap = min(mag for _, mag in points)
     return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, tuple(points), scale)
-
-
-def _float_half_sum(a: float, b: float) -> float:
-    return (a + b) / 2
 
 
 @dataclass(frozen=True, eq=False)

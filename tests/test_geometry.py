@@ -314,10 +314,10 @@ def test_schedule_y_boost_single_group_exact():
 
 def test_group_pairs_are_built_once():
     (g,) = collision_schedule(crossing_lines(), Foliation((F(0), F(1, 2), F(0))))
-    rebuilt = CollisionGroup(g.core, g.tau, g.collisions)
+    rebuilt = CollisionGroup(g.key, g.scale, g.foliation, g.collisions)
     assert g.pairs is g.pairs
     # reading the cached pairs leaves the fields, equality and hash as they were
-    assert [f.name for f in dataclasses.fields(g)] == ["core", "tau", "collisions"]
+    assert [f.name for f in dataclasses.fields(g)] == ["key", "scale", "foliation", "collisions"]
     assert g == rebuilt and hash(g) == hash(rebuilt)
     assert rebuilt.pairs == g.pairs
 
@@ -526,6 +526,23 @@ def test_float_foliation_groups_like_the_exact_one_away_from_ties(lines, velocit
         assert isinstance(g.core, float)
         assert g.core == pytest.approx(float(e.core), abs=1e-12)
         assert g.tau == pytest.approx(float(e.tau), abs=1e-12)
+
+
+@given(leaf_event_sets(), st.sampled_from([0.0, 1e-10, 4e-10]))
+def test_float_group_core_is_its_smallest_member_leaf_core(case, nudge):
+    # a drawn leaf's events tie exactly under the rational velocity; as floats,
+    # nudged or not, they tie within rounding or the tolerance, or split
+    velocity, events = case
+    foliation = Foliation(tuple(float(v) + nudge for v in velocity))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        groups = grouping_outcome(lambda: group_by_leaf(events, foliation))
+    if isinstance(groups, str):
+        return
+    assert sorted(m for g in groups for m in g.collisions) == sorted(events)
+    for g in groups:
+        core = min(foliation.leaf_core(event) for _, event in g.collisions)
+        assert type(g.core) is float and g.core.hex() == core.hex()
 
 
 def reference_collide(a, b):

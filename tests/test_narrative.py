@@ -116,7 +116,7 @@ def test_evolve_rest_flip_round_trip():
 def test_evolve_x_boost_three_segments():
     scenario = demo_scenario()
     history = evolve(scenario, X_BOOST, flip_rule())
-    assert history.cores == (F(17, 5), F(23, 5))
+    assert [g.core for g in history.groups] == [F(17, 5), F(23, 5)]
     assert history.breakpoints == (F(17, 4), F(23, 4))
     assert len(history.segments) == 3
     middle = history.segments[1].amplitudes
@@ -140,7 +140,6 @@ def test_history_right_continuous_at_breakpoints():
         history.state_at(float(F(23, 4))).amplitudes, history.segments[2].amplitudes
     )
     # the lookup tables are built once per history, not once per lookup
-    assert history.cores is history.cores
     assert history._float_breakpoints is history._float_breakpoints
 
 
@@ -201,11 +200,8 @@ def test_float_near_tie_reads_both_histories_past_the_leaf():
         early = evolve(demo_scenario(), foliation, flip_rule())
     assert [g.pairs for g in early.groups] == [((1, 3),), ((0, 2),)]
     first, crossing = early.groups
-    core = crossing.core + 5e-10
-    late = History(
-        foliation, (first, replace(crossing, core=core, tau=foliation.gamma * core)),
-        early.segments,
-    )
+    late = History(foliation, (first, replace(crossing, key=crossing.key + 5e-10)),
+                   early.segments)
     comparison = compare_histories(early, late)
     assert comparison.equal
     assert [c for c, _, _ in comparison.samples] == [
@@ -501,15 +497,27 @@ def history_pairs(draw):
     """Two histories under one foliation, on breakpoint cores drawn from one
     small pool so that they often share leaves.  The foliation is exact with
     a rational or an irrational gamma, or float; a float one's pool also has
-    cores within the 1e-9 tie tolerance of each other."""
+    cores within the 1e-9 tie tolerance of each other, and its groups key
+    each core over the scale 1.  An exact one's groups key their cores over
+    one shared scale, not in lowest terms, as `group_by_leaf` keys a report's
+    frame, or each over its own denominator, so the walk's lcm of scales runs."""
     foliation = draw(st.sampled_from([X_BOOST, Y_BOOST, FLOAT_BOOST]) | VELOCITIES.map(Foliation))
     pool = draw(st.lists(COORDS, min_size=1, max_size=6, unique=True))
+    shared = None  # each exact core over its own denominator
     if not foliation.exact:
         pool = sorted({float(c) + draw(st.sampled_from([0.0, 4e-10, 2e-9])) for c in pool})
+    elif draw(st.booleans()):
+        shared = lcm(*(c.denominator for c in pool)) * draw(st.integers(1, 6))
+
+    def group(core):
+        if not foliation.exact:
+            return CollisionGroup(core, 1, foliation, ())
+        scale = shared or core.denominator
+        return CollisionGroup(core.numerator * (scale // core.denominator), scale, foliation, ())
 
     def history():
         cores = sorted(draw(st.lists(st.sampled_from(pool), unique=True)))
-        groups = tuple(CollisionGroup(c, foliation.gamma * c, ()) for c in cores)
+        groups = tuple(group(c) for c in cores)
         segments = tuple(draw(st.sampled_from(ONE_SLOT_STATES)) for _ in range(len(cores) + 1))
         return History(foliation, groups, segments)
 
@@ -520,16 +528,17 @@ def merge_and_bisect_comparison(h1, h2):
     """The comparison in two steps: merge the breakpoint cores under the tie
     rule, then look every sample up in each history by bisection."""
     fol = h1.foliation
+    cores1, cores2 = ([g.core for g in h.groups] for h in (h1, h2))
     merged = []
-    for c in sorted(h1.cores + h2.cores):
+    for c in sorted(cores1 + cores2):
         if not merged or not fol.same_leaf(merged[-1], c):
             merged.append(c)
     points = [merged[0] - 1] if merged else [F(0) if fol.exact else 0.0]
     for k, c in enumerate(merged):
         points += [c, (c + merged[k + 1]) / 2 if k + 1 < len(merged) else c + 1]
     samples = tuple(
-        (c, fol.gamma * c, abs(overlap(h1.segments[bisect_right(h1.cores, c)],
-                                       h2.segments[bisect_right(h2.cores, c)])))
+        (c, fol.gamma * c, abs(overlap(h1.segments[bisect_right(cores1, c)],
+                                       h2.segments[bisect_right(cores2, c)])))
         for c in points
     )
     witness = next((s for s in samples if abs(s[2] - 1.0) > COMPARISON_TOLERANCE), None)
@@ -559,7 +568,7 @@ def eager_samples(h1, h2):
     fol = h1.foliation
     points = merge_and_bisect_comparison(h1, h2)[0]
     if not fol.exact:
-        return tuple((*fol.core_and_tau(c, None), mag) for c, _, mag in points)
+        return tuple((*fol.core_and_tau(c, 1), mag) for c, _, mag in points)
     scale = lcm(*(c.denominator for c, _, _ in points))
     return tuple((*fol.core_and_tau(c.numerator * (scale // c.denominator), scale), mag)
                  for c, _, mag in points)
@@ -584,24 +593,32 @@ def test_samples_are_built_when_read_as_eagerly_before(pair):
     assert [tuple(map(type, s)) for s in samples] == [tuple(map(type, s)) for s in expected]
 
 
-def test_report_builds_core_and_tau_per_group_and_witness_only():
+def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
     # rational gamma (rest, x 3/5), irrational gamma (y 1/2, (1/3, 1/4, 0)) and float
     foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(1, 3), F(1, 4), F(0))),
                   FLOAT_BOOST]
     scenario = demo_scenario()
     mix = InteractionRule("mix", default=random_unitary(3))
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("ignore", ExactnessWarning)
-        warnings.simplefilter("ignore", LittleGroupWarning)
-        for rule_a, rule_b in [(free_rule(), flip_rule()), (mix, free_rule())]:
+        warnings.simplefilter("always", LittleGroupWarning)
+        # (before render_report, after it): free vs flip has no warning; under
+        # mix, each of 7 warnings reads the tau of the group that raised it
+        for rule_a, rule_b, counts in [(free_rule(), flip_rule(), (3, 11)),
+                                       (mix, free_rule(), (12, 20))]:
+            caught.clear()
             with counting_core_and_tau() as built:
                 report = narratability_report(scenario, rule_a, rule_b, foliations)
+                before = built.call_count
                 render_report(report)
             # free vs flip: EQUAL and DIFFER verdicts; mix vs free: DIFFER in every frame
             assert [v.equal for v in report.verdicts] == (
                 [True, False, True, False, False] if rule_b.name == "flip" else [False] * 5)
-            assert built.call_count == sum(len(v.groups) + (not v.equal)
-                                           for v in report.verdicts)
+            # grouping builds no core: one per DIFFER witness and warning, then
+            # one per group render_report prints
+            assert before == sum(not v.equal for v in report.verdicts) + len(caught)
+            assert built.call_count == before + sum(len(v.groups) for v in report.verdicts)
+            assert (before, built.call_count) == counts
             expected = [
                 (idx, float(tau).hex(), mag.hex())
                 for idx, fol in enumerate(foliations)
