@@ -35,15 +35,6 @@ NONTRIVIALITY_TOLERANCE = 1e-9
 
 GENERATOR_NAMES = ("H", "P1", "P2", "P3", "J1", "J2", "J3", "K1", "K2", "K3")
 
-_EPSILON = {
-    (1, 2): (3, 1),
-    (2, 1): (3, -1),
-    (2, 3): (1, 1),
-    (3, 2): (1, -1),
-    (3, 1): (2, 1),
-    (1, 3): (2, -1),
-}
-
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
@@ -115,57 +106,49 @@ class GeneratorSet:
         return {name: hermiticity_defect(m) for name, m in self.present().items()}
 
 
-def _rhs_name(sign: int, symbol: str) -> str:
-    # the table entry is named after the residual [A,B] - RHS
-    return f"- i*{symbol}" if sign > 0 else f"+ i*{symbol}"
+# the checkable pairs (A, B), in the order their rows print
+_PAIRS = tuple(
+    [(f"{x}{i}", f"{y}{j}") for i in (1, 2, 3) for j in (1, 2, 3)
+     for x, y in (("JJ", "KK", "PP") if i < j else ()) + ("JK", "JP", "PK")]
+    + [(f"{x}{i}", "H") for i in (1, 2, 3) for x in "KPJ"]
+)
+
+
+def _bracket(a: str, b: str) -> Optional[tuple]:
+    """(sign, c) with [a, b] = sign * i * c, or None when the bracket of the
+    pair (a, b) of `_PAIRS` vanishes."""
+    x, i = a[0], int(a[1:] or 0)
+    y, j = b[0], int(b[1:] or 0)
+    if i != j and "H" not in (a, b):
+        k = 6 - i - j
+        epsilon = 1 if (j - i) % 3 == 1 else -1
+        if x == "J":
+            return epsilon, f"{y}{k}"
+        if x == y == "K":
+            return -epsilon, f"J{k}"
+    if x == "P" and y == "K" and i == j:
+        return 1, "H"
+    if x == "K" and y == "H":
+        return -1, f"P{i}"
+    return None
 
 
 def _bracket_table(gens: dict) -> list:
-    """(name, A, B, required RHS) rows for every checkable bracket."""
-
-    def get(name):
-        return gens.get(name)
-
-    rows = []
-
-    def add(name, a, b, rhs):
-        if a is not None and b is not None and rhs is not None:
-            rows.append((name, a, b, rhs))
-
+    """(name, A, B, required RHS) rows for every checkable bracket: A, B and
+    the right-hand generator all present.  A row is named after the residual
+    [A,B] - RHS."""
     zero = np.zeros_like(next(iter(gens.values())))
-    h = get("H")
-
-    for i in range(1, 4):
-        for j in range(1, 4):
-            ji, jj = get(f"J{i}"), get(f"J{j}")
-            ki, kj = get(f"K{i}"), get(f"K{j}")
-            pi, pj = get(f"P{i}"), get(f"P{j}")
-            if i < j:
-                k, s = _EPSILON[(i, j)]
-                jk = get(f"J{k}")
-                add(f"[J{i},J{j}] {_rhs_name(s, f'J{k}')}",
-                    ji, jj, None if jk is None else 1j * s * jk)
-                add(f"[K{i},K{j}] {_rhs_name(-s, f'J{k}')}",
-                    ki, kj, None if jk is None else -1j * s * jk)
-                add(f"[P{i},P{j}]", pi, pj, zero)
-            if i != j:
-                k, s = _EPSILON[(i, j)]
-                kk, pk = get(f"K{k}"), get(f"P{k}")
-                add(f"[J{i},K{j}] {_rhs_name(s, f'K{k}')}",
-                    ji, kj, None if kk is None else 1j * s * kk)
-                add(f"[J{i},P{j}] {_rhs_name(s, f'P{k}')}",
-                    ji, pj, None if pk is None else 1j * s * pk)
-                add(f"[P{i},K{j}]", pi, kj, zero)
-            else:
-                add(f"[J{i},K{i}]", ji, ki, zero)
-                add(f"[J{i},P{i}]", ji, pi, zero)
-                add(f"[P{i},K{i}] - i*H", pi, ki, None if h is None else 1j * h)
-
-    for i in range(1, 4):
-        add(f"[K{i},H] + i*P{i}", get(f"K{i}"), h,
-            None if get(f"P{i}") is None else -1j * get(f"P{i}"))
-        add(f"[P{i},H]", get(f"P{i}"), h, zero)
-        add(f"[J{i},H]", get(f"J{i}"), h, zero)
+    rows = []
+    for a, b in _PAIRS:
+        if a not in gens or b not in gens:
+            continue
+        bracket = _bracket(a, b)
+        if bracket is None:
+            rows.append((f"[{a},{b}]", gens[a], gens[b], zero))
+        elif bracket[1] in gens:
+            sign, c = bracket
+            name = f"[{a},{b}] {'-' if sign > 0 else '+'} i*{c}"
+            rows.append((name, gens[a], gens[b], 1j * sign * gens[c]))
     return rows
 
 

@@ -145,12 +145,12 @@ def cmd_simulate(args) -> int:
     print(f"rule: {rule.name}")
     print(format_foliation(args.foliation, foliation))
     print(f"collision leaves: {len(history.groups)}")
-    for g in history.groups:
+    for g, tau in zip(history.groups, taus):
         events = ", ".join(
             "(t={}, x={}, y={}, z={})".format(*(map(format_scalar, e.coordinates())))
             for _, e in g.collisions
         )
-        print(f"  tau = {format_scalar(g.tau)}: pairs {format_pairs(g.pairs)} at {events}")
+        print(f"  tau = {format_scalar(tau)}: pairs {format_pairs(g.pairs)} at {events}")
     if history.inert_groups:
         print(f"inert crossings (identity unitary): {len(history.inert_groups)}")
     print(f"segments: {len(history.segments)}")

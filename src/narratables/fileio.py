@@ -108,19 +108,6 @@ def _slot(value, where: str) -> int:
     return value
 
 
-def _foliation_component(value, where: str):
-    # floats stay floats here: the foliation then groups ties within 1e-9
-    if isinstance(value, float):
-        warnings.warn(
-            f"{where}: float velocity component; leaf grouping will use a "
-            "1e-9 tolerance instead of exact comparison",
-            ExactnessWarning,
-            stacklevel=3,
-        )
-        return value
-    return _exact_rational(value, where)
-
-
 def _complex_entry(value, where: str) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
@@ -384,9 +371,18 @@ def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
         here = f"{where}.foliations[{i}]"
         if not isinstance(vel, list) or len(vel) != 3:
             _fail(here, "expected a velocity 3-list")
+        # floats stay floats here: the foliation then groups ties within 1e-9
         components = tuple(
-            _foliation_component(v, f"{here}[{j}]") for j, v in enumerate(vel)
+            v if isinstance(v, float) else _exact_rational(v, f"{here}[{j}]")
+            for j, v in enumerate(vel)
         )
+        if any(isinstance(v, float) for v in vel):
+            warnings.warn(
+                f"{here}: float velocity component; leaf grouping will use a "
+                "1e-9 tolerance instead of exact comparison",
+                ExactnessWarning,
+                stacklevel=2,
+            )
         with _located(here):
             foliations.append(Foliation(components))
     return ScenarioBundle(scenario=scenario, rules=rules, foliations=foliations)

@@ -138,7 +138,7 @@ class History:
         if len(self.segments) != len(self.groups) + 1:
             raise ValueError("need exactly one more segment than breakpoints")
 
-    @property
+    @cached_property
     def breakpoints(self) -> tuple:
         return tuple(g.tau for g in self.groups)
 

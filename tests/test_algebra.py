@@ -106,24 +106,85 @@ def test_bracket_residuals_needs_two_generators():
         bracket_residuals(GeneratorSet(H=np.eye(3)))
 
 
+# (residual name, A, B, c, C): the 45 rows of the Poincare bracket table with
+# required right-hand side c * C (C None for a vanishing bracket), in the order
+# the CLI prints them
+BRACKET_ROWS = [
+    ("[J1,K1]", "J1", "K1", 0, None),
+    ("[J1,P1]", "J1", "P1", 0, None),
+    ("[P1,K1] - i*H", "P1", "K1", 1j, "H"),
+    ("[J1,J2] - i*J3", "J1", "J2", 1j, "J3"),
+    ("[K1,K2] + i*J3", "K1", "K2", -1j, "J3"),
+    ("[P1,P2]", "P1", "P2", 0, None),
+    ("[J1,K2] - i*K3", "J1", "K2", 1j, "K3"),
+    ("[J1,P2] - i*P3", "J1", "P2", 1j, "P3"),
+    ("[P1,K2]", "P1", "K2", 0, None),
+    ("[J1,J3] + i*J2", "J1", "J3", -1j, "J2"),
+    ("[K1,K3] - i*J2", "K1", "K3", 1j, "J2"),
+    ("[P1,P3]", "P1", "P3", 0, None),
+    ("[J1,K3] + i*K2", "J1", "K3", -1j, "K2"),
+    ("[J1,P3] + i*P2", "J1", "P3", -1j, "P2"),
+    ("[P1,K3]", "P1", "K3", 0, None),
+    ("[J2,K1] + i*K3", "J2", "K1", -1j, "K3"),
+    ("[J2,P1] + i*P3", "J2", "P1", -1j, "P3"),
+    ("[P2,K1]", "P2", "K1", 0, None),
+    ("[J2,K2]", "J2", "K2", 0, None),
+    ("[J2,P2]", "J2", "P2", 0, None),
+    ("[P2,K2] - i*H", "P2", "K2", 1j, "H"),
+    ("[J2,J3] - i*J1", "J2", "J3", 1j, "J1"),
+    ("[K2,K3] + i*J1", "K2", "K3", -1j, "J1"),
+    ("[P2,P3]", "P2", "P3", 0, None),
+    ("[J2,K3] - i*K1", "J2", "K3", 1j, "K1"),
+    ("[J2,P3] - i*P1", "J2", "P3", 1j, "P1"),
+    ("[P2,K3]", "P2", "K3", 0, None),
+    ("[J3,K1] - i*K2", "J3", "K1", 1j, "K2"),
+    ("[J3,P1] - i*P2", "J3", "P1", 1j, "P2"),
+    ("[P3,K1]", "P3", "K1", 0, None),
+    ("[J3,K2] + i*K1", "J3", "K2", -1j, "K1"),
+    ("[J3,P2] + i*P1", "J3", "P2", -1j, "P1"),
+    ("[P3,K2]", "P3", "K2", 0, None),
+    ("[J3,K3]", "J3", "K3", 0, None),
+    ("[J3,P3]", "J3", "P3", 0, None),
+    ("[P3,K3] - i*H", "P3", "K3", 1j, "H"),
+    ("[K1,H] + i*P1", "K1", "H", -1j, "P1"),
+    ("[P1,H]", "P1", "H", 0, None),
+    ("[J1,H]", "J1", "H", 0, None),
+    ("[K2,H] + i*P2", "K2", "H", -1j, "P2"),
+    ("[P2,H]", "P2", "H", 0, None),
+    ("[J2,H]", "J2", "H", 0, None),
+    ("[K3,H] + i*P3", "K3", "H", -1j, "P3"),
+    ("[P3,H]", "P3", "H", 0, None),
+    ("[J3,H]", "J3", "H", 0, None),
+]
+
+
 def test_affine_representation_closes_exactly():
     residuals = bracket_residuals(affine_generators())
-    assert len(residuals) == 45
+    assert list(residuals) == [name for name, *_ in BRACKET_ROWS]
     assert all(value == 0.0 for value in residuals.values())
-    for name in (
-        "[J1,J2] - i*J3",
-        "[K1,K2] + i*J3",
-        "[J1,K2] - i*K3",
-        "[J2,K1] + i*K3",
-        "[J1,P2] - i*P3",
-        "[P1,K1] - i*H",
-        "[P1,K2]",
-        "[K1,H] + i*P1",
-        "[P1,P2]",
-        "[P1,H]",
-        "[J1,H]",
-    ):
-        assert name in residuals
+
+
+@st.composite
+def generator_subsets(draw):
+    names = draw(st.lists(st.sampled_from(algebra.GENERATOR_NAMES), min_size=2, unique=True))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {name: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for name in names}
+
+
+@given(generator_subsets())
+def test_bracket_residuals_match_the_written_table(mats):
+    expected = {
+        name: float(np.linalg.norm(mats[a] @ mats[b] - mats[b] @ mats[a]
+                                   - (c * mats[rhs] if rhs else 0)))
+        for name, a, b, c, rhs in BRACKET_ROWS
+        if a in mats and b in mats and (rhs is None or rhs in mats)
+    }
+    residuals = bracket_residuals(GeneratorSet(**mats))
+    assert list(residuals) == list(expected)
+    for name, value in expected.items():
+        assert residuals[name] == pytest.approx(value, abs=1e-12)
 
 
 def test_all_zero_generators_give_zero_table():

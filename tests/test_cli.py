@@ -217,18 +217,22 @@ def test_compare_frames_same_rule_agrees_everywhere():
 
 
 def test_float_foliation_warns_once_per_grouping(tmp_path):
-    with open(DEMO) as fh:
-        doc = json.load(fh)
-    doc["foliations"].append([0.6, 0, 0])
-    path = tmp_path / "float.json"
-    path.write_text(json.dumps(doc))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _, _ = run_cli("compare-frames", str(path))
-    assert code == 0
-    messages = [str(w.message) for w in caught if issubclass(w.category, ExactnessWarning)]
-    assert sum("leaf ties grouped" in m for m in messages) == 1
-    assert sum("float velocity component" in m for m in messages) == 1
+    # one parse warning per float foliation, however many components are floats
+    for float_foliation in ([0.6, 0, 0], [0.6, 0.0, 0.0]):
+        with open(DEMO) as fh:
+            doc = json.load(fh)
+        doc["foliations"].append(float_foliation)
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli("compare-frames", str(path))
+        assert code == 0
+        messages = [str(w.message) for w in caught if issubclass(w.category, ExactnessWarning)]
+        assert sum("leaf ties grouped" in m for m in messages) == 1
+        assert [m for m in messages if "float velocity component" in m] == [
+            f"{path}.foliations[3]: float velocity component; leaf grouping will use "
+            "a 1e-9 tolerance instead of exact comparison"]
 
 
 # -- cluster-check ------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Histories across foliations and the non-narratability verdict."""
 
+import contextlib
+import io
+import json
 import warnings
 from bisect import bisect_right
 from dataclasses import replace
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from narratables import geometry, narrative
+from narratables import cli, geometry, narrative
 from narratables.cli import built_in_demo
 from narratables.errors import (
     CoincidentWorldlines,
@@ -21,6 +24,7 @@ from narratables.errors import (
     LittleGroupWarning,
     OverlappingSimultaneousPairs,
 )
+from narratables.fileio import dump_scenario, load_scenario_file
 from narratables.geometry import CollisionGroup, Event, Foliation, Worldline, rest_foliation
 from narratables.narrative import (
     COMPARISON_TOLERANCE,
@@ -625,6 +629,27 @@ def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
                 for _, tau, mag in eager_samples(evolve(scenario, fol, rule_a),
                                                  evolve(scenario, fol, rule_b))]
             assert [(idx, tau.hex(), mag.hex()) for idx, tau, mag in report.csv_rows()] == expected
+
+def test_simulate_builds_core_and_tau_once_per_fired_group(tmp_path):
+    # the demo frames plus a float one and one with irrational gamma; the
+    # printout and the --csv grid both read the one cached tuple of breakpoints
+    doc = dump_scenario(built_in_demo())
+    doc["foliations"] += [[0.6, 0.0, 0.0], ["1/3", "1/4", "0"]]
+    path = tmp_path / "frames.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        bundle = load_scenario_file(path)
+        fired = [len(evolve(bundle.scenario, fol, bundle.rules["flip"]).groups)
+                 for fol in bundle.foliations]
+        assert fired == [1, 2, 1, 2, 2]
+        for index, count in enumerate(fired):
+            for csv in ((), ("--csv", str(tmp_path / "sim.csv"))):
+                with counting_core_and_tau() as built, contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["simulate", str(path), "--rule", "flip",
+                                     "--foliation", str(index), *csv]) == 0
+                assert built.call_count == count
+
 
 def report_histories(scenario, rule_a, rule_b, foliations):
     """The report, and the histories it evolved in input order: rule a then
