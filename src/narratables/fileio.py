@@ -37,6 +37,8 @@ from .quantum import (
 # exponent it may carry: Fraction("1e99999999") builds a 10**8-digit integer
 MAX_RATIONAL_CHARS = 100
 _EXPONENT = re.compile(r"e[-+]?([\d_]*)", re.IGNORECASE)
+# the plain spellings p and p/q, read as two ints; every other one goes to Fraction()
+_PLAIN_RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?", re.ASCII)
 
 
 def _fail(where: str, why: str):
@@ -78,6 +80,11 @@ def _exact_rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if len(value) > MAX_RATIONAL_CHARS:
             _fail(where, f"rational string longer than {MAX_RATIONAL_CHARS} characters")
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain:
+            denominator = int(plain[2] or 1)
+            if denominator:  # p/0 goes on to fail in Fraction() as any other
+                return Fraction(int(plain[1]), denominator)
         exponent = _EXPONENT.search(value)
         if exponent and int(exponent[1].replace("_", "") or 0) > MAX_RATIONAL_CHARS:
             _fail(where, f"rational {value!r} has an exponent beyond {MAX_RATIONAL_CHARS}")

@@ -62,31 +62,39 @@ def _velocity(components) -> tuple:
     return vel
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def speed_squared(velocity: Sequence[Scalar]) -> Scalar:
     return sum(c * c for c in velocity)
 
 
 def lorentz_gamma(velocity: Sequence[Scalar]) -> Scalar:
-    """gamma = 1/sqrt(1 - v.v), exact when that square root is rational."""
+    """gamma = 1/sqrt(1 - v.v), exact when that square root is rational;
+    a float component makes gamma a float."""
     v2 = speed_squared(velocity)
+    if isinstance(v2, Fraction):  # v.v = (p*q)/q^2 for v.v = p/q
+        return _rational_gamma(v2.numerator * v2.denominator, v2.denominator)
     if not v2 < 1:  # also catches a NaN component
         raise SuperluminalVelocity(f"|v|^2 = {v2} >= 1")
-    if isinstance(v2, Fraction):
-        root = _rational_sqrt(1 - v2)
-        if root is not None:
-            return 1 / root
-    gap = 1.0 - float(v2)
-    # within rounding of light speed float(v2) is 1.0: take the exact gap instead
-    return 1.0 / sqrt(gap if gap > 0 else float(1 - v2))
+    return _float_gamma(float(v2), float(1 - v2))
+
+
+def _rational_gamma(n2: int, d: int) -> Scalar:
+    """gamma for v.v = n2/d^2: the Fraction d/r when r = sqrt(d^2 - n2) is an
+    integer, else a float from n2/d^2, which int division rounds correctly,
+    as float() of the Fraction v.v does."""
+    d2 = d * d
+    if n2 >= d2:
+        raise SuperluminalVelocity(f"|v|^2 = {Fraction(n2, d2)} >= 1")
+    r = isqrt(d2 - n2)
+    if r * r == d2 - n2:
+        return Fraction(d, r)
+    return _float_gamma(n2 / d2, (d2 - n2) / d2)
+
+
+def _float_gamma(v2: float, exact_gap: float) -> float:
+    """1/sqrt(1 - v2); within rounding of light speed v2 is 1.0, and the
+    float of the exact gap 1 - v.v is taken instead."""
+    gap = 1.0 - v2
+    return 1.0 / sqrt(gap if gap > 0 else exact_gap)
 
 
 @dataclass(frozen=True)
@@ -121,13 +129,16 @@ class Worldline:
     species: str
     start: Event
     velocity: tuple[Fraction, Fraction, Fraction]
+    # the velocity as integers over one denominator: (N, dv), v = N/dv
+    _integer_velocity: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "velocity", _vector3(self.velocity, as_exact))
-        if speed_squared(self.velocity) >= 1:
-            raise SuperluminalVelocity(
-                f"worldline {self.id}: |v|^2 = {speed_squared(self.velocity)} >= 1"
-            )
+        try:
+            integer_velocity, _ = _rational_velocity(self.velocity)
+        except SuperluminalVelocity as err:
+            raise SuperluminalVelocity(f"worldline {self.id}: {err}") from None
+        object.__setattr__(self, "_integer_velocity", integer_velocity)
 
     def position_at(self, t) -> Event:
         t = as_exact(t)
@@ -146,14 +157,27 @@ class Worldline:
 
     @cached_property
     def _integer_line(self) -> tuple:
-        # computed once per line; `collide` reads it for every pair
-        return _over_lcm(self.base_point()), _over_lcm(self.velocity)
+        """The base point and the velocity as integers over their denominators:
+        with the start at (T, X)/ds and v = V/dv, the base point is
+        (X*dv - V*T)/(ds*dv), not reduced.  Computed once per line; `collide`
+        reads it for every pair and builds reduced Fractions from it."""
+        (t, *xyz), ds = _over_lcm(self.start.coordinates())
+        velocity, dv = self._integer_velocity
+        base = tuple(x * dv - v * t for x, v in zip(xyz, velocity))
+        return (base, ds * dv), (velocity, dv)
 
 
 def _over_lcm(values) -> tuple[tuple, int]:
     """Rationals as integers over their common denominator d: (N, d), v = N/d."""
-    d = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (d // v.denominator) for v in values), d
+    ratios = [v.as_integer_ratio() for v in values]
+    d = lcm(*[q for _, q in ratios])
+    return tuple([p * (d // q) for p, q in ratios]), d
+
+
+def _rational_velocity(velocity) -> tuple[tuple, Scalar]:
+    """A rational velocity over one denominator, (N, d) with v = N/d, and its gamma."""
+    numerators, d = _over_lcm(velocity)
+    return (numerators, d), _rational_gamma(sum(k * k for k in numerators), d)
 
 
 def boost_matrix(velocity) -> tuple:
@@ -200,14 +224,20 @@ class Foliation:
     velocity: tuple
     gamma: Scalar = field(init=False, compare=False)
     exact: bool = field(init=False, compare=False)
+    # a rational velocity as integers over one denominator, (N, dv); else None
+    _integer_velocity: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vel = _velocity(self.velocity)
+        exact = all(isinstance(c, Fraction) for c in vel)
+        if exact:
+            integer_velocity, gamma = _rational_velocity(vel)
+        else:
+            integer_velocity, gamma = None, lorentz_gamma(vel)
         object.__setattr__(self, "velocity", vel)
-        object.__setattr__(self, "gamma", lorentz_gamma(vel))
-        object.__setattr__(
-            self, "exact", all(isinstance(c, Fraction) for c in vel)
-        )
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_integer_velocity", integer_velocity)
 
     @property
     def is_rest(self) -> bool:
@@ -350,11 +380,10 @@ def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, int]:
     dv*de.  A float velocity's key is the float core itself (scale 1),
     the same float `Foliation.leaf_core` gives."""
     rows, de = events.integer_rows if isinstance(events, Crossings) else _integer_rows(events)
-    velocity = foliation.velocity
     if not foliation.exact:
-        return [t / de - sum(v * (p / de) for v, p in zip(velocity, xyz))
+        return [t / de - sum(v * (p / de) for v, p in zip(foliation.velocity, xyz))
                 for t, *xyz in rows], 1
-    (a, b, c), dv = _over_lcm(velocity)
+    (a, b, c), dv = foliation._integer_velocity
     return [t * dv - (a * x + b * y + c * z) for t, x, y, z in rows], dv * de
 
 

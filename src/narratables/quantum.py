@@ -217,11 +217,12 @@ def singlet_product(n_slots: int, pairing) -> SpinState:
         )
     vec = np.ones(1, dtype=complex)
     slot_order: list[int] = []
+    # each amplitude is one product of a factor's entry with the rest's, as in np.kron
     for a, b in pairing.pairs:
-        vec = np.kron(vec, SINGLET_PAIR)
+        vec = np.multiply.outer(vec, SINGLET_PAIR).reshape(-1)
         slot_order += [a, b]
     for s, v in pairing.singles:
-        vec = np.kron(vec, v)
+        vec = np.multiply.outer(vec, v).reshape(-1)
         slot_order.append(s)
     arr = vec.reshape([2] * n_slots)
     arr = np.transpose(arr, axes=[slot_order.index(s) for s in range(n_slots)])
@@ -287,24 +288,28 @@ def equal_up_to_phase(a: SpinState, b: SpinState, tol: float = PHASE_TOLERANCE) 
     return abs(abs(overlap(a, b)) - 1.0) <= tol
 
 
-def _add_single(acc: np.ndarray, arr: np.ndarray, m2: np.ndarray, slot: int) -> None:
-    """Add `m2` on one slot of the flat amplitudes `arr` to the flat `acc`."""
-    moved = arr.reshape(1 << slot, 2, -1).transpose(1, 0, 2)
-    acc.reshape(1 << slot, 2, -1).transpose(1, 0, 2)[...] += np.dot(
-        m2, moved.reshape(2, -1)).reshape(moved.shape)
-
-
 def angular_momentum_norms(state: SpinState) -> tuple[float, float, float]:
     """Norms of J_k |psi> for k = x, y, z with J_k = sum over slots of sigma_k/2.
 
     All three vanish for products of singlets; that certifies the boosted
     re-foliation shortcut used by the narrative layer.
+
+    On one slot, viewed as (1 << slot, 2, rest), sigma_x/2 takes the bit-flipped
+    view times 1/2, sigma_y/2 the flipped view times -i/2 (bit 0) and i/2
+    (bit 1), sigma_z/2 the view itself times 1/2 and -1/2.  Every term is an
+    exact product and the slots are summed in order, so the sums are those of
+    a contraction over one slot at a time, bit for bit.
     """
-    arr = state.amplitudes
-    norms = []
-    for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        acc = np.zeros_like(arr)
-        for slot in range(state.n_slots):
-            _add_single(acc, arr, sigma / 2.0, slot)
-        norms.append(float(np.linalg.norm(acc)))
-    return tuple(norms)
+    half = state.amplitudes * 0.5
+    half_i = half * 1j
+    jx, jy, jz = (np.zeros_like(half) for _ in range(3))
+    for slot in range(state.n_slots):
+        shape = (1 << slot, 2, -1)
+        h, hi = half.reshape(shape), half_i.reshape(shape)
+        x, y, z = jx.reshape(shape), jy.reshape(shape), jz.reshape(shape)
+        x += h[:, ::-1]
+        y[:, 0] -= hi[:, 1]
+        y[:, 1] += hi[:, 0]
+        z[:, 0] += h[:, 0]
+        z[:, 1] -= h[:, 1]
+    return tuple(float(np.linalg.norm(j)) for j in (jx, jy, jz))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from narratables import fileio
 from narratables.clusterkit import analyze
 from narratables.errors import (
     CoincidentWorldlines,
@@ -223,6 +224,55 @@ def test_rationals_parse_exactly_and_ints_are_exact():
     assert line.velocity[0] == Fraction(3, 5)
     assert line.start.x == Fraction(-7, 3)
     assert line.start.t == Fraction(2)
+
+
+def reference_rational(text, where):
+    """A rational string read as Fraction(text) after the length and exponent
+    guards, with the same error messages as `_exact_rational`."""
+    if len(text) > 100:
+        raise ParseError(f"{where}: rational string longer than 100 characters")
+    exponent = re.search(r"e[-+]?([\d_]*)", text, re.IGNORECASE)
+    if exponent and int(exponent[1].replace("_", "") or 0) > 100:
+        raise ParseError(f"{where}: rational {text!r} has an exponent beyond 100")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{where}: cannot parse rational {text!r}") from None
+
+
+def rational_outcome(read, text):
+    try:
+        return read(text, "here")
+    except ParseError as exc:
+        return str(exc)
+
+
+RATIONAL_TEXT = "0123456789/+-_ .eE\t\u0663"
+
+
+@given(st.one_of(
+    st.text(RATIONAL_TEXT, max_size=12),
+    st.text(RATIONAL_TEXT, min_size=95, max_size=105),
+    # plain spellings, at times with a zero or a signed denominator
+    st.from_regex(r"[-+]?[0-9]{1,30}(/[-+]?(0+|[0-9]{1,30}))?", fullmatch=True),
+    # the same with Unicode digits and whitespace
+    st.from_regex(r"\s?[-+]?\d{1,30}(/\d{1,30})?\s?", fullmatch=True),
+))
+def test_rational_strings_read_as_fraction_reads_them(text):
+    got = rational_outcome(fileio._exact_rational, text)
+    want = rational_outcome(reference_rational, text)
+    assert type(got) is type(want)
+    assert got == want
+
+
+def test_plain_rational_spellings():
+    read = fileio._exact_rational
+    assert read("+3/5", "at") == read("0021/35", "at") == Fraction(3, 5)
+    assert read("-0", "at") == 0 and read("-12", "at") == -12
+    with pytest.raises(ParseError, match=r"^at: cannot parse rational '3/0'$"):
+        read("3/0", "at")
+    # non-ASCII digits, whitespace and underscores are Fraction()'s to read
+    assert read("\u0663/5", "at") == read(" 3/5 ", "at") == read("3_0/5_0", "at") == Fraction(3, 5)
 
 
 def test_float_coordinate_warns_and_reads_as_printed_decimal():

@@ -1,6 +1,7 @@
 """Exact kinematics: boosts, leaf parameters, collisions, schedules."""
 
 import dataclasses
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -70,6 +71,11 @@ def test_gamma_exact_values():
     assert isinstance(lorentz_gamma((F(3, 5), F(0), F(0))), Fraction)
     assert lorentz_gamma((F(0), F(4, 5), F(0))) == F(5, 3)
     assert lorentz_gamma((F(0), F(0), F(0))) == 1
+    # ints with one Fraction are rational; ints alone are not Fractions
+    assert type(lorentz_gamma((0, F(3, 5), 0))) is Fraction
+    assert lorentz_gamma((0, F(3, 5), 0)) == F(5, 4)
+    assert type(lorentz_gamma((0, 0, 0))) is float
+    assert lorentz_gamma((0, 0, 0)) == 1.0
 
 
 def test_gamma_float_and_irrational():
@@ -100,6 +106,94 @@ def test_gamma_superluminal():
         lorentz_gamma((F(101, 100), F(0), F(0)))
     with pytest.raises(SuperluminalVelocity):
         lorentz_gamma((float("nan"), 0.0, 0.0))
+
+
+def reference_gamma(velocity):
+    """gamma in Fraction arithmetic: v.v as one sum, exact when 1 - v.v is the
+    square of a rational, otherwise the float of v.v (or of 1 - v.v within
+    rounding of light speed)."""
+    v2 = sum(c * c for c in velocity)
+    if not v2 < 1:
+        raise SuperluminalVelocity(f"|v|^2 = {v2} >= 1")
+    if isinstance(v2, Fraction):
+        gap = 1 - v2
+        rn, rd = math.isqrt(gap.numerator), math.isqrt(gap.denominator)
+        if rn * rn == gap.numerator and rd * rd == gap.denominator:
+            return Fraction(rd, rn)
+    gap = 1.0 - float(v2)
+    return 1.0 / math.sqrt(gap if gap > 0 else float(1 - v2))
+
+
+def gamma_outcome(gamma, velocity):
+    try:
+        return gamma(velocity)
+    except SuperluminalVelocity as exc:
+        return f"SuperluminalVelocity: {exc}"
+
+
+@st.composite
+def pythagorean_velocities(draw):
+    """(a, b, c)/d with a^2 + b^2 + c^2 + e^2 = d^2, from the quadruple
+    parametrisation (m^2 + n^2 - p^2 - q^2, 2(mq + np), 2(nq - mp), m^2 + n^2
+    + p^2 + q^2); a component is dropped for e, or kept for |v|^2 = 1."""
+    m, n, p, q = draw(st.tuples(*[st.integers(-9, 9)] * 4).filter(any))
+    quad = [m * m + n * n - p * p - q * q, 2 * (m * q + n * p), 2 * (n * q - m * p)]
+    d = m * m + n * n + p * p + q * q
+    gap = draw(st.sampled_from([0, 1, 2, None]))  # None: |v|^2 = 1
+    if gap is not None:
+        quad[gap] = 0
+    velocity = [F(k, d) for k in draw(st.permutations(quad))]
+    # a zero component may come as an int
+    return tuple(0 if c == 0 and draw(st.booleans()) else c for c in velocity)
+
+
+@st.composite
+def near_light_velocities(draw):
+    """One component within 1e-40 of 1 in |v|^2, on either side of it, with
+    the others 0 as ints or Fractions."""
+    big = 10**41 + draw(st.integers(0, 10**6))
+    speed = F(big + draw(st.sampled_from([-1, 0, 1])), big)
+    zero = draw(st.sampled_from([0, F(0)]))
+    return draw(st.permutations([speed, zero, zero]))
+
+
+GAMMA_COMPONENTS = st.one_of(
+    st.integers(-1, 1),
+    st.integers(-1, 1).map(np.int64),
+    st.fractions(min_value=-1, max_value=1, max_denominator=50),
+    st.floats(-1.0, 1.0),
+)
+
+
+@given(st.one_of(
+    st.tuples(GAMMA_COMPONENTS, GAMMA_COMPONENTS, GAMMA_COMPONENTS),
+    pythagorean_velocities(),
+    near_light_velocities(),
+))
+def test_lorentz_gamma_matches_the_fraction_reference(velocity):
+    got = gamma_outcome(lorentz_gamma, velocity)
+    want = gamma_outcome(reference_gamma, velocity)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@given(st.one_of(
+    st.tuples(*[st.fractions(min_value=-1, max_value=1, max_denominator=30)] * 3),
+    pythagorean_velocities(),
+    near_light_velocities(),
+), st.tuples(*[st.fractions(min_value=-9, max_value=9, max_denominator=40)] * 4))
+def test_worldline_is_rejected_iff_superluminal_and_its_integer_line_is_exact(
+        velocity, start):
+    v2 = sum(F(c) ** 2 for c in velocity)
+    if v2 >= 1:
+        with pytest.raises(SuperluminalVelocity) as caught:
+            Worldline(3, "a", Event(*start), velocity)
+        assert str(caught.value) == f"worldline 3: |v|^2 = {v2} >= 1"
+        return
+    line = Worldline(3, "a", Event(*start), velocity)
+    (base, db), (numerators, dv) = line._integer_line
+    assert tuple(F(p, db) for p in base) == line.base_point()
+    assert tuple(F(k, dv) for k in numerators) == line.velocity
 
 
 def test_boost_frozen_entries():

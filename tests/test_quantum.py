@@ -96,10 +96,11 @@ def test_double_singlet_frozen_terms():
 
 
 def test_singlet_product_checks_the_cap_before_building(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("built a product past the slot cap")
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("built a product past the slot cap")
 
-    monkeypatch.setattr(quantum.np, "kron", refuse)
+    monkeypatch.setattr(quantum, "np", NoNumpy())
     n = MAX_SLOTS + 2
     with pytest.raises(TooManySlots):
         singlet_product(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
@@ -113,6 +114,44 @@ def test_singlet_with_single_slots():
     assert state.amplitudes[0b010] == pytest.approx(INV_SQRT2)
     assert state.amplitudes[0b100] == pytest.approx(-INV_SQRT2)
     assert np.count_nonzero(state.amplitudes) == 2
+
+
+def kron_singlet_product(n_slots, pairs, singles):
+    """The product built with np.kron, factor by factor in the pairing's
+    order, then its axes moved to slot order."""
+    vec = np.ones(1, dtype=complex)
+    order = []
+    for a, b in pairs:
+        vec = np.kron(vec, SINGLET_PAIR)
+        order += [a, b]
+    for slot, single in singles:
+        vec = np.kron(vec, single)
+        order.append(slot)
+    arr = vec.reshape([2] * n_slots).transpose([order.index(s) for s in range(n_slots)])
+    return arr.reshape(-1)
+
+
+@st.composite
+def pairings(draw):
+    """A random pairing of 1..12 slots, the unpaired ones given random
+    normalized complex single-slot states."""
+    n = draw(st.integers(1, MAX_SLOTS))
+    slots = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n // 2))
+    pairs = [(slots[2 * i], slots[2 * i + 1]) for i in range(k)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    singles = []
+    for slot in slots[2 * k:]:
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        singles.append((slot, v / np.linalg.norm(v)))
+    return n, pairs, singles
+
+
+@given(pairings())
+def test_singlet_product_matches_the_kron_build_bit_for_bit(pairing):
+    n, pairs, singles = pairing
+    state = singlet_product(n, PairingSpec(tuple(pairs), tuple(singles)))
+    assert state.amplitudes.tobytes() == kron_singlet_product(n, pairs, singles).tobytes()
 
 
 def test_pairing_validation():
@@ -333,7 +372,7 @@ def test_apply_group_matches_kron_oracle_and_contraction_bit_for_bit(group):
     assert np.array_equal(got, contraction_group(state, actions))
 
 
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+@given(st.integers(1, MAX_SLOTS), st.integers(0, 2**32 - 1))
 def test_angular_momentum_norms_match_contraction_bit_for_bit(n_slots, seed):
     state = random_state(np.random.default_rng(seed), n_slots)
     assert angular_momentum_norms(state) == contraction_norms(state)
