@@ -11,7 +11,7 @@ primitive integer rows, and only the witness and canonical rows are Fractions.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -58,6 +58,13 @@ class MomentumKernel:
         object.__setattr__(self, "out_slots", out_slots)
         object.__setattr__(self, "deltas", rows)
         object.__setattr__(self, "metadata", tuple(self.metadata))
+
+    def _with_rows(self, deltas: tuple) -> "MomentumKernel":
+        """This kernel with `deltas`, Fraction rows built from its checked rows,
+        without `__post_init__`'s coercion and checks of parsed input."""
+        kernel = object.__new__(MomentumKernel)
+        kernel.__dict__.update({f.name: getattr(self, f.name) for f in fields(self)}, deltas=deltas)
+        return kernel
 
     @property
     def slots(self) -> tuple:
@@ -222,13 +229,7 @@ def canonicalize(kernel: MomentumKernel) -> MomentumKernel:
     for row in new_rows:
         if not _in_span(row, echelon):
             raise RuntimeError("canonical rows added to the row space")
-    return MomentumKernel(
-        in_slots=kernel.in_slots,
-        out_slots=kernel.out_slots,
-        deltas=(conservation_vector(kernel),) + tuple(map(_fraction_row, residuals)),
-        smooth_prefactor_present=kernel.smooth_prefactor_present,
-        metadata=kernel.metadata,
-    )
+    return kernel._with_rows((conservation_vector(kernel),) + tuple(map(_fraction_row, residuals)))
 
 
 def format_constraint(kernel: MomentumKernel, coefficients) -> str:

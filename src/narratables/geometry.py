@@ -253,8 +253,16 @@ class Foliation:
     def core_and_tau(self, key, scale: int) -> tuple:
         """The core key/scale and its tau: a Fraction core for an integer key of
         a rational velocity, a float core for a float key (scale 1)."""
-        core = Fraction(key, scale) if self.exact else key / scale
-        return core, self.gamma * core
+        return (Fraction(key, scale) if self.exact else key / scale), self.leaf_tau(key, scale)
+
+    def leaf_tau(self, key, scale: int) -> Scalar:
+        """gamma * core for the core key/scale, without building the core: one
+        Fraction for a rational gamma, else gamma times the correctly rounded
+        key/scale, the float that gamma * Fraction(key, scale) multiplies."""
+        gamma = self.gamma
+        if isinstance(gamma, Fraction):  # only a rational velocity has one
+            return Fraction(gamma.numerator * key, gamma.denominator * scale)
+        return gamma * (key / scale)
 
     def same_leaf(self, first_core: Scalar, core: Scalar) -> bool:
         """Whether `core` lies on the leaf starting at the earlier `first_core`:
@@ -306,7 +314,7 @@ def collide(a: Worldline, b: Worldline) -> Optional[Event]:
 @dataclass(frozen=True)
 class CollisionGroup:
     """All collisions sharing one leaf, keyed as `_leaf_keys` keys it: the
-    leaf's core is key/scale and its tau gamma * core, built when read."""
+    leaf's core is key/scale and its tau gamma * core, each built when read."""
 
     key: Union[int, float]
     scale: int
@@ -319,7 +327,7 @@ class CollisionGroup:
 
     @property
     def tau(self) -> Scalar:
-        return self.foliation.core_and_tau(self.key, self.scale)[1]
+        return self.foliation.leaf_tau(self.key, self.scale)
 
     @cached_property
     def pairs(self) -> tuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
 from .geometry import Foliation, Scalar, collision_events, group_by_leaf
@@ -131,8 +131,6 @@ class History:
     groups: tuple  # CollisionGroup, ordered by tau
     segments: tuple  # SpinState, one more than groups
     inert_groups: tuple = ()
-    # segments[k] keyed by the contact trace of the first k groups (`_trace_after`)
-    by_trace: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.segments) != len(self.groups) + 1:
@@ -158,9 +156,11 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
     spin, or when a contact unitary that does not conserve spin leaves some."""
     warned: list = []
     groups = group_by_leaf(scenario.events, foliation)
-    history = _evolve_groups(scenario, foliation, groups, _unitaries(scenario, rule), warned)
+    states = list(_walk(scenario, foliation, groups, _unitaries(scenario, rule), {}, {}, {}, warned))
     _emit(warned)
-    return history
+    return History(foliation, tuple(g for g, s in zip(groups, states[1:]) if s is not None),
+                   tuple(s for s in states if s is not None),
+                   tuple(g for g, s in zip(groups, states[1:]) if s is None))
 
 
 def _unitaries(scenario: Scenario, rule: InteractionRule) -> dict:
@@ -178,49 +178,35 @@ def _emit(warned: list) -> None:
         warnings.warn(message, LittleGroupWarning, stacklevel=3)
 
 
-def _evolve_groups(
-    scenario: Scenario,
-    foliation: Foliation,
-    groups: Sequence,
-    unitaries: dict,
-    warned: list,
-    previous: Optional[History] = None,
-    traces: Optional[dict] = None,
-) -> History:
-    """`evolve` over the foliation's collision groups, already found, with the
-    rule's `_unitaries`; each LittleGroupWarning message is appended to
-    `warned` for the caller to emit.
+def _walk(scenario: Scenario, foliation: Foliation, groups: Sequence, unitaries: dict,
+          traces: dict, earlier: dict, filed: dict, warned: list) -> Iterator[Optional[SpinState]]:
+    """One rule's evolution over the foliation's collision groups, already
+    found, with the rule's `_unitaries`: yield the initial state, then per
+    group the state after it, or None when none of its contacts fires.  Each
+    LittleGroupWarning message is appended to `warned` for the caller to emit.
 
-    Each state is filed under its contact trace, interned in `traces`.
-    `previous` is a history of the same scenario and rule under another
-    foliation, evolved with the same `traces`: a state it filed under the
-    trace a group reaches equals that group's state exactly, so it is reused,
-    and `apply_group` runs only for traces it does not hold."""
+    Each state is filed in `filed` under its contact trace, interned in
+    `traces`.  `earlier` is what an evolution of the same scenario and rule
+    under another foliation filed with the same `traces`: a state filed under
+    the trace a group reaches equals that group's state exactly, so it is
+    reused, and `apply_group` runs only for traces `earlier` does not hold."""
     boosted = not foliation.is_rest
     if boosted and scenario.has_initial_spin:
         warned.append(
             "initial state carries nonzero total spin; re-foliated history "
             "ignores the boost's action on spins"
         )
-    earlier = previous.by_trace if previous is not None else {}
-    traces = {} if traces is None else traces
     trace = (0,) * len(scenario.worldlines)
-    fired, inert = [], []
-    segments = [scenario.initial_state]
-    by_trace = {trace: scenario.initial_state}
+    state = filed[trace] = scenario.initial_state
+    yield state
     for group in groups:
-        actions = [(unitaries[pair], pair) for pair, _event in group.collisions
-                   if pair in unitaries]
+        actions = [(unitaries[pair], pair) for pair in group.pairs if pair in unitaries]
         if not actions:
-            inert.append(group)
+            yield None
             continue
-        fired.append(group)
         trace = _trace_after(trace, actions, traces)
-        state = earlier.get(trace)
-        if state is None:
-            state = apply_group(segments[-1], actions)
-        segments.append(state)
-        by_trace[trace] = state
+        reused = earlier.get(trace)
+        state = filed[trace] = apply_group(state, actions) if reused is None else reused
         culprits = [pair for u, pair in actions if not u.conserves_spin]
         if boosted and culprits and _carries_spin(state):
             species = ", ".join("({}, {})".format(*map(scenario.species_of, p)) for p in culprits)
@@ -228,13 +214,7 @@ def _evolve_groups(
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
                 f"history ignores the spin it leaves from tau = {format_scalar(group.tau)}"
             )
-    return History(
-        foliation=foliation,
-        groups=tuple(fired),
-        segments=tuple(segments),
-        inert_groups=tuple(inert),
-        by_trace=by_trace,
-    )
+        yield state
 
 
 def _trace_after(trace: tuple, actions: list, traces: dict) -> tuple:
@@ -309,11 +289,42 @@ def compare_histories(
         after = 2 * (leaf + unit) if following is None else leaf + following
         points += [(2 * leaf, mag), (after, mag)]
         leaf = following
+    return _comparison(fol, points, scale, tol)
 
+
+def _comparison(fol: Foliation, points: list, scale: int, tol: float) -> HistoryComparison:
+    """The comparison whose samples are `points` over `scale`: the first
+    sample off unit |overlap| by more than `tol` is the witness."""
     witness = next(((*fol.core_and_tau(key, scale), mag) for key, mag in points
                     if abs(mag - 1.0) > tol), (None, None, None))
     min_overlap = min(mag for _, mag in points)
     return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, tuple(points), scale)
+
+
+def _walk_comparison(
+    fol: Foliation, groups: Sequence, walk_a: Iterator, walk_b: Iterator, start: float, tol: float
+) -> HistoryComparison:
+    """`compare_histories` of the histories that two rules' `_walk`s over the
+    same groups evolve, in that one walk: `start` is |overlap| of the two
+    initial states.  Every group either rule fires is its own merged leaf, and
+    every key is over the frame's one scale, the common unit."""
+    a, b = next(walk_a), next(walk_b)
+    points, key, mag = [], None, start
+    for group, after_a, after_b in zip(groups, walk_a, walk_b):
+        if after_a is not None:
+            a = after_a
+        elif after_b is None:
+            continue
+        if after_b is not None:
+            b = after_b
+        unit = group.scale
+        points.append((2 * (group.key - unit), mag) if key is None else (key + group.key, mag))
+        key, mag = group.key, abs(overlap(a, b))
+        points.append((2 * key, mag))
+    if key is None:  # with no leaf: core 0
+        return _comparison(fol, [(0, start)], 2, tol)
+    points.append((2 * (key + unit), mag))
+    return _comparison(fol, points, 2 * unit, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,23 +438,31 @@ def narratability_report(
 ) -> NarratabilityReport:
     """Evolve under both rules in every frame and compare leaf by leaf.
 
-    Every frame is grouped first, in input order.  The frames are then evolved
-    in the order of their raw leaf sequences (each group's pairs), so each
-    rule's previous history lends the longest shared prefix any earlier frame
-    could.  Verdicts and LittleGroupWarnings come out in input order."""
+    Every frame is grouped first, in input order.  The frames are then walked
+    in the order of their raw leaf sequences (each group's pairs), so the
+    states each rule filed in the previous frame lend the longest shared
+    prefix any earlier frame could.  One walk per frame advances both rules
+    group by group and takes one overlap per group either fires; its
+    comparison equals `compare_histories` of the two frames' histories.
+    Verdicts and LittleGroupWarnings come out in input order."""
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
     # raw schedules: the crossings exist whichever rule fires them
     schedules = [tuple(group_by_leaf(scenario.events, fol)) for fol in foliations]
     ua, ub = _unitaries(scenario, rule_a), _unitaries(scenario, rule_b)
-    comparisons, warned = [None] * len(foliations), [[] for _ in foliations]
-    ha = hb = None
+    start = abs(overlap(scenario.initial_state, scenario.initial_state))
+    comparisons, warned = [None] * len(foliations), [None] * len(foliations)
     traces: dict = {}
+    filed_a: dict = {}  # each rule's states of the frame walked last, by contact trace
+    filed_b: dict = {}
     for idx in sorted(range(len(foliations)), key=lambda i: [g.pairs for g in schedules[i]]):
         fol, groups = foliations[idx], schedules[idx]
-        ha = _evolve_groups(scenario, fol, groups, ua, warned[idx], previous=ha, traces=traces)
-        hb = _evolve_groups(scenario, fol, groups, ub, warned[idx], previous=hb, traces=traces)
-        comparisons[idx] = compare_histories(ha, hb, tol)
+        warned_a, warned_b = [], []
+        earlier_a, earlier_b, filed_a, filed_b = filed_a, filed_b, {}, {}
+        walk_a = _walk(scenario, fol, groups, ua, traces, earlier_a, filed_a, warned_a)
+        walk_b = _walk(scenario, fol, groups, ub, traces, earlier_b, filed_b, warned_b)
+        comparisons[idx] = _walk_comparison(fol, groups, walk_a, walk_b, start, tol)
+        warned[idx] = warned_a + warned_b
     for messages in warned:
         _emit(messages)
     return NarratabilityReport(

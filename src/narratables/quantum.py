@@ -82,11 +82,9 @@ class SpinState:
         return state
 
     def nonzero_terms(self, floor: float = 1e-12) -> list[tuple[str, complex]]:
-        return [
-            (basis_label(i, self.n_slots), self.amplitudes[i])
-            for i in range(len(self.amplitudes))
-            if abs(self.amplitudes[i]) > floor
-        ]
+        amps = self.amplitudes
+        return [(basis_label(i, self.n_slots), amps[i])
+                for i in np.flatnonzero(np.abs(amps) > floor).tolist()]
 
 
 def _guarded(n_slots: int, amps: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Delta-structure analysis against a brute-force row-space oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -448,6 +449,18 @@ def conserving_kernels(draw):
         out_slots=tuple(f"q{i + 1}" for i in range(n_out)),
         deltas=tuple(map(tuple, rows)),
     )
+
+
+@given(conserving_kernels(), st.booleans(), st.sampled_from([(), (("note", "kept"),)]))
+def test_canonicalize_builds_what_the_checked_constructor_builds(kernel, smooth, metadata):
+    kernel = replace(kernel, smooth_prefactor_present=smooth, metadata=metadata)
+    canonical = canonicalize(kernel)
+    checked = MomentumKernel(canonical.in_slots, canonical.out_slots, canonical.deltas,
+                             canonical.smooth_prefactor_present, canonical.metadata)
+    assert canonical == checked and repr(canonical) == repr(checked)
+    assert (canonical.smooth_prefactor_present, canonical.metadata) == (smooth, metadata)
+    assert all(type(x) is F for row in canonical.deltas for x in row)
+    assert analyze(canonical) == analyze(checked)
 
 
 @given(conserving_kernels())

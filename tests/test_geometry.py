@@ -406,6 +406,25 @@ def test_schedule_y_boost_single_group_exact():
     assert g.pairs == ((0, 2), (1, 3))
 
 
+@given(st.one_of(
+    pythagorean_velocities().filter(lambda v: sum(c * c for c in v) < 1),  # rational gamma
+    st.tuples(*[st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=9)] * 3),
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3),  # a float frame: float keys over 1
+).map(Foliation), st.data())
+def test_group_tau_is_gamma_times_its_core(foliation, data):
+    if foliation.exact:
+        key, scale = data.draw(st.integers(-10**30, 10**30)), data.draw(st.integers(1, 10**30))
+    else:
+        key, scale = data.draw(st.floats(-1e12, 1e12)), 1
+    group = CollisionGroup(key, scale, foliation, ())
+    tau, want = group.tau, foliation.gamma * group.core  # the core's tau, as built before
+    assert type(tau) is type(want) is type(foliation.gamma)
+    assert tau == want == foliation.gamma * (F(key) / scale)
+    if isinstance(want, float):
+        assert tau.hex() == want.hex()
+    assert foliation.core_and_tau(key, scale) == (group.core, tau)
+
+
 def test_group_pairs_are_built_once():
     (g,) = collision_schedule(crossing_lines(), Foliation((F(0), F(1, 2), F(0))))
     rebuilt = CollisionGroup(g.key, g.scale, g.foliation, g.collisions)

@@ -261,12 +261,18 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
         return apply_group(state, actions)
 
     monkeypatch.setattr(narrative, "apply_group", recording)
-    history = evolve(demo_scenario(), rest_foliation(), rule)
+    scenario = demo_scenario()
+    history = evolve(scenario, rest_foliation(), rule)
     assert [g.pairs for g in history.groups] == [((0, 2), (1, 3))]
     assert calls == [[(swap_unitary(), (0, 2))]]
+    # the walk files the fired group's state under the trace of the swap alone
     start = (0, 0, 0, 0)
     alone = narrative._trace_after(start, [(swap_unitary(), (0, 2))], {})
-    assert list(history.by_trace) == [start, alone]
+    filed: dict = {}
+    groups = geometry.group_by_leaf(scenario.events, rest_foliation())
+    list(narrative._walk(scenario, rest_foliation(), groups, narrative._unitaries(scenario, rule),
+                         {}, {}, filed, []))
+    assert list(filed) == [start, alone]
 
 
 def test_report_flags_non_narratable():
@@ -578,15 +584,22 @@ def eager_samples(h1, h2):
                  for c, _, mag in points)
 
 
-def counting_core_and_tau():
-    return mock.patch.object(Foliation, "core_and_tau", autospec=True,
-                             side_effect=Foliation.core_and_tau)
+def counting(name):
+    return mock.patch.object(Foliation, name, autospec=True, side_effect=getattr(Foliation, name))
+
+
+@contextlib.contextmanager
+def counting_builds():
+    """(core builds, tau builds): the calls of `Foliation.core_and_tau`, and of
+    `Foliation.leaf_tau`, which every tau goes through, `core_and_tau`'s too."""
+    with counting("core_and_tau") as cores, counting("leaf_tau") as taus:
+        yield cores, taus
 
 
 @given(history_pairs())
 def test_samples_are_built_when_read_as_eagerly_before(pair):
     h1, h2 = pair
-    with counting_core_and_tau() as built:
+    with counting("core_and_tau") as built:
         comparison = compare_histories(h1, h2)
         assert built.call_count == (0 if comparison.equal else 1)  # the witness only
         samples = comparison.samples
@@ -606,23 +619,26 @@ def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("ignore", ExactnessWarning)
         warnings.simplefilter("always", LittleGroupWarning)
-        # (before render_report, after it): free vs flip has no warning; under
-        # mix, each of 7 warnings reads the tau of the group that raised it
+        # taus (before render_report, after it): free vs flip has no warning;
+        # under mix, each of 7 warnings reads the tau of the group that raised it
         for rule_a, rule_b, counts in [(free_rule(), flip_rule(), (3, 11)),
                                        (mix, free_rule(), (12, 20))]:
             caught.clear()
-            with counting_core_and_tau() as built:
+            with counting_builds() as (cores, taus):
                 report = narratability_report(scenario, rule_a, rule_b, foliations)
-                before = built.call_count
+                before = (cores.call_count, taus.call_count)
                 render_report(report)
             # free vs flip: EQUAL and DIFFER verdicts; mix vs free: DIFFER in every frame
             assert [v.equal for v in report.verdicts] == (
                 [True, False, True, False, False] if rule_b.name == "flip" else [False] * 5)
-            # grouping builds no core: one per DIFFER witness and warning, then
-            # one per group render_report prints
-            assert before == sum(not v.equal for v in report.verdicts) + len(caught)
-            assert built.call_count == before + sum(len(v.groups) for v in report.verdicts)
-            assert (before, built.call_count) == counts
+            # grouping builds no core and no tau: a core and its tau per DIFFER
+            # witness, a tau per warning, then a tau (no core) per group
+            # render_report prints
+            differ = sum(not v.equal for v in report.verdicts)
+            assert before == (differ, differ + len(caught))
+            assert cores.call_count == differ
+            assert taus.call_count == before[1] + sum(len(v.groups) for v in report.verdicts)
+            assert (before[1], taus.call_count) == counts
             expected = [
                 (idx, float(tau).hex(), mag.hex())
                 for idx, fol in enumerate(foliations)
@@ -632,7 +648,8 @@ def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
 
 def test_simulate_builds_core_and_tau_once_per_fired_group(tmp_path):
     # the demo frames plus a float one and one with irrational gamma; the
-    # printout and the --csv grid both read the one cached tuple of breakpoints
+    # printout and the --csv grid both read the one cached tuple of breakpoints,
+    # one tau per fired group and no core
     doc = dump_scenario(built_in_demo())
     doc["foliations"] += [[0.6, 0.0, 0.0], ["1/3", "1/4", "0"]]
     path = tmp_path / "frames.json"
@@ -645,25 +662,38 @@ def test_simulate_builds_core_and_tau_once_per_fired_group(tmp_path):
         assert fired == [1, 2, 1, 2, 2]
         for index, count in enumerate(fired):
             for csv in ((), ("--csv", str(tmp_path / "sim.csv"))):
-                with counting_core_and_tau() as built, contextlib.redirect_stdout(io.StringIO()):
+                with counting_builds() as (cores, taus), contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(["simulate", str(path), "--rule", "flip",
                                      "--foliation", str(index), *csv]) == 0
-                assert built.call_count == count
+                assert (cores.call_count, taus.call_count) == (0, count)
 
 
 def report_histories(scenario, rule_a, rule_b, foliations):
-    """The report, and the histories it evolved in input order: rule a then
-    rule b per frame.  The report evolves rule a then rule b in each frame, in
-    an order of its own; equal foliations evolve to equal histories."""
-    made = []
-    original = narrative._evolve_groups
+    """The report, and the histories its walks evolved in input order: rule a
+    then rule b per frame, each built from the states its `_walk` yielded.
+    The report walks rule a and rule b in each frame, in an order of its own;
+    equal foliations evolve to equal histories."""
+    walks = []
+    original = narrative._walk
 
-    def recording(*args, **kwargs):
-        made.append(original(*args, **kwargs))
-        return made[-1]
+    def recording(scenario, foliation, groups, *rest):
+        fired, segments, inert = [], [], []
+        walks.append((foliation, fired, segments, inert))
+        states = original(scenario, foliation, groups, *rest)
+        segments.append(next(states))
+        yield segments[0]
+        for group, state in zip(groups, states):
+            if state is None:
+                inert.append(group)
+            else:
+                fired.append(group)
+                segments.append(state)
+            yield state
 
-    with mock.patch.object(narrative, "_evolve_groups", recording):
+    with mock.patch.object(narrative, "_walk", recording):
         report = narratability_report(scenario, rule_a, rule_b, foliations)
+    made = [History(fol, tuple(fired), tuple(segments), tuple(inert))
+            for fol, fired, segments, inert in walks]
     pending = [made[k:k + 2] for k in range(0, len(made), 2)]
     in_order = []
     for fol in foliations:

@@ -154,6 +154,32 @@ def test_singlet_product_matches_the_kron_build_bit_for_bit(pairing):
     assert state.amplitudes.tobytes() == kron_singlet_product(n, pairs, singles).tobytes()
 
 
+def looped_nonzero_terms(state, floor=1e-12):
+    """The printed terms as a loop over every amplitude selects them."""
+    return [(basis_label(i, state.n_slots), state.amplitudes[i])
+            for i in range(len(state.amplitudes)) if abs(state.amplitudes[i]) > floor]
+
+
+@given(st.integers(1, MAX_SLOTS), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-12, 1e-8, 5e-324, 0.0]))
+def test_nonzero_terms_match_the_loop_at_and_near_the_floor(n_slots, seed, floor):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n_slots) + 1j * rng.normal(size=2**n_slots)
+    # a quarter of the entries (at least one) on or next to the floor, on and off
+    # the axes, some zero; they are too small to move the norm past its guard
+    picked = rng.choice(amps.size, size=max(1, amps.size // 4), replace=False)
+    amps[picked] = 0
+    amps /= np.linalg.norm(amps)
+    scale = rng.choice([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.0], size=picked.size)
+    angle = rng.choice([0.0, np.pi / 2, np.pi, 0.3, 2.0], size=picked.size)
+    amps[picked] = floor * scale * np.exp(1j * angle)
+    state = SpinState(n_slots, amps)
+    got, want = state.nonzero_terms(floor), looped_nonzero_terms(state, floor)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    assert all(type(a) is np.complex128 and a.tobytes() == b.tobytes()
+               for (_, a), (_, b) in zip(got, want))
+
+
 def test_pairing_validation():
     with pytest.raises(InvalidPairing):
         singlet_product(4, [(0, 1), (1, 2)])
