@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, sqrt
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -314,12 +315,26 @@ def collide(a: Worldline, b: Worldline) -> Optional[Event]:
 @dataclass(frozen=True)
 class CollisionGroup:
     """All collisions sharing one leaf, keyed as `_leaf_keys` keys it: the
-    leaf's core is key/scale and its tau gamma * core, each built when read."""
+    leaf's core is key/scale and its tau gamma * core, each built when read.
+    `pairs` is kept beside the fields, out of equality, hash and repr."""
 
     key: Union[int, float]
     scale: int
     foliation: Foliation
     collisions: tuple  # ((id_low, id_high), Event), sorted by pair
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple([pair for pair, _ in self.collisions]))
+
+    @classmethod
+    def _built(cls, key, scale: int, foliation: Foliation, collisions: tuple,
+               pairs: tuple) -> "CollisionGroup":
+        """The group the constructor builds, from pairs already walked: the
+        fields and `pairs` are stored without `__init__`'s per-field setattr."""
+        group = object.__new__(cls)
+        group.__dict__.update(key=key, scale=scale, foliation=foliation,
+                              collisions=collisions, pairs=pairs)
+        return group
 
     @property
     def core(self) -> Scalar:
@@ -329,25 +344,31 @@ class CollisionGroup:
     def tau(self) -> Scalar:
         return self.foliation.leaf_tau(self.key, self.scale)
 
-    @cached_property
-    def pairs(self) -> tuple:
-        return tuple(pair for pair, _ in self.collisions)
-
 
 class Crossings(tuple):
     """Collision events ((id_low, id_high), Event), sorted by pair, that put
-    their coordinates over one common denominator once (`integer_rows`)."""
+    their coordinates over one common denominator once (`integer_rows`).
+
+    `collision_events` sets `from_lines` on the tuples it finds: every
+    crossing of subluminal worldlines, so two crossings of one slot at
+    distinct events are timelike-separated and never share an exact leaf."""
+
+    from_lines = False
 
     @cached_property
     def integer_rows(self) -> tuple[list, int]:
-        return _integer_rows(self)
+        """Each event's (T, X, Y, Z) as integers, and their common denominator
+        d: t = T/d, x = X/d, and so on."""
+        flat, d = _over_lcm([c for _, e in self for c in e.coordinates()])
+        return [flat[k:k + 4] for k in range(0, len(flat), 4)], d
 
-
-def _integer_rows(events: Sequence) -> tuple[list, int]:
-    """Each event's (T, X, Y, Z) as integers, and their common denominator d:
-    t = T/d, x = X/d, and so on."""
-    flat, d = _over_lcm([c for _, e in events for c in e.coordinates()])
-    return [flat[k:k + 4] for k in range(0, len(flat), 4)], d
+    @cached_property
+    def distinct_events(self) -> bool:
+        """Whether no two crossings share an event.  Of crossings found from
+        lines, two sharing an event put three lines through it, so then some
+        slot crosses twice there; otherwise no slot ever does."""
+        rows, _ = self.integer_rows
+        return len({tuple(row) for row in rows}) == len(rows)
 
 
 def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
@@ -362,13 +383,16 @@ def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
             event = collide(lines[ai], lines[bi])
             if event is not None:
                 events.append(((lines[ai].id, lines[bi].id), event))
-    return Crossings(events)
+    crossings = Crossings(events)
+    crossings.from_lines = True
+    return crossings
 
 
-def _leaf_group(foliation: Foliation, key, scale: int, members: list) -> CollisionGroup:
-    members.sort(key=lambda m: m[0])
+def _check_slots(foliation: Foliation, key, scale: int, pairs) -> None:
+    """Raise OverlappingSimultaneousPairs for the first slot, in pair order,
+    that a leaf's pairs hold twice."""
     seen: set[int] = set()
-    for pair, _ in members:
+    for pair in pairs:
         for slot in pair:
             if slot in seen:
                 core = foliation.core_and_tau(key, scale)[0]
@@ -376,10 +400,9 @@ def _leaf_group(foliation: Foliation, key, scale: int, members: list) -> Collisi
                     f"particle {slot} collides twice on leaf core={core}"
                 )
             seen.add(slot)
-    return CollisionGroup(key, scale, foliation, tuple(members))
 
 
-def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, int]:
+def _leaf_keys(events: Crossings, foliation: Foliation) -> tuple[list, int]:
     """Each event's leaf key, and the scale that turns a key into a core.
 
     With the event coordinates over their common denominator de (t = T/de,
@@ -387,7 +410,7 @@ def _leaf_keys(events: Sequence, foliation: Foliation) -> tuple[list, int]:
     t - v . x = (T*dv - (a*X + b*Y + c*Z)) / (dv*de): an integer key over
     dv*de.  A float velocity's key is the float core itself (scale 1),
     the same float `Foliation.leaf_core` gives."""
-    rows, de = events.integer_rows if isinstance(events, Crossings) else _integer_rows(events)
+    rows, de = events.integer_rows
     if not foliation.exact:
         return [t / de - sum(v * (p / de) for v, p in zip(foliation.velocity, xyz))
                 for t, *xyz in rows], 1
@@ -402,22 +425,40 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
     1e-9 for float ones (with an ExactnessWarning).  Each group keeps its
     leaf's key and the frame's one scale; no core or tau is built here.  A
     particle meeting two partners on one leaf raises OverlappingSimultaneousPairs.
-    """
+
+    Events are taken in pair order, so the stable sort by key leaves every
+    exact leaf's members in pair order.  Under an exact frame, crossings found
+    from lines (`Crossings.from_lines`) can put a slot twice on one leaf only
+    at one shared event, so their leaves are checked only when two crossings
+    share an event; a float frame and other events check every leaf."""
+    if not isinstance(events, Crossings):
+        events = Crossings(sorted(events, key=itemgetter(0)))
     keys, scale = _leaf_keys(events, foliation)
-    if not foliation.exact and keys:
+    exact = foliation.exact
+    if not exact and keys:
         warnings.warn(
             "float foliation velocity: leaf ties grouped within 1e-9",
             ExactnessWarning,
             stacklevel=2,
         )
-    grouped: list = []
+    checked = not (exact and events.from_lines and events.distinct_events)
+    grouped: list = []  # (key, members, pairs) per leaf
     # keys order like cores, so `same_leaf` (equality when exact) ties them too
-    for key, member in sorted(zip(keys, events), key=lambda h: h[0]):
+    for key, member in sorted(zip(keys, events), key=itemgetter(0)):
         if grouped and foliation.same_leaf(grouped[-1][0], key):
             grouped[-1][1].append(member)
+            grouped[-1][2].append(member[0])
         else:
-            grouped.append((key, [member]))
-    return [_leaf_group(foliation, key, scale, members) for key, members in grouped]
+            grouped.append((key, [member], [member[0]]))
+    groups = []
+    for key, members, pairs in grouped:
+        if not exact:  # a float leaf's members tie within the tolerance, not by key
+            members.sort(key=itemgetter(0))
+            pairs = [pair for pair, _ in members]
+        if checked:
+            _check_slots(foliation, key, scale, pairs)
+        groups.append(CollisionGroup._built(key, scale, foliation, tuple(members), tuple(pairs)))
+    return groups
 
 
 def collision_schedule(

@@ -18,8 +18,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterator, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
 from .geometry import Foliation, Scalar, collision_events, group_by_leaf
@@ -154,13 +154,20 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
 
     Under a boost, LittleGroupWarning fires when the initial state carries
     spin, or when a contact unitary that does not conserve spin leaves some."""
-    warned: list = []
     groups = group_by_leaf(scenario.events, foliation)
-    states = list(_walk(scenario, foliation, groups, _unitaries(scenario, rule), {}, {}, {}, warned))
-    _emit(warned)
-    return History(foliation, tuple(g for g, s in zip(groups, states[1:]) if s is not None),
-                   tuple(s for s in states if s is not None),
-                   tuple(g for g, s in zip(groups, states[1:]) if s is None))
+    unitaries, traces = _unitaries(scenario, rule), {}
+    step = _origin(scenario)
+    fired, segments, inert = [], [step.state], []
+    for group in groups:
+        after = _step(step, group.pairs, unitaries, traces, {})
+        if after is None:
+            inert.append(group)
+            continue
+        step = after
+        fired.append((group, step))
+        segments.append(step.state)
+    _emit(_spin_guard(scenario, foliation, fired))
+    return History(foliation, tuple(g for g, _ in fired), tuple(segments), tuple(inert))
 
 
 def _unitaries(scenario: Scenario, rule: InteractionRule) -> dict:
@@ -178,43 +185,65 @@ def _emit(warned: list) -> None:
         warnings.warn(message, LittleGroupWarning, stacklevel=3)
 
 
-def _walk(scenario: Scenario, foliation: Foliation, groups: Sequence, unitaries: dict,
-          traces: dict, earlier: dict, filed: dict, warned: list) -> Iterator[Optional[SpinState]]:
-    """One rule's evolution over the foliation's collision groups, already
-    found, with the rule's `_unitaries`: yield the initial state, then per
-    group the state after it, or None when none of its contacts fires.  Each
-    LittleGroupWarning message is appended to `warned` for the caller to emit.
+class _Step:
+    """One rule's contact trace and state after a group it fires (or before
+    any group), with that group's contacts that do not conserve spin."""
 
-    Each state is filed in `filed` under its contact trace, interned in
-    `traces`.  `earlier` is what an evolution of the same scenario and rule
-    under another foliation filed with the same `traces`: a state filed under
-    the trace a group reaches equals that group's state exactly, so it is
-    reused, and `apply_group` runs only for traces `earlier` does not hold."""
-    boosted = not foliation.is_rest
-    if boosted and scenario.has_initial_spin:
+    def __init__(self, trace: tuple, state: SpinState, culprits: list):
+        self.trace, self.state, self.culprits = trace, state, culprits
+
+    @cached_property
+    def carries_spin(self) -> bool:
+        return _carries_spin(self.state)
+
+
+def _origin(scenario: Scenario) -> _Step:
+    return _Step((0,) * len(scenario.worldlines), scenario.initial_state, [])
+
+
+def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
+          earlier: dict) -> Optional[_Step]:
+    """One rule's step over a group of crossing `pairs` from `before`, with
+    the rule's `_unitaries`, or None when none of its contacts fires.
+
+    The step's contact trace is interned in `traces`.  `earlier` holds states
+    an evolution of the same scenario and rule filed, with the same `traces`,
+    under their traces: a state filed under the trace the step reaches equals
+    its state exactly, so it is reused, and `apply_group` runs only for traces
+    `earlier` does not hold."""
+    actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
+    if not actions:
+        return None
+    trace = _trace_after(before.trace, actions, traces)
+    state = earlier.get(trace)
+    if state is None:
+        state = apply_group(before.state, actions)
+    return _Step(trace, state, [pair for u, pair in actions if not u.conserves_spin])
+
+
+def _spin_guard(scenario: Scenario, foliation: Foliation, fired: Iterable) -> list:
+    """The LittleGroupWarning messages of one rule's evolution whose fired
+    groups and the steps they reach are `fired`: none at rest; under a boost,
+    one when the initial state carries spin, then one per fired group whose
+    contacts that do not conserve spin leave some spin."""
+    if foliation.is_rest:
+        return []
+    warned = []
+    if scenario.has_initial_spin:
         warned.append(
             "initial state carries nonzero total spin; re-foliated history "
             "ignores the boost's action on spins"
         )
-    trace = (0,) * len(scenario.worldlines)
-    state = filed[trace] = scenario.initial_state
-    yield state
-    for group in groups:
-        actions = [(unitaries[pair], pair) for pair in group.pairs if pair in unitaries]
-        if not actions:
-            yield None
-            continue
-        trace = _trace_after(trace, actions, traces)
-        reused = earlier.get(trace)
-        state = filed[trace] = apply_group(state, actions) if reused is None else reused
-        culprits = [pair for u, pair in actions if not u.conserves_spin]
-        if boosted and culprits and _carries_spin(state):
-            species = ", ".join("({}, {})".format(*map(scenario.species_of, p)) for p in culprits)
+    for group, step in fired:
+        if step.culprits and step.carries_spin:
+            species = ", ".join("({}, {})".format(*map(scenario.species_of, p))
+                                for p in step.culprits)
+            tau = format_tau(foliation, group.key, group.scale)
             warned.append(
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
-                f"history ignores the spin it leaves from tau = {format_scalar(group.tau)}"
+                f"history ignores the spin it leaves from tau = {tau}"
             )
-        yield state
+    return warned
 
 
 def _trace_after(trace: tuple, actions: list, traces: dict) -> tuple:
@@ -301,25 +330,76 @@ def _comparison(fol: Foliation, points: list, scale: int, tol: float) -> History
     return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, tuple(points), scale)
 
 
-def _walk_comparison(
-    fol: Foliation, groups: Sequence, walk_a: Iterator, walk_b: Iterator, start: float, tol: float
-) -> HistoryComparison:
-    """`compare_histories` of the histories that two rules' `_walk`s over the
-    same groups evolve, in that one walk: `start` is |overlap| of the two
-    initial states.  Every group either rule fires is its own merged leaf, and
-    every key is over the frame's one scale, the common unit."""
-    a, b = next(walk_a), next(walk_b)
+class _LeafTrie:
+    """A report's frames, walked in the order of their raw leaf sequences
+    (each group's pairs) as a depth-first walk of the trie of those sequences.
+
+    `path` holds one node per group of the frame walked last: (a, b, fired a,
+    fired b, |<a|b>|), where a and b are the two rules' `_Step`s that hold
+    after the group and a rule that does not fire it keeps its step.  The
+    next frame keeps the nodes of the groups it starts with too, and steps
+    both rules only from its first new group."""
+
+    def __init__(self, scenario: Scenario, rules: tuple, start: float):
+        origin = _origin(scenario)
+        self.root = (origin, origin, False, False, start)
+        self.rules = rules
+        self.path: list = []
+        self.sequence: tuple = ()
+        self.traces: dict = {}
+        self.filed: tuple = ({}, {})  # each rule's states of the frame walked last, by trace
+
+    def walk(self, sequence: tuple) -> list:
+        """The path of the frame whose groups have the pairs `sequence`.
+
+        The states of the groups it shares with the frame walked last are
+        filed again under their traces; each rule's step from its first new
+        group on reuses a state that frame filed (`_step`'s `earlier`), and
+        |<a|b>| is taken after each new group either rule fires."""
+        path, shared = self.path, 0
+        for mine, theirs in zip(sequence, self.sequence):
+            if mine != theirs:
+                break
+            shared += 1
+        del path[shared:]
+        self.sequence = sequence
+        earlier_a, earlier_b = self.filed
+        filed_a, filed_b = self.filed = {}, {}
+        for a, b, fired_a, fired_b, _ in path:
+            if fired_a:
+                filed_a[a.trace] = a.state
+            if fired_b:
+                filed_b[b.trace] = b.state
+        a, b, _, _, mag = path[-1] if path else self.root
+        (ua, ub), traces = self.rules, self.traces
+        for pairs in sequence[shared:]:
+            after_a = _step(a, pairs, ua, traces, earlier_a)
+            after_b = _step(b, pairs, ub, traces, earlier_b)
+            if after_a is not None:
+                a = after_a
+                filed_a[a.trace] = a.state
+            if after_b is not None:
+                b = after_b
+                filed_b[b.trace] = b.state
+            if after_a is not None or after_b is not None:
+                mag = abs(overlap(a.state, b.state))
+            path.append((a, b, after_a is not None, after_b is not None, mag))
+        return path
+
+
+def _path_comparison(fol: Foliation, groups: Sequence, path: list, start: float,
+                     tol: float) -> HistoryComparison:
+    """`compare_histories` of the two histories a frame's `_LeafTrie` path
+    holds, from the path: `start` is |overlap| of the two initial states.
+    Every group either rule fires is its own merged leaf, and every key is
+    over the frame's one scale, the common unit."""
     points, key, mag = [], None, start
-    for group, after_a, after_b in zip(groups, walk_a, walk_b):
-        if after_a is not None:
-            a = after_a
-        elif after_b is None:
+    for group, (_, _, fired_a, fired_b, after) in zip(groups, path):
+        if not (fired_a or fired_b):
             continue
-        if after_b is not None:
-            b = after_b
         unit = group.scale
         points.append((2 * (group.key - unit), mag) if key is None else (key + group.key, mag))
-        key, mag = group.key, abs(overlap(a, b))
+        key, mag = group.key, after
         points.append((2 * key, mag))
     if key is None:  # with no leaf: core 0
         return _comparison(fol, [(0, start)], 2, tol)
@@ -366,6 +446,18 @@ def format_scalar(value) -> str:
     return f"{float(value):.12g}"
 
 
+def format_tau(foliation: Foliation, key, scale: int) -> str:
+    """`format_scalar` of the tau of the core key/scale (scale > 0), from the
+    key: for a rational gamma p/q, the reduced fraction p*key/(q*scale) with
+    one gcd and no Fraction; otherwise the float `Foliation.leaf_tau` gives."""
+    gamma = foliation.gamma
+    if isinstance(gamma, Fraction):
+        num, den = gamma.numerator * key, gamma.denominator * scale
+        common = gcd(num, den)
+        return str(num // common) if den == common else f"{num // common}/{den // common}"
+    return format_scalar(gamma * (key / scale))
+
+
 def format_foliation(index: int, foliation: Foliation) -> str:
     """The header line of one frame: `foliation i: v = (…), gamma = …`."""
     vel = ", ".join(format_scalar(c) for c in foliation.velocity)
@@ -391,10 +483,12 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         "",
     ]
     for v in report.verdicts:
-        lines.append(format_foliation(v.foliation_index, v.foliation))
+        fol = v.foliation
+        lines.append(format_foliation(v.foliation_index, fol))
         lines.append(f"  collision leaves: {len(v.groups)}")
         for g in v.groups:
-            lines.append(f"    tau = {format_scalar(g.tau)}: pairs {format_pairs(g.pairs)}")
+            tau = format_tau(fol, g.key, g.scale)
+            lines.append(f"    tau = {tau}: pairs {format_pairs(g.pairs)}")
         c = v.comparison
         if c.equal:
             lines.append(
@@ -439,30 +533,33 @@ def narratability_report(
     """Evolve under both rules in every frame and compare leaf by leaf.
 
     Every frame is grouped first, in input order.  The frames are then walked
-    in the order of their raw leaf sequences (each group's pairs), so the
-    states each rule filed in the previous frame lend the longest shared
-    prefix any earlier frame could.  One walk per frame advances both rules
-    group by group and takes one overlap per group either fires; its
-    comparison equals `compare_histories` of the two frames' histories.
-    Verdicts and LittleGroupWarnings come out in input order."""
+    in the order of their raw leaf sequences (each group's pairs) by one
+    `_LeafTrie`: a frame keeps the evolved states, and |<a|b>|, of the groups
+    it shares with the frame walked before it, and steps both rules from its
+    first new group on, reusing the states that frame filed under the same
+    contact trace.  Each comparison, read from the frame's path, equals
+    `compare_histories` of the frame's two histories.  Verdicts and
+    LittleGroupWarnings come out in input order."""
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
     # raw schedules: the crossings exist whichever rule fires them
     schedules = [tuple(group_by_leaf(scenario.events, fol)) for fol in foliations]
-    ua, ub = _unitaries(scenario, rule_a), _unitaries(scenario, rule_b)
+    sequences = [tuple([g.pairs for g in groups]) for groups in schedules]
+    rules = (_unitaries(scenario, rule_a), _unitaries(scenario, rule_b))
+    # only a rule with a contact that does not conserve spin can leave some
+    guarded = [any(not u.conserves_spin for u in unitaries.values()) for unitaries in rules]
     start = abs(overlap(scenario.initial_state, scenario.initial_state))
+    trie = _LeafTrie(scenario, rules, start)
     comparisons, warned = [None] * len(foliations), [None] * len(foliations)
-    traces: dict = {}
-    filed_a: dict = {}  # each rule's states of the frame walked last, by contact trace
-    filed_b: dict = {}
-    for idx in sorted(range(len(foliations)), key=lambda i: [g.pairs for g in schedules[i]]):
+    for idx in sorted(range(len(foliations)), key=sequences.__getitem__):
         fol, groups = foliations[idx], schedules[idx]
-        warned_a, warned_b = [], []
-        earlier_a, earlier_b, filed_a, filed_b = filed_a, filed_b, {}, {}
-        walk_a = _walk(scenario, fol, groups, ua, traces, earlier_a, filed_a, warned_a)
-        walk_b = _walk(scenario, fol, groups, ub, traces, earlier_b, filed_b, warned_b)
-        comparisons[idx] = _walk_comparison(fol, groups, walk_a, walk_b, start, tol)
-        warned[idx] = warned_a + warned_b
+        path = trie.walk(sequences[idx])
+        comparisons[idx] = _path_comparison(fol, groups, path, start, tol)
+        warned[idx] = []
+        for r in (0, 1):  # rule a's warnings first
+            nodes = zip(groups, path) if guarded[r] else ()
+            fired = [(g, node[r]) for g, node in nodes if node[2 + r]]
+            warned[idx] += _spin_guard(scenario, fol, fired)
     for messages in warned:
         _emit(messages)
     return NarratabilityReport(

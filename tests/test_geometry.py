@@ -5,12 +5,14 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from narratables import geometry
 from narratables.errors import (
     CoincidentWorldlines,
     ExactnessWarning,
@@ -33,6 +35,7 @@ from narratables.geometry import (
     lorentz_gamma,
     rest_foliation,
 )
+from narratables.narrative import format_scalar, format_tau
 
 F = Fraction
 
@@ -425,13 +428,40 @@ def test_group_tau_is_gamma_times_its_core(foliation, data):
     assert foliation.core_and_tau(key, scale) == (group.core, tau)
 
 
+@given(st.one_of(
+    pythagorean_velocities().filter(lambda v: sum(c * c for c in v) < 1),  # rational gamma
+    st.tuples(*[st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=9)] * 3),
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3),  # a float frame: float keys over 1
+).map(Foliation), st.data())
+def test_printed_tau_is_the_formatted_leaf_tau(foliation, data):
+    # any key, a key and scale sharing a factor, or a key whose tau is an integer
+    kind = data.draw(st.sampled_from(["any", "shared factor", "integer tau"]))
+    if not foliation.exact:
+        key, scale = data.draw(st.floats(-1e12, 1e12)), 1
+    elif kind == "any":
+        key, scale = data.draw(st.integers(-10**30, 10**30)), data.draw(st.integers(1, 10**30))
+    elif kind == "shared factor":
+        factor = data.draw(st.integers(2, 10**6))
+        key = factor * data.draw(st.integers(-10**9, 10**9))
+        scale = factor * data.draw(st.integers(1, 10**9))
+    else:
+        scale = data.draw(st.integers(1, 10**9))
+        over = foliation.gamma.denominator if isinstance(foliation.gamma, Fraction) else 1
+        key = data.draw(st.integers(-10**6, 10**6)) * scale * over
+    text = format_tau(foliation, key, scale)
+    assert text == format_scalar(foliation.leaf_tau(key, scale))
+    if kind == "integer tau" and isinstance(foliation.gamma, Fraction):
+        assert text == str(foliation.gamma.numerator * (key // (scale * over)))
+
+
 def test_group_pairs_are_built_once():
     (g,) = collision_schedule(crossing_lines(), Foliation((F(0), F(1, 2), F(0))))
     rebuilt = CollisionGroup(g.key, g.scale, g.foliation, g.collisions)
     assert g.pairs is g.pairs
-    # reading the cached pairs leaves the fields, equality and hash as they were
+    # the pairs kept beside the fields leave the fields, equality, hash and repr as they were
     assert [f.name for f in dataclasses.fields(g)] == ["key", "scale", "foliation", "collisions"]
     assert g == rebuilt and hash(g) == hash(rebuilt)
+    assert repr(g) == repr(rebuilt) and "pairs" not in repr(g)
     assert rebuilt.pairs == g.pairs
 
 
@@ -614,6 +644,66 @@ def test_integer_leaf_keys_match_a_fraction_reference(case, rng):
     ]) == expected
     if isinstance(got, list):
         assert all(type(core) is Fraction for core, _, _ in got)
+
+
+@st.composite
+def meeting_scenarios(draw):
+    """Pairs of lines through drawn events, as `crossing_scenarios` draws
+    them, and half the time a third line through one of those events, so that
+    three lines meet there."""
+    lines, meetings = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        event = Event(*draw(st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS)))
+        first = draw(VELOCITIES)
+        second = draw(VELOCITIES.filter(lambda v: v != first))
+        for velocity in (first, second):
+            lines.append(Worldline(len(lines), f"s{len(lines)}", event, velocity))
+        meetings.append((event, (first, second)))
+    if draw(st.booleans()):
+        event, taken = draw(st.sampled_from(meetings))
+        third = draw(VELOCITIES.filter(lambda v: v not in taken))
+        lines.append(Worldline(len(lines), f"s{len(lines)}", event, third))
+    return lines
+
+
+@given(meeting_scenarios(), st.one_of(
+    pythagorean_velocities().filter(lambda v: sum(c * c for c in v) < 1),  # rational gamma
+    VELOCITIES,  # mostly irrational gamma
+    VELOCITIES.map(lambda v: tuple(float(c) for c in v)),  # a float frame
+))
+def test_found_crossings_group_as_with_every_leaf_checked(lines, velocity):
+    """Crossings found from lines skip the per-leaf OverlappingSimultaneousPairs
+    check under an exact frame unless two of them share an event; the groups,
+    or the error and its message, are those of the same events as a plain list,
+    whose every leaf is checked, and of the Fraction reference."""
+    try:
+        events = collision_events(lines)
+    except CoincidentWorldlines:
+        assume(False)
+    foliation = Foliation(velocity)
+
+    def outcome(listed):
+        return grouping_outcome(lambda: [(g.key, g.scale, g.pairs, g.collisions)
+                                         for g in group_by_leaf(listed, foliation)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        with mock.patch.object(geometry, "_check_slots", wraps=geometry._check_slots) as checks:
+            got = outcome(events)
+        expected = outcome(list(events))
+    assert got == expected
+    shared = len({event for _, event in events}) < len(events)
+    assert events.distinct_events is not shared
+    assert (checks.call_count == 0) is (foliation.exact and not shared)
+    if len(lines) % 2:  # three lines through one event: every frame raises
+        assert isinstance(got, str)
+    if foliation.exact:
+        reference = grouping_outcome(lambda: reference_grouping(events, velocity))
+        if isinstance(reference, str):
+            assert got == reference
+        else:
+            assert [(F(key, scale), pairs) for key, scale, pairs, _ in got] == [
+                (core, tuple(pair for pair, _ in members)) for core, _, members in reference]
 
 
 @given(crossing_scenarios(), VELOCITIES)
