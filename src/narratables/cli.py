@@ -20,7 +20,7 @@ from importlib import resources
 from . import algebra, clusterkit, fileio
 from .errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
 from .geometry import Foliation
-from .narrative import (evolve, format_foliation, format_pairs, format_scalar,
+from .narrative import (evolve, format_foliation, format_pairs, format_scalar, format_tau,
                         narratability_report, paint, render_report)
 from .quantum import overlap
 
@@ -126,11 +126,11 @@ def cmd_simulate(args) -> int:
     rule = _resolve_rule(bundle, args.rule)
     foliation = _resolve_foliation(bundle, args.foliation)
     history = evolve(bundle.scenario, foliation, rule)
-    taus = history.breakpoints
 
     if args.csv:
-        if taus:
-            lo, hi = float(taus[0]) - 1.0, float(taus[-1]) + 1.0
+        breakpoints = history.breakpoints
+        if breakpoints:
+            lo, hi = float(breakpoints[0]) - 1.0, float(breakpoints[-1]) + 1.0
         else:
             lo, hi = -1.0, 1.0
         initial = history.segments[0]
@@ -145,12 +145,13 @@ def cmd_simulate(args) -> int:
     print(f"rule: {rule.name}")
     print(format_foliation(args.foliation, foliation))
     print(f"collision leaves: {len(history.groups)}")
+    taus = [format_tau(foliation, g.key, g.scale) for g in history.groups]
     for g, tau in zip(history.groups, taus):
         events = ", ".join(
             "(t={}, x={}, y={}, z={})".format(*(map(format_scalar, e.coordinates())))
             for _, e in g.collisions
         )
-        print(f"  tau = {format_scalar(tau)}: pairs {format_pairs(g.pairs)} at {events}")
+        print(f"  tau = {tau}: pairs {format_pairs(g.pairs)} at {events}")
     if history.inert_groups:
         print(f"inert crossings (identity unitary): {len(history.inert_groups)}")
     print(f"segments: {len(history.segments)}")
@@ -158,11 +159,11 @@ def cmd_simulate(args) -> int:
         if not taus:
             span = "all tau"
         elif i == 0:
-            span = f"tau < {format_scalar(taus[0])}"
+            span = f"tau < {taus[0]}"
         elif i == len(taus):
-            span = f"tau >= {format_scalar(taus[-1])}"
+            span = f"tau >= {taus[-1]}"
         else:
-            span = f"{format_scalar(taus[i - 1])} <= tau < {format_scalar(taus[i])}"
+            span = f"{taus[i - 1]} <= tau < {taus[i]}"
         print(f"segment {i} ({span}):")
         for label, amp in segment.nonzero_terms():
             print(f"  |{label}> {_fmt_amplitude(amp)}")

@@ -240,7 +240,7 @@ class Foliation:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_integer_velocity", integer_velocity)
 
-    @property
+    @cached_property
     def is_rest(self) -> bool:
         return all(c == 0 for c in self.velocity)
 

@@ -166,7 +166,7 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
         step = after
         fired.append((group, step))
         segments.append(step.state)
-    _emit(_spin_guard(scenario, foliation, fired))
+    _emit(_spin_guard(scenario, foliation, unitaries, fired))
     return History(foliation, tuple(g for g, _ in fired), tuple(segments), tuple(inert))
 
 
@@ -187,10 +187,10 @@ def _emit(warned: list) -> None:
 
 class _Step:
     """One rule's contact trace and state after a group it fires (or before
-    any group), with that group's contacts that do not conserve spin."""
+    any group)."""
 
-    def __init__(self, trace: tuple, state: SpinState, culprits: list):
-        self.trace, self.state, self.culprits = trace, state, culprits
+    def __init__(self, trace: tuple, state: SpinState):
+        self.trace, self.state = trace, state
 
     @cached_property
     def carries_spin(self) -> bool:
@@ -198,7 +198,7 @@ class _Step:
 
 
 def _origin(scenario: Scenario) -> _Step:
-    return _Step((0,) * len(scenario.worldlines), scenario.initial_state, [])
+    return _Step((0,) * len(scenario.worldlines), scenario.initial_state)
 
 
 def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
@@ -207,9 +207,9 @@ def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
     the rule's `_unitaries`, or None when none of its contacts fires.
 
     The step's contact trace is interned in `traces`.  `earlier` holds states
-    an evolution of the same scenario and rule filed, with the same `traces`,
-    under their traces: a state filed under the trace the step reaches equals
-    its state exactly, so it is reused, and `apply_group` runs only for traces
+    an evolution of the same scenario and rule reached, with the same `traces`,
+    by their traces: a state held under the trace the step reaches equals its
+    state exactly, so it is reused, and `apply_group` runs only for traces
     `earlier` does not hold."""
     actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
     if not actions:
@@ -218,14 +218,16 @@ def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
     state = earlier.get(trace)
     if state is None:
         state = apply_group(before.state, actions)
-    return _Step(trace, state, [pair for u, pair in actions if not u.conserves_spin])
+    return _Step(trace, state)
 
 
-def _spin_guard(scenario: Scenario, foliation: Foliation, fired: Iterable) -> list:
-    """The LittleGroupWarning messages of one rule's evolution whose fired
-    groups and the steps they reach are `fired`: none at rest; under a boost,
-    one when the initial state carries spin, then one per fired group whose
-    contacts that do not conserve spin leave some spin."""
+def _spin_guard(scenario: Scenario, foliation: Foliation, unitaries: dict,
+                fired: Iterable) -> list:
+    """The LittleGroupWarning messages of one rule's evolution, with the
+    rule's `_unitaries`, whose fired groups and the steps they reach are
+    `fired`: none at rest; under a boost, one when the initial state carries
+    spin, then one per fired group whose contacts that do not conserve spin
+    leave some spin."""
     if foliation.is_rest:
         return []
     warned = []
@@ -235,9 +237,11 @@ def _spin_guard(scenario: Scenario, foliation: Foliation, fired: Iterable) -> li
             "ignores the boost's action on spins"
         )
     for group, step in fired:
-        if step.culprits and step.carries_spin:
+        culprits = [pair for pair in group.pairs
+                    if pair in unitaries and not unitaries[pair].conserves_spin]
+        if culprits and step.carries_spin:
             species = ", ".join("({}, {})".format(*map(scenario.species_of, p))
-                                for p in step.culprits)
+                                for p in culprits)
             tau = format_tau(foliation, group.key, group.scale)
             warned.append(
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
@@ -291,11 +295,9 @@ def compare_histories(
     breakpoint on it.  Right-continuity makes the leaf and the interval after
     it hold the same two states, so one overlap serves both samples.
 
-    The walk runs on the groups' keys over the lcm D of both histories' group
+    The walk runs on the groups' keys over the lcm of both histories' group
     scales (integers for an exact foliation, float cores over 1 for a float
-    one).  A sample is kept as the sum of two keys, over 2D, with its
-    |overlap|; only the witness's core and tau are built here, the samples'
-    when `HistoryComparison.samples` is read."""
+    one); `_sampled` turns the merged leaves into samples."""
     fol = h1.foliation
     if fol != h2.foliation:
         raise FoliationMismatch(
@@ -303,27 +305,33 @@ def compare_histories(
         )
     unit = lcm(*{g.scale for g in h1.groups + h2.groups})
     k1, k2 = ([g.key * (unit // g.scale) for g in h.groups] for h in (h1, h2))
-    scale = 2 * unit
+    start = abs(overlap(h1.segments[0], h2.segments[0]))
+    leaves, i, j = [], 0, 0
     leaf = min(k1[:1] + k2[:1], default=None)
-    before = 0 if leaf is None else leaf - unit  # with no leaf: core 0
-    points = [(2 * before, abs(overlap(h1.segments[0], h2.segments[0])))]
-    i = j = 0
     while leaf is not None:
         while i < len(k1) and fol.same_leaf(leaf, k1[i]):
             i += 1
         while j < len(k2) and fol.same_leaf(leaf, k2[j]):
             j += 1
-        mag = abs(overlap(h1.segments[i], h2.segments[j]))
-        following = min(k1[i:i + 1] + k2[j:j + 1], default=None)
-        after = 2 * (leaf + unit) if following is None else leaf + following
-        points += [(2 * leaf, mag), (after, mag)]
-        leaf = following
-    return _comparison(fol, points, scale, tol)
+        leaves.append((leaf, abs(overlap(h1.segments[i], h2.segments[j]))))
+        leaf = min(k1[i:i + 1] + k2[j:j + 1], default=None)
+    return _sampled(fol, start, leaves, unit, tol)
 
 
-def _comparison(fol: Foliation, points: list, scale: int, tol: float) -> HistoryComparison:
-    """The comparison whose samples are `points` over `scale`: the first
-    sample off unit |overlap| by more than `tol` is the witness."""
+def _sampled(fol: Foliation, start: float, leaves: list, unit: int,
+             tol: float) -> HistoryComparison:
+    """The comparison sampled as `compare_histories` says, from the merged
+    `leaves`, each (key over `unit`, |overlap| from it on), and the |overlap|
+    `start` before them.  A sample is kept as the sum of two keys, over
+    2 * unit, with its |overlap|; with no leaf, the one sample is core 0.  The
+    first sample off unit |overlap| by more than `tol` is the witness, whose
+    core and tau alone are built here."""
+    points, scale = [(0, start)], 2
+    if leaves:
+        points, scale = [(2 * (leaves[0][0] - unit), start)], 2 * unit
+        for (key, mag), following in zip(leaves, leaves[1:] + [None]):
+            after = 2 * (key + unit) if following is None else key + following[0]
+            points += [(2 * key, mag), (after, mag)]
     witness = next(((*fol.core_and_tau(key, scale), mag) for key, mag in points
                     if abs(mag - 1.0) > tol), (None, None, None))
     min_overlap = min(mag for _, mag in points)
@@ -347,29 +355,23 @@ class _LeafTrie:
         self.path: list = []
         self.sequence: tuple = ()
         self.traces: dict = {}
-        self.filed: tuple = ({}, {})  # each rule's states of the frame walked last, by trace
 
     def walk(self, sequence: tuple) -> list:
         """The path of the frame whose groups have the pairs `sequence`.
 
-        The states of the groups it shares with the frame walked last are
-        filed again under their traces; each rule's step from its first new
-        group on reuses a state that frame filed (`_step`'s `earlier`), and
-        |<a|b>| is taken after each new group either rule fires."""
+        Each rule's step from the frame's first new group on reuses a state
+        the frame walked last reached under the same trace (`_step`'s
+        `earlier`), and |<a|b>| is taken after each new group either rule
+        fires."""
         path, shared = self.path, 0
         for mine, theirs in zip(sequence, self.sequence):
             if mine != theirs:
                 break
             shared += 1
+        earlier_a = {a.trace: a.state for a, _, fired_a, _, _ in path if fired_a}
+        earlier_b = {b.trace: b.state for _, b, _, fired_b, _ in path if fired_b}
         del path[shared:]
         self.sequence = sequence
-        earlier_a, earlier_b = self.filed
-        filed_a, filed_b = self.filed = {}, {}
-        for a, b, fired_a, fired_b, _ in path:
-            if fired_a:
-                filed_a[a.trace] = a.state
-            if fired_b:
-                filed_b[b.trace] = b.state
         a, b, _, _, mag = path[-1] if path else self.root
         (ua, ub), traces = self.rules, self.traces
         for pairs in sequence[shared:]:
@@ -377,34 +379,12 @@ class _LeafTrie:
             after_b = _step(b, pairs, ub, traces, earlier_b)
             if after_a is not None:
                 a = after_a
-                filed_a[a.trace] = a.state
             if after_b is not None:
                 b = after_b
-                filed_b[b.trace] = b.state
             if after_a is not None or after_b is not None:
                 mag = abs(overlap(a.state, b.state))
             path.append((a, b, after_a is not None, after_b is not None, mag))
         return path
-
-
-def _path_comparison(fol: Foliation, groups: Sequence, path: list, start: float,
-                     tol: float) -> HistoryComparison:
-    """`compare_histories` of the two histories a frame's `_LeafTrie` path
-    holds, from the path: `start` is |overlap| of the two initial states.
-    Every group either rule fires is its own merged leaf, and every key is
-    over the frame's one scale, the common unit."""
-    points, key, mag = [], None, start
-    for group, (_, _, fired_a, fired_b, after) in zip(groups, path):
-        if not (fired_a or fired_b):
-            continue
-        unit = group.scale
-        points.append((2 * (group.key - unit), mag) if key is None else (key + group.key, mag))
-        key, mag = group.key, after
-        points.append((2 * key, mag))
-    if key is None:  # with no leaf: core 0
-        return _comparison(fol, [(0, start)], 2, tol)
-    points.append((2 * (key + unit), mag))
-    return _comparison(fol, points, 2 * unit, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -536,9 +516,10 @@ def narratability_report(
     in the order of their raw leaf sequences (each group's pairs) by one
     `_LeafTrie`: a frame keeps the evolved states, and |<a|b>|, of the groups
     it shares with the frame walked before it, and steps both rules from its
-    first new group on, reusing the states that frame filed under the same
-    contact trace.  Each comparison, read from the frame's path, equals
-    `compare_histories` of the frame's two histories.  Verdicts and
+    first new group on, reusing the states that frame reached under the same
+    contact trace.  Each comparison, sampled from the frame's path, equals
+    `compare_histories` of the frame's two histories: every group either rule
+    fires is its own merged leaf, over the frame's one scale.  Verdicts and
     LittleGroupWarnings come out in input order."""
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
@@ -554,12 +535,14 @@ def narratability_report(
     for idx in sorted(range(len(foliations)), key=sequences.__getitem__):
         fol, groups = foliations[idx], schedules[idx]
         path = trie.walk(sequences[idx])
-        comparisons[idx] = _path_comparison(fol, groups, path, start, tol)
+        leaves = [(g.key, node[4]) for g, node in zip(groups, path) if node[2] or node[3]]
+        unit = groups[0].scale if groups else 1
+        comparisons[idx] = _sampled(fol, start, leaves, unit, tol)
         warned[idx] = []
         for r in (0, 1):  # rule a's warnings first
             nodes = zip(groups, path) if guarded[r] else ()
             fired = [(g, node[r]) for g, node in nodes if node[2 + r]]
-            warned[idx] += _spin_guard(scenario, fol, fired)
+            warned[idx] += _spin_guard(scenario, fol, rules[r], fired)
     for messages in warned:
         _emit(messages)
     return NarratabilityReport(

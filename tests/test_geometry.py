@@ -89,6 +89,23 @@ def test_gamma_float_and_irrational():
     assert g == pytest.approx(2.0 / np.sqrt(3.0))
 
 
+@pytest.mark.parametrize("velocity, rest", [
+    ((F(0), F(0), F(0)), True),
+    ((0.0, -0.0, 0.0), True),
+    ((-0.0, -0.0, -0.0), True),
+    ((F(3, 5), F(0), F(0)), False),
+    ((F(0), F(0), F(-1, 2)), False),
+    ((0.6, 0.0, 0.0), False),
+    ((0.0, -1e-300, 0.0), False),
+])
+def test_is_rest_is_decided_once(velocity, rest):
+    foliation = Foliation(velocity)
+    assert foliation.is_rest is rest
+    # kept on the foliation once read, out of its fields, equality and repr
+    assert vars(foliation)["is_rest"] is rest
+    assert foliation == Foliation(velocity) and "is_rest" not in repr(foliation)
+
+
 def test_gamma_stays_finite_within_rounding_of_light_speed():
     # v = 1 - 1e-48: float(v.v) rounds to 1.0, the exact 1 - v.v does not
     v = F("9" * 48 + "/1" + "0" * 48)

@@ -265,16 +265,16 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     history = evolve(scenario, rest_foliation(), rule)
     assert [g.pairs for g in history.groups] == [((0, 2), (1, 3))]
     assert calls == [[(swap_unitary(), (0, 2))]]
-    # the step, and a report's walk, file the fired group's state under the
-    # trace of the swap alone
+    # the step, and both rules' steps on a report's walk, reach the trace of
+    # the swap alone
     alone = narrative._trace_after((0, 0, 0, 0), [(swap_unitary(), (0, 2))], {})
     (group,) = geometry.group_by_leaf(scenario.events, rest_foliation())
     unitaries = narrative._unitaries(scenario, rule)
     step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {})
     assert step.trace == alone
     trie = narrative._LeafTrie(scenario, (unitaries, unitaries), 1.0)
-    trie.walk((group.pairs,))
-    assert [list(filed) for filed in trie.filed] == [[alone], [alone]]
+    (node,) = trie.walk((group.pairs,))
+    assert (node[0].trace, node[1].trace) == (alone, alone)
 
 
 def test_report_flags_non_narratable():
@@ -652,8 +652,9 @@ def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
 
 def test_simulate_builds_core_and_tau_once_per_fired_group(tmp_path):
     # the demo frames plus a float one and one with irrational gamma; the
-    # printout and the --csv grid both read the one cached tuple of breakpoints,
-    # one tau per fired group and no core
+    # printout formats each fired group's tau from its key and builds none, and
+    # the --csv grid reads the one cached tuple of breakpoints, one tau per
+    # fired group and no core
     doc = dump_scenario(built_in_demo())
     doc["foliations"] += [[0.6, 0.0, 0.0], ["1/3", "1/4", "0"]]
     path = tmp_path / "frames.json"
@@ -669,7 +670,7 @@ def test_simulate_builds_core_and_tau_once_per_fired_group(tmp_path):
                 with counting_builds() as (cores, taus), contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(["simulate", str(path), "--rule", "flip",
                                      "--foliation", str(index), *csv]) == 0
-                assert (cores.call_count, taus.call_count) == (0, count)
+                assert (cores.call_count, taus.call_count) == (0, count if csv else 0)
 
 
 def report_histories(scenario, rule_a, rule_b, foliations):
@@ -838,6 +839,28 @@ def test_frames_that_share_a_leaf_sequence_take_no_overlap_again(monkeypatch):
                                                        evolve(scenario, fol, flip))
 
 
+def test_same_rule_reports_equal_fresh_comparisons():
+    # rest, rational gamma (x 3/5), irrational gamma (y 1/2) and a float
+    # velocity: free vs free fires no leaf, so each frame's one sample is core 0
+    # over scale 2, not over the frame's scale; flip vs flip fires every leaf
+    scenario = demo_scenario()
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, FLOAT_BOOST]
+    start = abs(overlap(scenario.initial_state, scenario.initial_state))
+    assert start == 0.9999999999999996
+    for rule in (free_rule(), flip_rule()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactnessWarning)
+            report = narratability_report(scenario, rule, rule, foliations)
+            histories = [evolve(scenario, fol, rule) for fol in foliations]
+        for verdict, history in zip(report.verdicts, histories):
+            comparison = verdict.comparison
+            assert comparison == compare_histories(history, history)
+            if rule.name == "free":
+                assert (comparison.points, comparison.scale) == (((0, start),), 2)
+            else:
+                assert len(comparison.points) == 1 + 2 * len(history.groups) > 1
+
+
 @given(shared_prefix_cases())
 def test_report_takes_one_overlap_per_fired_group_after_the_shared_prefix(case):
     """One overlap for the two initial states, then, for each frame in raw
@@ -957,6 +980,24 @@ def test_both_rules_warn_in_a_frame_rule_a_first():
         assert [m.split("tau = ")[1] for m in in_report] == (
             ["17/4", "23/4", "17/4"] if rule_a is everywhere else ["17/4", "17/4", "23/4"])
         assert "(s1, s3)" in in_report[1 if rule_a is everywhere else 2]
+
+
+def test_a_spin_conserving_contact_does_not_warn_on_a_state_that_carries_spin():
+    # under the x boost CZ on (s2, s4) leaves spin at tau 17/4; the swap on
+    # (s1, s3) at 23/4 conserves spin, so its leaf does not warn though the
+    # state after it still carries spin
+    scenario = built_in_demo().scenario
+    cz = TwoSlotUnitary(np.diag([1, 1, 1, -1]))
+    rule = InteractionRule("cz, swap", ((("s2", "s4"), cz), (("s1", "s3"), swap_unitary())))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        history = evolve(scenario, X_BOOST, rule)
+        narratability_report(scenario, rule, free_rule(), [rest_foliation(), X_BOOST])
+    assert [g.pairs for g in history.groups] == [((1, 3),), ((0, 2),)]
+    assert narrative._carries_spin(history.segments[2])
+    messages = [str(w.message) for w in seen if w.category is LittleGroupWarning]
+    assert len(messages) == 2 and messages[0] == messages[1]
+    assert "(s2, s4)" in messages[0] and messages[0].endswith("tau = 17/4")
 
 
 def test_same_fired_order_in_the_next_frame_applies_no_contact(monkeypatch):
