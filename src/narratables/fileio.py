@@ -201,8 +201,6 @@ def parse_kernel(doc: dict, where: str = "kernel") -> MomentumKernel:
     if not isinstance(in_slots, list) or not isinstance(out_slots, list):
         _fail(where, "in_slots and out_slots must be lists of names")
     names = [str(s) for s in out_slots] + [str(s) for s in in_slots]
-    if len(set(names)) != len(names):
-        _fail(where, "slot names must be unique")
     rows = []
     deltas = doc["deltas"]
     if not isinstance(deltas, list):

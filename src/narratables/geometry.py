@@ -63,14 +63,10 @@ def _velocity(components) -> tuple:
     return vel
 
 
-def speed_squared(velocity: Sequence[Scalar]) -> Scalar:
-    return sum(c * c for c in velocity)
-
-
 def lorentz_gamma(velocity: Sequence[Scalar]) -> Scalar:
     """gamma = 1/sqrt(1 - v.v), exact when that square root is rational;
     a float component makes gamma a float."""
-    v2 = speed_squared(velocity)
+    v2 = sum(c * c for c in velocity)
     if isinstance(v2, Fraction):  # v.v = (p*q)/q^2 for v.v = p/q
         return _rational_gamma(v2.numerator * v2.denominator, v2.denominator)
     if not v2 < 1:  # also catches a NaN component
@@ -130,16 +126,20 @@ class Worldline:
     species: str
     start: Event
     velocity: tuple[Fraction, Fraction, Fraction]
-    # the velocity as integers over one denominator: (N, dv), v = N/dv
-    _integer_velocity: tuple = field(init=False, repr=False, compare=False)
+    # the base point and the velocity as integers over their denominators,
+    # ((P, dp), (V, dv)): `collide` reads it for every pair
+    _integer_line: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "velocity", _vector3(self.velocity, as_exact))
         try:
-            integer_velocity, _ = _rational_velocity(self.velocity)
+            (velocity, dv), _ = _rational_velocity(self.velocity)
         except SuperluminalVelocity as err:
             raise SuperluminalVelocity(f"worldline {self.id}: {err}") from None
-        object.__setattr__(self, "_integer_velocity", integer_velocity)
+        # with the start at (T, X)/ds, the base point is (X*dv - V*T)/(ds*dv), not reduced
+        (t, *xyz), ds = _over_lcm(self.start.coordinates())
+        base = tuple(x * dv - v * t for x, v in zip(xyz, velocity))
+        object.__setattr__(self, "_integer_line", ((base, ds * dv), (velocity, dv)))
 
     def position_at(self, t) -> Event:
         t = as_exact(t)
@@ -155,17 +155,6 @@ class Worldline:
         """Spatial position extrapolated to t = 0."""
         p = self.position_at(0)
         return (p.x, p.y, p.z)
-
-    @cached_property
-    def _integer_line(self) -> tuple:
-        """The base point and the velocity as integers over their denominators:
-        with the start at (T, X)/ds and v = V/dv, the base point is
-        (X*dv - V*T)/(ds*dv), not reduced.  Computed once per line; `collide`
-        reads it for every pair and builds reduced Fractions from it."""
-        (t, *xyz), ds = _over_lcm(self.start.coordinates())
-        velocity, dv = self._integer_velocity
-        base = tuple(x * dv - v * t for x, v in zip(xyz, velocity))
-        return (base, ds * dv), (velocity, dv)
 
 
 def _over_lcm(values) -> tuple[tuple, int]:
@@ -198,7 +187,7 @@ def boost_matrix(velocity) -> tuple:
             stacklevel=2,
         )
         vel, gamma, one = tuple(float(c) for c in vel), float(gamma), 1.0
-    if speed_squared(vel) == 0:
+    if sum(c * c for c in vel) == 0:
         return tuple(
             tuple(one if i == j else 0 * one for j in range(4)) for i in range(4)
         )
@@ -347,13 +336,7 @@ class CollisionGroup:
 
 class Crossings(tuple):
     """Collision events ((id_low, id_high), Event), sorted by pair, that put
-    their coordinates over one common denominator once (`integer_rows`).
-
-    `collision_events` sets `from_lines` on the tuples it finds: every
-    crossing of subluminal worldlines, so two crossings of one slot at
-    distinct events are timelike-separated and never share an exact leaf."""
-
-    from_lines = False
+    their coordinates over one common denominator once (`integer_rows`)."""
 
     @cached_property
     def integer_rows(self) -> tuple[list, int]:
@@ -361,14 +344,6 @@ class Crossings(tuple):
         d: t = T/d, x = X/d, and so on."""
         flat, d = _over_lcm([c for _, e in self for c in e.coordinates()])
         return [flat[k:k + 4] for k in range(0, len(flat), 4)], d
-
-    @cached_property
-    def distinct_events(self) -> bool:
-        """Whether no two crossings share an event.  Of crossings found from
-        lines, two sharing an event put three lines through it, so then some
-        slot crosses twice there; otherwise no slot ever does."""
-        rows, _ = self.integer_rows
-        return len({tuple(row) for row in rows}) == len(rows)
 
 
 def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
@@ -383,9 +358,7 @@ def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
             event = collide(lines[ai], lines[bi])
             if event is not None:
                 events.append(((lines[ai].id, lines[bi].id), event))
-    crossings = Crossings(events)
-    crossings.from_lines = True
-    return crossings
+    return Crossings(events)
 
 
 def _check_slots(foliation: Foliation, key, scale: int, pairs) -> None:
@@ -427,10 +400,7 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
     particle meeting two partners on one leaf raises OverlappingSimultaneousPairs.
 
     Events are taken in pair order, so the stable sort by key leaves every
-    exact leaf's members in pair order.  Under an exact frame, crossings found
-    from lines (`Crossings.from_lines`) can put a slot twice on one leaf only
-    at one shared event, so their leaves are checked only when two crossings
-    share an event; a float frame and other events check every leaf."""
+    exact leaf's members in pair order."""
     if not isinstance(events, Crossings):
         events = Crossings(sorted(events, key=itemgetter(0)))
     keys, scale = _leaf_keys(events, foliation)
@@ -441,7 +411,6 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
             ExactnessWarning,
             stacklevel=2,
         )
-    checked = not (exact and events.from_lines and events.distinct_events)
     grouped: list = []  # (key, members, pairs) per leaf
     # keys order like cores, so `same_leaf` (equality when exact) ties them too
     for key, member in sorted(zip(keys, events), key=itemgetter(0)):
@@ -455,7 +424,7 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
         if not exact:  # a float leaf's members tie within the tolerance, not by key
             members.sort(key=itemgetter(0))
             pairs = [pair for pair, _ in members]
-        if checked:
+        if len(pairs) > 1 or pairs[0][0] == pairs[0][1]:  # else no slot repeats
             _check_slots(foliation, key, scale, pairs)
         groups.append(CollisionGroup._built(key, scale, foliation, tuple(members), tuple(pairs)))
     return groups

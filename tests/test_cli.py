@@ -473,7 +473,7 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 
 
 def _scenario_edit(key, edit, located=None):
-    """`located`, when given, is the error's location after the file path."""
+    """`located`, when given, is how the error line goes on after the file path."""
     def write(tmp_path):
         with open(DEMO) as fh:
             doc = json.load(fh)
@@ -548,6 +548,44 @@ def test_hostile_numbers_exit_4(tmp_path, write, located):
         code, out, err = run_cli(*argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: " if located is None else f"error: {argv[-1]}{located}")
+
+
+def _malformed(key, command, doc, located):
+    """`located` is the error line after the file path."""
+    def write(tmp_path):
+        return [command, write_json(tmp_path / "malformed.json", doc)]
+    return pytest.param(write, located, id=key)
+
+
+KERNEL = {"in_slots": ["p1", "p2"], "out_slots": ["q1", "q2"], "deltas": [{"q1": 1, "p1": -1}]}
+
+
+@pytest.mark.parametrize("write, located", [
+    _malformed("scenario-not-an-object", "compare-frames", [], ": expected a JSON object"),
+    _scenario_edit("empty-particles", lambda doc: doc.__setitem__("particles", []),
+                   ".particles: expected a non-empty list"),
+    _scenario_edit("particle-not-an-object", lambda doc: doc["particles"].__setitem__(1, "s2"),
+                   ".particles[1]: expected an object"),
+    _scenario_edit("start-3-list", lambda doc: doc["particles"][2].__setitem__(
+        "start", ["0", "-1", "2"]), ".particles[2].start: expected {t,x,y,z} or a 4-list"),
+    _scenario_edit("initial-state-not-an-object", lambda doc: doc.__setitem__(
+        "initial_state", [[0, 1], [2, 3]]), ".initial_state: expected an object"),
+    _scenario_edit("singlet-pairs-not-a-list", lambda doc: doc["initial_state"].__setitem__(
+        "singlet_pairs", {"0": 1, "2": 3}),
+        ".initial_state.singlet_pairs: expected a list of [a, b] pairs"),
+    _scenario_edit("zero-singles-vector", lambda doc: doc.__setitem__("initial_state", {
+        "singlet_pairs": [[0, 1]], "singles": {"2": [1, 0], "3": [0, [0, 0]]}}),
+        ".initial_state.singles[3]: zero vector"),
+    _malformed("kernel-deltas-not-a-list", "cluster-check", dict(KERNEL, deltas={"q1": 1}),
+               ": deltas must be a list of {slot: coefficient} maps"),
+    _malformed("kernel-name-in-and-out", "cluster-check", dict(KERNEL, in_slots=["p1", "q2"]),
+               ": slot names must be unique"),
+    _malformed("kernel-name-twice-in-one-list", "cluster-check",
+               dict(KERNEL, out_slots=["q1", "q1"]), ": slot names must be unique"),
+])
+def test_malformed_files_exit_4(tmp_path, write, located):
+    argv = write(tmp_path)
+    assert run_cli(*argv) == (4, "", f"error: {argv[-1]}{located}\n")
 
 
 def test_foliation_within_rounding_of_light_speed_runs(tmp_path):

@@ -354,6 +354,19 @@ def test_particle_field_errors():
         parse_scenario(doc)
 
 
+def test_particle_start_may_be_a_4_list_or_leave_out_zero_coordinates():
+    doc = json.loads(data_path("demo_scenario.json").read_text())
+    listed, sparse = copy.deepcopy(doc), copy.deepcopy(doc)
+    for particle in listed["particles"]:
+        particle["start"] = [particle["start"][k] for k in "txyz"]
+    for particle in sparse["particles"]:
+        particle["start"] = {k: v for k, v in particle["start"].items() if v != "0"}
+    assert sparse["particles"][0]["start"] == {"x": "-1"}
+    lines = parse_scenario(doc).scenario.worldlines
+    assert parse_scenario(listed).scenario.worldlines == lines
+    assert parse_scenario(sparse).scenario.worldlines == lines
+
+
 def test_superluminal_velocity_is_a_parse_error():
     doc = minimal_doc()
     doc["particles"][0]["velocity"] = ["5/3", "0", "0"]
@@ -606,9 +619,16 @@ def test_kernel_errors():
     with pytest.raises(ParseError, match="deltas"):
         parse_kernel(doc)
 
+    # q1 named twice; the deltas name only known slots, so the repeat is the one fault
+    doc = copy.deepcopy(base)
+    doc["in_slots"] = ["q1", "p1"]
+    with pytest.raises(ParseError, match="unique"):
+        parse_kernel(doc)
+
+    # a repeated q1 that also drops p1, which the deltas name: either fault is reported
     doc = copy.deepcopy(base)
     doc["in_slots"] = ["q1", "p2"]
-    with pytest.raises(ParseError, match="unique"):
+    with pytest.raises(ParseError):
         parse_kernel(doc)
 
     doc = copy.deepcopy(base)

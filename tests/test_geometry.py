@@ -5,14 +5,12 @@ import math
 import random
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from narratables import geometry
 from narratables.errors import (
     CoincidentWorldlines,
     ExactnessWarning,
@@ -27,6 +25,7 @@ from narratables.geometry import (
     Event,
     Foliation,
     Worldline,
+    as_exact,
     boost_matrix,
     collide,
     collision_events,
@@ -231,6 +230,11 @@ def test_boost_identity_at_zero():
     assert boost_matrix((F(0), F(0), F(0))) == tuple(
         tuple(F(1) if i == j else F(0) for j in range(4)) for i in range(4)
     )
+    # a float component that squares to 0.0 gives the float identity too
+    with pytest.warns(ExactnessWarning):
+        tiny = boost_matrix((1e-200, 0.0, 0.0))
+    assert tiny == tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4))
+    assert all(type(v) is float for row in tiny for v in row)
 
 
 def test_boost_transform_example():
@@ -391,6 +395,18 @@ def test_collide_needs_distinct_ids():
     a = Worldline(0, "a", Event.of(0, 0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
         collide(a, a)
+    twin = Worldline(0, "b", Event.of(0, 1, 0, 0), (F(1, 2), 0, 0))
+    with pytest.raises(ValueError, match="^worldline ids must be unique$"):
+        collision_events([a, twin])
+
+
+def test_inexact_or_short_input_is_rejected():
+    with pytest.raises(TypeError, match="^cannot interpret None as an exact rational$"):
+        as_exact(None)
+    with pytest.raises(ValueError, match="^expected a 3-vector$"):
+        Worldline(0, "a", Event.of(0, 0, 0, 0), (0, 0))
+    with pytest.raises(ValueError, match="^expected a 3-vector$"):
+        Foliation((F(1, 2), 0))
 
 
 def test_schedule_rest_single_group():
@@ -532,6 +548,15 @@ def test_schedule_overlapping_pairs_rejected():
     # all three meet at (4, 0, 0, 0): every slot repeats on the leaf
     with pytest.raises(OverlappingSimultaneousPairs):
         collision_schedule(lines, rest_foliation())
+    # a leaf of one hand-built pair that holds its slot twice, in every kind of frame
+    events = [((2, 2), Event.of(4, 1, 0, 0))]
+    for velocity, core in [((0, 0, 0), "4"), ((F(3, 5), 0, 0), "17/5"),
+                           ((F(1, 2), F(1, 2), 0), "7/2"), ((0.6, 0.0, 0.0), "3.4")]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactnessWarning)
+            with pytest.raises(OverlappingSimultaneousPairs,
+                               match=f"^particle 2 collides twice on leaf core={core}$"):
+                group_by_leaf(events, Foliation(velocity))
 
 
 def test_worldline_superluminal_rejected():
@@ -689,10 +714,9 @@ def meeting_scenarios(draw):
     VELOCITIES.map(lambda v: tuple(float(c) for c in v)),  # a float frame
 ))
 def test_found_crossings_group_as_with_every_leaf_checked(lines, velocity):
-    """Crossings found from lines skip the per-leaf OverlappingSimultaneousPairs
-    check under an exact frame unless two of them share an event; the groups,
-    or the error and its message, are those of the same events as a plain list,
-    whose every leaf is checked, and of the Fraction reference."""
+    """Crossings found from lines group as the same events do as a plain list,
+    and as the Fraction reference does: the groups, or the
+    OverlappingSimultaneousPairs error and its message."""
     try:
         events = collision_events(lines)
     except CoincidentWorldlines:
@@ -705,13 +729,9 @@ def test_found_crossings_group_as_with_every_leaf_checked(lines, velocity):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExactnessWarning)
-        with mock.patch.object(geometry, "_check_slots", wraps=geometry._check_slots) as checks:
-            got = outcome(events)
+        got = outcome(events)
         expected = outcome(list(events))
     assert got == expected
-    shared = len({event for _, event in events}) < len(events)
-    assert events.distinct_events is not shared
-    assert (checks.call_count == 0) is (foliation.exact and not shared)
     if len(lines) % 2:  # three lines through one event: every frame raises
         assert isinstance(got, str)
     if foliation.exact:

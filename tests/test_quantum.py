@@ -189,6 +189,12 @@ def test_pairing_validation():
         PairingSpec(((0, 0),))
     with pytest.raises(NotNormalized):
         PairingSpec(((0, 1),), ((2, np.array([1.0, 1.0])),))
+    up = np.array([1.0, 0.0])
+    for singles, slot in [(((-1, up),), -1), (((2, up), (2, up)), 2), (((1, up),), 1)]:
+        with pytest.raises(InvalidPairing, match=rf"^single slot {slot} is negative or repeated$"):
+            PairingSpec(((0, 1),), singles)
+    with pytest.raises(DimensionMismatch, match="^single-slot states must be 2-vectors$"):
+        PairingSpec(((0, 1),), ((2, np.array([1.0, 0.0, 0.0])),))
 
 
 def test_basis_label_convention():
@@ -200,6 +206,8 @@ def test_basis_label_convention():
 
 
 def test_state_validation():
+    with pytest.raises(ValueError, match="^need at least one slot$"):
+        SpinState(0, np.array([1.0]))
     with pytest.raises(NotNormalized):
         SpinState(1, np.array([1.0, 1.0]))
     with pytest.raises(NotNormalized):
