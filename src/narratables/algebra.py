@@ -62,48 +62,43 @@ def _as_state(value, label: str, m: np.ndarray, m_name: str) -> np.ndarray:
     return vec
 
 
-@dataclass(eq=False)
-class GeneratorSet:
-    """Any subset of the ten toy generators, all of one dimension."""
-
-    H: Optional[np.ndarray] = None
-    P1: Optional[np.ndarray] = None
-    P2: Optional[np.ndarray] = None
-    P3: Optional[np.ndarray] = None
-    J1: Optional[np.ndarray] = None
-    J2: Optional[np.ndarray] = None
-    J3: Optional[np.ndarray] = None
-    K1: Optional[np.ndarray] = None
-    K2: Optional[np.ndarray] = None
-    K3: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        dim = None
-        for name in GENERATOR_NAMES:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            m = _as_matrix(value, name)
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise DimensionMismatch(
-                    f"{name} is {m.shape[0]}x{m.shape[0]}, others are {dim}x{dim}"
-                )
-            setattr(self, name, m)
+def _operators(named: dict) -> tuple[dict, Optional[int]]:
+    """The named matrices, each square and of the first one's dimension, with
+    that dimension (None when there are none)."""
+    ops, dim = {}, None
+    for name, value in named.items():
+        m = ops[name] = _as_matrix(value, name)
         if dim is None:
+            dim = m.shape[0]
+        elif m.shape[0] != dim:
+            raise DimensionMismatch(f"{name} is {m.shape[0]}x{m.shape[0]}, others are {dim}x{dim}")
+    return ops, dim
+
+
+class GeneratorSet:
+    """Any subset of the ten toy generators, all of one dimension; each name
+    reads as an attribute, None when absent."""
+
+    def __init__(self, /, **named):
+        unknown = [name for name in named if name not in GENERATOR_NAMES]
+        if unknown:
+            raise TypeError(f"unknown generator names {unknown}; allowed: {list(GENERATOR_NAMES)}")
+        self._ops, self.dim = _operators(
+            {name: named[name] for name in GENERATOR_NAMES if named.get(name) is not None})
+        if self.dim is None:
             raise ValueError("no generators supplied")
-        self.dim = dim
+
+    def __getattr__(self, name):
+        if name in GENERATOR_NAMES:
+            return self._ops.get(name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def present(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in GENERATOR_NAMES
-            if getattr(self, name) is not None
-        }
+        """The generators given, in GENERATOR_NAMES order."""
+        return dict(self._ops)
 
     def hermiticity_residuals(self) -> dict:
-        return {name: hermiticity_defect(m) for name, m in self.present().items()}
+        return {name: hermiticity_defect(m) for name, m in self._ops.items()}
 
 
 # the checkable pairs (A, B), in the order their rows print
@@ -133,33 +128,20 @@ def _bracket(a: str, b: str) -> Optional[tuple]:
     return None
 
 
-def _bracket_table(gens: dict) -> list:
-    """(name, A, B, required RHS) rows for every checkable bracket: A, B and
-    the right-hand generator all present.  A row is named after the residual
-    [A,B] - RHS."""
-    zero = np.zeros_like(next(iter(gens.values())))
-    rows = []
-    for a, b in _PAIRS:
-        if a not in gens or b not in gens:
-            continue
-        bracket = _bracket(a, b)
-        if bracket is None:
-            rows.append((f"[{a},{b}]", gens[a], gens[b], zero))
-        elif bracket[1] in gens:
-            sign, c = bracket
-            name = f"[{a},{b}] {'-' if sign > 0 else '+'} i*{c}"
-            rows.append((name, gens[a], gens[b], 1j * sign * gens[c]))
-    return rows
-
-
 def bracket_residuals(gens: GeneratorSet) -> dict:
-    """Frobenius norms of (computed bracket - required right-hand side)."""
+    """Frobenius norms of [A,B] - RHS for every checkable bracket of `_PAIRS`:
+    A, B and the right-hand generator all present.  A residual is named after
+    [A,B] - RHS."""
     present = gens.present()
     if len(present) < 2:
         raise ValueError("need at least two generators to check brackets")
     residuals = {}
-    for name, a, b, rhs in _bracket_table(present):
-        residuals[name] = float(np.linalg.norm(commutator(a, b) - rhs))
+    for a, b in _PAIRS:
+        sign, c = _bracket(a, b) or (0, None)
+        if a in present and b in present and (c is None or c in present):
+            name = f"[{a},{b}]" if c is None else f"[{a},{b}] {'-' if sign > 0 else '+'} i*{c}"
+            rhs = 0 if c is None else 1j * sign * present[c]
+            residuals[name] = float(np.linalg.norm(commutator(present[a], present[b]) - rhs))
     return residuals
 
 
@@ -172,15 +154,12 @@ class SplitSystem:
     K0: tuple
 
     def __post_init__(self):
-        self.H0 = _as_matrix(self.H0, "H0")
-        self.V = _as_matrix(self.V, "V")
-        self.K0 = tuple(_as_matrix(k, "K0") for k in self.K0)
+        ops, _ = _operators({"H0": self.H0, "V": self.V,
+                             **{f"K0[{i}]": k for i, k in enumerate(self.K0)}})
+        self.H0, self.V, *k0 = ops.values()
+        self.K0 = tuple(k0)
         if not self.K0:
             raise ValueError("need at least one K0 axis")
-        dim = self.H0.shape[0]
-        for name, m in [("V", self.V)] + [(f"K0[{i}]", k) for i, k in enumerate(self.K0)]:
-            if m.shape[0] != dim:
-                raise DimensionMismatch(f"{name} has dimension {m.shape[0]}, H0 has {dim}")
         for name, m in (("H0", self.H0), ("V", self.V)):
             if hermiticity_defect(m) > HERMITIAN_TOLERANCE:
                 warnings.warn(f"{name} is not Hermitian", NonHermitianInput, stacklevel=2)
@@ -318,9 +297,7 @@ def same_history_check(
     i.e. the two evolutions differ only by a time-dependent phase.  Every
     time must be finite.
     """
-    h0 = _as_matrix(h0, "H0")
-    v_a = _as_matrix(v_a, "Va")
-    v_b = _as_matrix(v_b, "Vb")
+    h0, v_a, v_b = _operators({"H0": h0, "Va": v_a, "Vb": v_b})[0].values()
     psi = _as_state(psi0, "psi0", h0, "H0")
     ts = np.array([float(t) for t in times])
     if not np.isfinite(ts).all():

@@ -20,8 +20,8 @@ from importlib import resources
 from . import algebra, clusterkit, fileio
 from .errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
 from .geometry import Foliation
-from .narrative import (evolve, format_foliation, format_pairs, format_scalar, format_tau,
-                        narratability_report, paint, render_report)
+from .narrative import (COMPARISON_TOLERANCE, evolve, format_foliation, format_pairs,
+                        format_scalar, format_tau, narratability_report, paint, render_report)
 from .quantum import overlap
 
 EXIT_OK = 0
@@ -41,6 +41,9 @@ ERROR_EXIT_CODES = {
     NarratablesError: EXIT_DOMAIN,
     ValueError: EXIT_DOMAIN,
 }
+
+# the most tau samples `simulate --csv` takes; every row is held in memory
+MAX_TAU_GRID = 10**6
 
 BUILTIN_KERNELS = {
     "spin-swap": "spin_swap.kernel.json",
@@ -122,6 +125,8 @@ def _resolve_foliation(bundle, index: int) -> Foliation:
 def cmd_simulate(args) -> int:
     if args.tau_grid < 1:
         raise ParseError(f"--tau-grid: {args.tau_grid} is not a positive number of samples")
+    if args.tau_grid > MAX_TAU_GRID:
+        raise ParseError(f"--tau-grid: {args.tau_grid} is more than {MAX_TAU_GRID} samples")
     bundle = fileio.load_scenario_file(args.scenario)
     rule = _resolve_rule(bundle, args.rule)
     foliation = _resolve_foliation(bundle, args.foliation)
@@ -306,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo-paper", help="run the built-in crossing-singlets demo")
     demo.add_argument("--csv", help="write overlap samples as CSV")
-    demo.add_argument("--tolerance", type=float, default=1e-10,
-                      help="history comparison tolerance (default 1e-10)")
+    demo.add_argument("--tolerance", type=float, default=COMPARISON_TOLERANCE,
+                      help=f"history comparison tolerance (default {COMPARISON_TOLERANCE:g})")
     demo.set_defaults(func=cmd_demo_paper)
 
     sim = sub.add_parser("simulate", help="evolve one scenario/rule/foliation")
@@ -325,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--rules", nargs=2, default=("free", "flip"),
                       metavar=("RULE_A", "RULE_B"))
     cmp_.add_argument("--csv", help="write overlap samples as CSV")
-    cmp_.add_argument("--tolerance", type=float, default=1e-10,
-                      help="history comparison tolerance (default 1e-10)")
+    cmp_.add_argument("--tolerance", type=float, default=COMPARISON_TOLERANCE,
+                      help=f"history comparison tolerance (default {COMPARISON_TOLERANCE:g})")
     cmp_.set_defaults(func=cmd_compare_frames)
 
     clu = sub.add_parser("cluster-check", help="momentum-delta compliance linter")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import GENERATOR_NAMES, GeneratorSet
+from .algebra import GeneratorSet
 from .clusterkit import MomentumKernel
 from .errors import ExactnessWarning, NarratablesError, ParseError
 from .geometry import Event, Foliation, Worldline
@@ -173,13 +173,10 @@ def load_vector_file(path) -> np.ndarray:
 
 def load_generator_file(path) -> GeneratorSet:
     """The generators in a file holding an object of at least two matrices,
-    named from GENERATOR_NAMES and all of one dimension."""
+    named from algebra.GENERATOR_NAMES and all of one dimension."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         _fail(path, "expected an object of named generators")
-    unknown = [k for k in doc if k not in GENERATOR_NAMES]
-    if unknown:
-        _fail(path, f"unknown generator names {unknown}; allowed: {list(GENERATOR_NAMES)}")
     matrices = {name: parse_matrix(value, f"{path}.{name}") for name, value in doc.items()}
     with _located(path):
         gens = GeneratorSet(**matrices)

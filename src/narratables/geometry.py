@@ -67,20 +67,18 @@ def lorentz_gamma(velocity: Sequence[Scalar]) -> Scalar:
     """gamma = 1/sqrt(1 - v.v), exact when that square root is rational;
     a float component makes gamma a float."""
     v2 = sum(c * c for c in velocity)
-    if isinstance(v2, Fraction):  # v.v = (p*q)/q^2 for v.v = p/q
-        return _rational_gamma(v2.numerator * v2.denominator, v2.denominator)
     if not v2 < 1:  # also catches a NaN component
         raise SuperluminalVelocity(f"|v|^2 = {v2} >= 1")
+    if isinstance(v2, Fraction):  # v.v = (p*q)/q^2 for v.v = p/q
+        return _rational_gamma(v2.numerator * v2.denominator, v2.denominator)
     return _float_gamma(float(v2), float(1 - v2))
 
 
 def _rational_gamma(n2: int, d: int) -> Scalar:
-    """gamma for v.v = n2/d^2: the Fraction d/r when r = sqrt(d^2 - n2) is an
-    integer, else a float from n2/d^2, which int division rounds correctly,
+    """gamma for v.v = n2/d^2 < 1: the Fraction d/r when r = sqrt(d^2 - n2) is
+    an integer, else a float from n2/d^2, which int division rounds correctly,
     as float() of the Fraction v.v does."""
     d2 = d * d
-    if n2 >= d2:
-        raise SuperluminalVelocity(f"|v|^2 = {Fraction(n2, d2)} >= 1")
     r = isqrt(d2 - n2)
     if r * r == d2 - n2:
         return Fraction(d, r)
@@ -132,10 +130,7 @@ class Worldline:
 
     def __post_init__(self):
         object.__setattr__(self, "velocity", _vector3(self.velocity, as_exact))
-        try:
-            (velocity, dv), _ = _rational_velocity(self.velocity)
-        except SuperluminalVelocity as err:
-            raise SuperluminalVelocity(f"worldline {self.id}: {err}") from None
+        (velocity, dv), _ = _integer_velocity(self.velocity, f"worldline {self.id}: ")
         # with the start at (T, X)/ds, the base point is (X*dv - V*T)/(ds*dv), not reduced
         (t, *xyz), ds = _over_lcm(self.start.coordinates())
         base = tuple(x * dv - v * t for x, v in zip(xyz, velocity))
@@ -164,10 +159,14 @@ def _over_lcm(values) -> tuple[tuple, int]:
     return tuple([p * (d // q) for p, q in ratios]), d
 
 
-def _rational_velocity(velocity) -> tuple[tuple, Scalar]:
-    """A rational velocity over one denominator, (N, d) with v = N/d, and its gamma."""
+def _integer_velocity(velocity, where: str = "") -> tuple[tuple, int]:
+    """A rational velocity over one denominator, (N, d) with v = N/d, and N.N:
+    the one speed rule, in integers, raises unless N.N < d^2."""
     numerators, d = _over_lcm(velocity)
-    return (numerators, d), _rational_gamma(sum(k * k for k in numerators), d)
+    n2 = sum(k * k for k in numerators)
+    if n2 >= d * d:
+        raise SuperluminalVelocity(f"{where}|v|^2 = {Fraction(n2, d * d)} >= 1")
+    return (numerators, d), n2
 
 
 def boost_matrix(velocity) -> tuple:
@@ -221,7 +220,8 @@ class Foliation:
         vel = _velocity(self.velocity)
         exact = all(isinstance(c, Fraction) for c in vel)
         if exact:
-            integer_velocity, gamma = _rational_velocity(vel)
+            integer_velocity, n2 = _integer_velocity(vel)
+            gamma = _rational_gamma(n2, integer_velocity[1])
         else:
             integer_velocity, gamma = None, lorentz_gamma(vel)
         object.__setattr__(self, "velocity", vel)

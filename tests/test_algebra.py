@@ -101,6 +101,23 @@ def test_generator_set_validation():
     assert defects["K1"] > 0
 
 
+def test_generator_set_reads_by_name_in_table_order():
+    with pytest.raises(TypeError) as caught:
+        GeneratorSet(H=np.eye(2), Q=np.eye(2))
+    assert str(caught.value) == ("unknown generator names ['Q']; allowed: ['H', 'P1', 'P2', "
+                                 "'P3', 'J1', 'J2', 'J3', 'K1', 'K2', 'K3']")
+    gens = GeneratorSet(K3=np.eye(2), J1=np.eye(2), H=np.eye(2), P2=None)
+    assert gens.P2 is None and gens.K1 is None
+    np.testing.assert_array_equal(gens.K3, np.eye(2))
+    assert list(gens.present()) == ["H", "J1", "K3"]
+    assert list(gens.hermiticity_residuals()) == ["H", "J1", "K3"]
+    # the first generator in table order sets the dimension, whatever the keyword order
+    with pytest.raises(DimensionMismatch, match=r"^K1 is 2x2, others are 1x1$"):
+        GeneratorSet(K1=np.eye(2), H=np.eye(1))
+    with pytest.raises(AttributeError):
+        gens.Q
+
+
 def test_bracket_residuals_needs_two_generators():
     with pytest.raises(ValueError):
         bracket_residuals(GeneratorSet(H=np.eye(3)))
@@ -244,8 +261,12 @@ def test_missing_generators_skip_rows():
 def test_split_system_validation():
     with pytest.raises(ValueError):
         SplitSystem(H0=np.eye(2), V=np.zeros((2, 2)), K0=())
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^V is 3x3, others are 2x2$"):
         SplitSystem(H0=np.eye(2), V=np.zeros((3, 3)), K0=(np.eye(2),))
+    with pytest.raises(DimensionMismatch, match=r"^K0\[1\] is 3x3, others are 2x2$"):
+        SplitSystem(H0=np.eye(2), V=np.zeros((2, 2)), K0=(np.eye(2), np.eye(3)))
+    with pytest.raises(DimensionMismatch, match=r"^K0\[0\] must be a square matrix"):
+        SplitSystem(H0=np.eye(2), V=np.zeros((2, 2)), K0=(np.zeros((2, 3)),))
     with pytest.warns(NonHermitianInput):
         SplitSystem(H0=np.eye(2), V=np.array([[0, 1], [0, 0]]), K0=(np.eye(2),))
     system = SplitSystem(H0=np.diag([0.0, 1.0]), V=np.diag([0.0, 0.5]),
@@ -465,6 +486,18 @@ def test_same_history_input_checks():
         for times in ([float("nan")], [float("inf")], [0.0, 0.5, -float("inf")]):
             with pytest.raises(ValueError, match="finite"):
                 same_history_check(h0, va, v, np.array([1.0, 0.0]), times)
+
+
+def test_same_history_names_an_interaction_of_another_dimension():
+    h0 = np.diag([1.0, 2.0, 3.0])
+    v = np.zeros((3, 3))
+    psi = np.array([1.0, 0.0, 0.0])
+    for va, vb, why in [(np.array([[0.5]]), v, "Va is 1x1, others are 3x3"),
+                        (v, np.array([[0.5]]), "Vb is 1x1, others are 3x3"),
+                        (np.eye(2), v, "Va is 2x2, others are 3x3")]:
+        with pytest.raises(DimensionMismatch) as caught:
+            same_history_check(h0, va, vb, psi, [0.0, 1.0])
+        assert str(caught.value) == why
 
 
 def test_same_history_non_hermitian_fallback_warns():

@@ -129,6 +129,23 @@ def test_simulate_flip_boosted_shows_repaired_middle():
     assert "|--++> -0.5" in middle
 
 
+def test_simulate_prints_an_imaginary_amplitude_without_a_real_part(tmp_path):
+    # the demo plus a fifth line in the state 0.6|+> + 0.8i|->, crossing line 2
+    # alone; the flip rule at foliation 1 leaves slot 4 as it is
+    with open(DEMO) as fh:
+        doc = json.load(fh)
+    doc["particles"].append({"id": 4, "species": "s5", "velocity": ["1/2", "0", "0"],
+                             "start": {"t": "0", "x": "-7", "y": "-4", "z": "0"}})
+    doc["initial_state"]["singles"] = {"4": [[0.6, 0], [0, 0.8]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run_cli("simulate", write_json(tmp_path / "single.json", doc),
+                               "--rule", "flip", "--foliation", "1")
+    assert code == 0
+    segment = out.split("segment 0 (tau < 17/4):\n")[1].split("segment 1")[0]
+    assert segment.splitlines()[:2] == ["  |+-+-+> +0.3", "  |+-+--> +0.4i"]
+
+
 def test_simulate_csv_shapes(tmp_path):
     target = tmp_path / "sim.csv"
     code, _, _ = run_cli(
@@ -327,6 +344,26 @@ def test_algebra_solve_w_frozen_example(tmp_path):
     assert "degenerate obstructions: none" in out
     residual_line = next(l for l in out.splitlines() if l.startswith("residual"))
     assert float(residual_line.split("=")[1]) < 1e-10
+
+
+def test_algebra_solve_w_reports_degenerate_obstructions(tmp_path):
+    # H = diag(1, 1, 2), with [K0, V] coupling the degenerate pair
+    v = [[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]]
+    h0 = write_json(tmp_path / "h0.json", [[1, -0.5, 0], [-0.5, 1, 0], [0, 0, 2]])
+    k0 = write_json(tmp_path / "k0.json", [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    code, out, _ = run_cli("algebra", "solve-w", h0, write_json(tmp_path / "v.json", v), k0)
+    assert code == 0
+    assert out.splitlines()[-1] == "degenerate obstructions: (0,1), (1,0)"
+
+
+def test_algebra_same_history_names_a_mismatched_interaction(tmp_path):
+    h0 = write_json(tmp_path / "h0.json", [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    v = write_json(tmp_path / "v.json", [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    small = write_json(tmp_path / "small.json", [[0.5]])
+    psi = write_json(tmp_path / "psi.json", [1, 0, 0])
+    for va, vb, name in [(small, v, "Va"), (v, small, "Vb")]:
+        code, out, err = run_cli("algebra", "same-history", h0, va, vb, psi)
+        assert (code, out, err) == (7, "", f"error: {name} is 1x1, others are 3x3\n")
 
 
 def test_algebra_same_history_yes_and_no(tmp_path):
@@ -576,6 +613,11 @@ KERNEL = {"in_slots": ["p1", "p2"], "out_slots": ["q1", "q2"], "deltas": [{"q1":
     _scenario_edit("zero-singles-vector", lambda doc: doc.__setitem__("initial_state", {
         "singlet_pairs": [[0, 1]], "singles": {"2": [1, 0], "3": [0, [0, 0]]}}),
         ".initial_state.singles[3]: zero vector"),
+    _scenario_edit("null-velocity-component", lambda doc: doc["particles"][1].__setitem__(
+        "velocity", [None, "0", "0"]),
+        ".particles[1].velocity[0]: expected a rational, got NoneType"),
+    _scenario_edit("list-foliation-component", lambda doc: doc["foliations"][1].__setitem__(
+        0, ["3/5"]), ".foliations[1][0]: expected a rational, got list"),
     _malformed("kernel-deltas-not-a-list", "cluster-check", dict(KERNEL, deltas={"q1": 1}),
                ": deltas must be a list of {slot: coefficient} maps"),
     _malformed("kernel-name-in-and-out", "cluster-check", dict(KERNEL, in_slots=["p1", "q2"]),
@@ -607,6 +649,8 @@ def test_foliation_within_rounding_of_light_speed_runs(tmp_path):
                  id="zero-tau-grid"),
     pytest.param(("simulate", DEMO, "--rule", "flip", "--foliation", "1", "--tau-grid", "-3"),
                  id="negative-tau-grid"),
+    pytest.param(("simulate", DEMO, "--rule", "flip", "--foliation", "1",
+                  "--tau-grid", "1000001"), id="tau-grid-above-the-cap"),
 ])
 def test_bad_flag_values_exit_4(argv):
     code, out, err = run_cli(*argv)

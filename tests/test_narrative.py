@@ -195,6 +195,14 @@ def test_comparison_takes_one_overlap_per_merged_interval(monkeypatch):
         assert len(comparison.samples) == 2 * expected - 1
 
 
+def test_history_needs_one_more_segment_than_groups():
+    history = evolve(demo_scenario(), rest_foliation(), flip_rule())
+    assert len(history.segments) == len(history.groups) + 1
+    for segments in (history.segments[:-1], history.segments + history.segments[:1]):
+        with pytest.raises(ValueError, match="^need exactly one more segment than breakpoints$"):
+            History(history.foliation, history.groups, segments)
+
+
 def test_float_near_tie_reads_both_histories_past_the_leaf():
     # the second history's (0,2) crossing sits 5e-10 later in core: within the
     # float tie tolerance, so on that merged leaf both histories have fired

@@ -187,6 +187,8 @@ def test_pairing_validation():
         singlet_product(4, [(0, 1)])  # slots 2, 3 uncovered
     with pytest.raises(InvalidPairing):
         PairingSpec(((0, 0),))
+    with pytest.raises(InvalidPairing, match=r"^negative slot -1$"):
+        PairingSpec(((0, 1), (2, -1)))
     with pytest.raises(NotNormalized):
         PairingSpec(((0, 1),), ((2, np.array([1.0, 1.0])),))
     up = np.array([1.0, 0.0])
