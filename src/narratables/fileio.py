@@ -153,11 +153,27 @@ def parse_vector(doc, where: str) -> np.ndarray:
     )
 
 
+def _with_norm(vec: np.ndarray, where: str) -> tuple[np.ndarray, float]:
+    """`vec` and its norm, which is finite and nonzero.  Only when the norm
+    over- or underflows for a vector with a nonzero entry are `vec`'s real and
+    imaginary parts first divided by the largest of them, as reals (a complex
+    division by a subnormal overflows), which brings its norm to between 1
+    and sqrt(2 len(vec))."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if norm == 0 or math.isinf(norm):
+        parts = np.ascontiguousarray(vec, dtype=complex).view(float)
+        largest = np.max(np.abs(parts))
+        if largest == 0:
+            _fail(where, "zero vector")
+        vec = (parts / largest).view(complex)
+        norm = np.linalg.norm(vec)
+    return vec, norm
+
+
 def normalize_vector(vec: np.ndarray, where: str) -> np.ndarray:
     """`vec` at unit norm, divided only when off by > 1e-12 so round trips stay exact."""
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        _fail(where, "zero vector")
+    vec, norm = _with_norm(vec, where)
     if abs(norm - 1.0) > 1e-12:
         vec = vec / norm
     return vec
@@ -289,10 +305,7 @@ def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
         for key, vec in doc.get("singles", {}).items():
             at = f"{where}.singles[{key}]"
             slot = _slot(key, at)
-            v = parse_vector(vec, at)
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                _fail(at, "zero vector")
+            v, norm = _with_norm(parse_vector(vec, at), at)
             singles.append((slot, v / norm))
         with _located(where):
             return singlet_product(n_slots, PairingSpec(tuple(pairs), tuple(singles)))

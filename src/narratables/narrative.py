@@ -346,7 +346,13 @@ class _LeafTrie:
     fired b, |<a|b>|), where a and b are the two rules' `_Step`s that hold
     after the group and a rule that does not fire it keeps its step.  The
     next frame keeps the nodes of the groups it starts with too, and steps
-    both rules only from its first new group."""
+    both rules only from its first new group.
+
+    `magnitudes` holds |<a|b>| by the pair of contact traces (a's, b's) for
+    the whole report.  Within one report and rule a contact trace fixes the
+    state bit for bit, as `_step`'s `earlier` reuse has it, so a pair of
+    traces fixes |<a|b>|: it is taken once per pair, and only floats are
+    kept."""
 
     def __init__(self, scenario: Scenario, rules: tuple, start: float):
         origin = _origin(scenario)
@@ -355,14 +361,15 @@ class _LeafTrie:
         self.path: list = []
         self.sequence: tuple = ()
         self.traces: dict = {}
+        self.magnitudes: dict = {}
 
     def walk(self, sequence: tuple) -> list:
         """The path of the frame whose groups have the pairs `sequence`.
 
         Each rule's step from the frame's first new group on reuses a state
         the frame walked last reached under the same trace (`_step`'s
-        `earlier`), and |<a|b>| is taken after each new group either rule
-        fires."""
+        `earlier`), and after each new group either rule fires |<a|b>| is
+        read from `magnitudes`, or taken when its pair of traces is new."""
         path, shared = self.path, 0
         for mine, theirs in zip(sequence, self.sequence):
             if mine != theirs:
@@ -373,7 +380,7 @@ class _LeafTrie:
         del path[shared:]
         self.sequence = sequence
         a, b, _, _, mag = path[-1] if path else self.root
-        (ua, ub), traces = self.rules, self.traces
+        (ua, ub), traces, magnitudes = self.rules, self.traces, self.magnitudes
         for pairs in sequence[shared:]:
             after_a = _step(a, pairs, ua, traces, earlier_a)
             after_b = _step(b, pairs, ub, traces, earlier_b)
@@ -382,7 +389,10 @@ class _LeafTrie:
             if after_b is not None:
                 b = after_b
             if after_a is not None or after_b is not None:
-                mag = abs(overlap(a.state, b.state))
+                key = (a.trace, b.trace)
+                mag = magnitudes.get(key)
+                if mag is None:
+                    mag = magnitudes[key] = abs(overlap(a.state, b.state))
             path.append((a, b, after_a is not None, after_b is not None, mag))
         return path
 
@@ -517,10 +527,13 @@ def narratability_report(
     `_LeafTrie`: a frame keeps the evolved states, and |<a|b>|, of the groups
     it shares with the frame walked before it, and steps both rules from its
     first new group on, reusing the states that frame reached under the same
-    contact trace.  Each comparison, sampled from the frame's path, equals
-    `compare_histories` of the frame's two histories: every group either rule
-    fires is its own merged leaf, over the frame's one scale.  Verdicts and
-    LittleGroupWarnings come out in input order."""
+    contact trace.  |<a|b>| is taken once per pair of the two rules' contact
+    traces in the whole report, so two frames that reach one pair through
+    different orders of commuting contacts share it.  Each comparison,
+    sampled from the frame's path, equals `compare_histories` of the frame's
+    two histories: every group either rule fires is its own merged leaf, over
+    the frame's one scale.  Verdicts and LittleGroupWarnings come out in
+    input order."""
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
     # raw schedules: the crossings exist whichever rule fires them

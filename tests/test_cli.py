@@ -418,6 +418,20 @@ def test_algebra_boost_check(tmp_path):
     assert "zero vector" in err
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_algebra_runs_on_a_state_whose_norm_over_or_underflows(tmp_path, scale):
+    # [s, s, 0] is read as [1, 1, 0]/sqrt(2), not as an unnormalized or zero state
+    h0 = write_json(tmp_path / "h0.json", [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    v = write_json(tmp_path / "v.json", [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    vb = write_json(tmp_path / "vb.json", [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    plain = write_json(tmp_path / "plain.json", [1, 1, 0])
+    scaled = write_json(tmp_path / "scaled.json", [scale, scale, 0])
+    for argv in (["same-history", h0, v, vb], ["boost-check", vb]):
+        want = run_cli("algebra", *argv, plain)
+        assert want[0] == 0
+        assert run_cli("algebra", *argv, scaled) == want
+
+
 def test_boost_check_prints_the_algebra_residual(tmp_path):
     w = [[0.1, 0.2, 0], [0.3, -1, [0, 0.5]], [0, 1, 2]]
     psi = [1, [0, 1], 0.5]

@@ -415,6 +415,37 @@ def test_zero_amplitudes_rejected():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("entries, plain", [
+    ([1e308, 1e308], [1, 1]), ([[1e308, 1e308], 0], [[1, 1], 0]),
+    ([1e-200, 1e-200], [1, 1]), ([1e-320, 0], [1, 0]), ([[0, -5e-324], 0], [[0, -1], 0])])
+def test_amplitudes_whose_norm_over_or_underflows_are_normalized(entries, plain):
+    # the plain norm is inf or 0: the parts are divided by the largest first
+    doc = minimal_doc()
+    doc["initial_state"] = {"amplitudes": entries}
+    got = parse_scenario(doc).scenario.initial_state.amplitudes
+    doc["initial_state"] = {"amplitudes": plain}
+    assert np.array_equal(got, parse_scenario(doc).scenario.initial_state.amplitudes)
+
+
+@pytest.mark.parametrize("vector, state", [([1e-320, 0], [1, 0]), ([0, 1e308], [0, 1]),
+                                           ([1e-200, 1e-200], [2**-0.5, 2**-0.5])])
+def test_single_slot_vectors_whose_norm_over_or_underflows_are_normalized(vector, state):
+    doc = minimal_doc()
+    doc["initial_state"] = {"singlet_pairs": [], "singles": {"0": vector}}
+    got = parse_scenario(doc).scenario.initial_state.amplitudes
+    np.testing.assert_allclose(got, state, rtol=0, atol=1e-15)
+
+
+def test_normalize_vector_keeps_a_finite_norm_on_its_bits():
+    # only an over- or underflowing norm takes the scaled path
+    vec = np.array([1e-150, 3e-151, 0], dtype=complex)
+    assert np.array_equal(fileio.normalize_vector(vec, "v"), vec / np.linalg.norm(vec))
+    vec = np.array([1e150, -2e150j, 0], dtype=complex)
+    assert np.array_equal(fileio.normalize_vector(vec, "v"), vec / np.linalg.norm(vec))
+    with pytest.raises(ParseError, match="v: zero vector"):
+        fileio.normalize_vector(np.zeros(3, dtype=complex), "v")
+
+
 def test_wrong_amplitude_dimension_rejected():
     doc = minimal_doc()
     doc["initial_state"] = {"amplitudes": [1, 0, 0]}

@@ -771,22 +771,50 @@ def test_report_histories_equal_fresh_evolutions(case):
             assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+def touch(scenario, rule, slots, pairs):
+    """Extend the contact trace `slots` (per slot, the pairs whose contacts
+    touched it in order) by one group's `pairs` under `rule`, where an identity
+    contact touches no slot and a contact that is not moves-only touches every
+    slot; whether the rule fires the group."""
+    fired = False
+    for a, b in pairs:
+        u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
+        if u.is_identity:
+            continue
+        fired = True
+        for s in (a, b) if u.moves_only else range(len(slots)):
+            slots[s].append((a, b))
+    return fired
+
+
+def frozen(slots):
+    return tuple(map(tuple, slots))
+
+
 def distinct_traces(scenario, rule, histories):
-    """The distinct contact traces that the fired groups of `histories` reach:
-    per slot, the pairs whose contacts touched it in order, where an identity
-    contact touches no slot and a contact that is not moves-only touches
-    every slot."""
+    """The distinct contact traces that the fired groups of `histories` reach."""
     seen = set()
     for h in histories:
         slots = [[] for _ in scenario.worldlines]
         for g in h.groups:
-            for a, b in g.pairs:
-                u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
-                if u.is_identity:
-                    continue
-                for s in (a, b) if u.moves_only else range(len(slots)):
-                    slots[s].append((a, b))
-            seen.add(tuple(map(tuple, slots)))
+            touch(scenario, rule, slots, g.pairs)
+            seen.add(frozen(slots))
+    return len(seen)
+
+
+def distinct_trace_pairs(scenario, rule_a, rule_b, foliations):
+    """The distinct pairs of the two rules' contact traces after the groups
+    either rule fires, over every frame."""
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        for fol in foliations:
+            slots = [[[] for _ in scenario.worldlines] for _ in (rule_a, rule_b)]
+            for g in geometry.group_by_leaf(scenario.events, fol):
+                fired = [touch(scenario, rule, trace, g.pairs)
+                         for rule, trace in zip((rule_a, rule_b), slots)]
+                if any(fired):
+                    seen.add(tuple(map(frozen, slots)))
     return len(seen)
 
 
@@ -835,13 +863,38 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
 
 def test_frames_that_share_a_leaf_sequence_take_no_overlap_again(monkeypatch):
     # walked in the order rest, x 3/5, x 4/5, x 3/5: the boosts fire (1,3) then
-    # (0,2), so only the first of them takes overlaps; each frame's comparison
-    # still equals that of its fresh histories
+    # (0,2), so only the first of them takes an overlap, and only after (1,3):
+    # after (0,2) flip's trace is the rest leaf's again.  Each frame's
+    # comparison still equals that of its fresh histories
     scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
     foliations = [X_BOOST, Foliation((F(4, 5), 0, 0)), rest_foliation(), X_BOOST]
     calls = _counting(monkeypatch, narrative, "overlap")
     report = narratability_report(scenario, free, flip, foliations)
-    assert len(calls) == 1 + 1 + 2  # the initial states, the rest leaf, the first boost's two
+    assert len(calls) == 1 + 1 + 1  # the initial states, the rest leaf, the boosts' (1,3)
+    assert len(calls) == 1 + distinct_trace_pairs(scenario, free, flip, foliations)
+    for verdict, fol in zip(report.verdicts, foliations):
+        assert verdict.comparison == compare_histories(evolve(scenario, fol, free),
+                                                       evolve(scenario, fol, flip))
+
+
+def test_frames_that_reach_one_trace_pair_in_two_orders_take_one_overlap(monkeypatch):
+    # two crossings of disjoint pairs at t = 0, X at x = 10 and Y at x = -10:
+    # the x boost 1/2 fires X then Y, -1/2 fires Y then X.  The two swaps
+    # commute, so both frames end on one pair of traces, and its overlap is
+    # taken once: the second frame shares no group with the first, but takes
+    # an overlap only after its Y
+    lines = []
+    for x, y in ((10, 0), (-10, 1)):
+        for w in (F(1, 2), F(-1, 2)):
+            lines.append(Worldline(len(lines), "s", Event.of(0, x, y, 0), (0, 0, w)))
+    scenario = Scenario("two orders", tuple(lines), singlet_product(4, [(0, 2), (1, 3)]))
+    free, flip = free_rule(), flip_rule()
+    foliations = [Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0))]
+    calls = _counting(monkeypatch, narrative, "overlap")
+    report, made = report_histories(scenario, free, flip, foliations)
+    assert [g.pairs for g in made[1].groups] == [((0, 1),), ((2, 3),)]
+    assert [g.pairs for g in made[3].groups] == [((2, 3),), ((0, 1),)]
+    assert len(calls) == 1 + 2 + 1 == 1 + distinct_trace_pairs(scenario, free, flip, foliations)
     for verdict, fol in zip(report.verdicts, foliations):
         assert verdict.comparison == compare_histories(evolve(scenario, fol, free),
                                                        evolve(scenario, fol, flip))
@@ -871,9 +924,10 @@ def test_same_rule_reports_equal_fresh_comparisons():
 
 @given(shared_prefix_cases())
 def test_report_takes_one_overlap_per_fired_group_after_the_shared_prefix(case):
-    """One overlap for the two initial states, then, for each frame in raw
-    leaf-sequence order, one per group either rule fires after the groups it
-    shares with the frame before it."""
+    """One overlap for the two initial states, then one per distinct pair of
+    the two rules' contact traces after a group either rule fires, however
+    many frames reach it; every comparison equals that of the frame's fresh
+    histories."""
     lines, initial, rule_a, rule_b, foliations = case
     try:
         scenario = Scenario(name="overlaps", worldlines=tuple(lines), initial_state=initial)
@@ -881,21 +935,14 @@ def test_report_takes_one_overlap_per_fired_group_after_the_shared_prefix(case):
             warnings.simplefilter("ignore", LittleGroupWarning)
             warnings.simplefilter("ignore", ExactnessWarning)
             with mock.patch.object(narrative, "overlap", wraps=overlap) as counted:
-                narratability_report(scenario, rule_a, rule_b, foliations)
-            fired = [{g.pairs for rule in (rule_a, rule_b)
-                      for g in evolve(scenario, fol, rule).groups} for fol in foliations]
-            raw = [[g.pairs for g in geometry.group_by_leaf(scenario.events, fol)]
-                   for fol in foliations]
+                report = narratability_report(scenario, rule_a, rule_b, foliations)
+            fresh = [[evolve(scenario, fol, rule) for rule in (rule_a, rule_b)]
+                     for fol in foliations]
     except (CoincidentWorldlines, OverlappingSimultaneousPairs):
         assume(False)  # an accidental extra crossing; not what is probed here
-    expected, previous = 1, []
-    for i in sorted(range(len(foliations)), key=raw.__getitem__):
-        shared = 0
-        while shared < min(len(raw[i]), len(previous)) and raw[i][shared] == previous[shared]:
-            shared += 1
-        expected += sum(pairs in fired[i] for pairs in raw[i][shared:])
-        previous = raw[i]
-    assert counted.call_count == expected
+    assert counted.call_count == 1 + distinct_trace_pairs(scenario, rule_a, rule_b, foliations)
+    for verdict, (ha, hb) in zip(report.verdicts, fresh):
+        assert verdict.comparison == compare_histories(ha, hb)
 
 
 def test_prefix_reuse_stops_at_the_first_differing_group(monkeypatch):
