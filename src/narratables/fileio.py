@@ -153,15 +153,20 @@ def parse_vector(doc, where: str) -> np.ndarray:
     )
 
 
+# sqrt of the smallest normal double: a plain norm below it comes from a
+# subnormal sum of squares, which keeps too few digits to normalize by
+_LEAST_PLAIN_NORM = 2.0**-511
+
+
 def _with_norm(vec: np.ndarray, where: str) -> tuple[np.ndarray, float]:
-    """`vec` and its norm, which is finite and nonzero.  Only when the norm
-    over- or underflows for a vector with a nonzero entry are `vec`'s real and
-    imaginary parts first divided by the largest of them, as reals (a complex
-    division by a subnormal overflows), which brings its norm to between 1
-    and sqrt(2 len(vec))."""
+    """`vec` and its norm, which is finite and nonzero.  Only when the plain
+    norm overflows or is below `_LEAST_PLAIN_NORM` for a vector with a nonzero
+    entry are `vec`'s real and imaginary parts first divided by the largest of
+    them, as reals (a complex division by a subnormal overflows), which brings
+    its norm to between 1 and sqrt(2 len(vec))."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(vec)
-    if norm == 0 or math.isinf(norm):
+    if not _LEAST_PLAIN_NORM <= norm < math.inf:
         parts = np.ascontiguousarray(vec, dtype=complex).view(float)
         largest = np.max(np.abs(parts))
         if largest == 0:

@@ -53,12 +53,6 @@ _PAIR_FRONT = {
     False: ((3, 1, 0, 2, 4), (2, 1, 3, 0, 4)),
 }
 
-# `angular_momentum_norms` adds only the nonzero amplitudes' terms when they
-# are at most this share of all.  Measured on a 2-vCPU VM at 10 and 12 slots,
-# that path overtakes the strided pass below a share of about 0.5, and a
-# 12-slot singlet product (64 of 4096 nonzero) takes 0.14 ms against 0.50 ms
-_SUPPORT_SHARE = 0.25
-
 # the entries of a contact that only moves amplitudes and multiplies them by a unit
 _MOVING_ENTRIES = (0, 1, -1, 1j, -1j)
 
@@ -298,41 +292,28 @@ def angular_momentum_norms(state: SpinState) -> tuple[float, float, float]:
     All three vanish for products of singlets; that certifies the boosted
     re-foliation shortcut used by the narrative layer.
 
-    On one slot, viewed as (1 << slot, 2, rest), sigma_x/2 takes the bit-flipped
-    view times 1/2, sigma_y/2 the flipped view times -i/2 (bit 0) and i/2
-    (bit 1), sigma_z/2 the view itself times 1/2 and -1/2.  Every term is an
-    exact product and the slots are summed in order, so the sums are those of
-    a contraction over one slot at a time, bit for bit.
+    For one slot, with bit b of the basis index, sigma_x/2 sends an amplitude
+    times 1/2 to the index with b flipped, sigma_y/2 sends it there times i/2
+    from b = 0 and -i/2 from b = 1, and sigma_z/2 keeps it in place times 1/2
+    and -1/2.  Every term is an exact product and the slots are summed in
+    order, so the sums are those of a contraction over one slot at a time.
 
-    When at most `_SUPPORT_SHARE` of the amplitudes are nonzero, each slot's
-    terms are added by index from the nonzero amplitudes only.  A term it
-    skips is +0 or -0, and adding one changes at most the sign of a zero sum,
-    which the norms square away: both paths give the same bits.
+    The terms are added from the nonzero amplitudes only (a singlet product
+    on 12 slots has 64 of 4096).  A term that is skipped is +0 or -0, and
+    adding one changes at most the sign of a zero sum, which the norms square
+    away: the norms keep the full contraction's bits.
     """
     amps, n = state.amplitudes, state.n_slots
     jx, jy, jz = (np.zeros_like(amps) for _ in range(3))
     support = np.flatnonzero(amps)
-    if len(support) <= _SUPPORT_SHARE * len(amps):
-        # x * 0.5 and x * 1j round each part at most once: the full array's bits
-        half = amps[support] * 0.5
-        half_i = half * 1j
-        minus, minus_i = -half, -half_i
-        for slot in range(n):
-            bit = 1 << (n - 1 - slot)
-            flipped, up = support ^ bit, (support & bit) == 0
-            jx[flipped] += half
-            jy[flipped] += np.where(up, half_i, minus_i)  # a + (-b) is a - b
-            jz[support] += np.where(up, half, minus)
-    else:
-        half = amps * 0.5
-        half_i = half * 1j
-        for slot in range(n):
-            shape = (1 << slot, 2, -1)
-            h, hi = half.reshape(shape), half_i.reshape(shape)
-            x, y, z = jx.reshape(shape), jy.reshape(shape), jz.reshape(shape)
-            x += h[:, ::-1]
-            y[:, 0] -= hi[:, 1]
-            y[:, 1] += hi[:, 0]
-            z[:, 0] += h[:, 0]
-            z[:, 1] -= h[:, 1]
+    # x * 0.5 and x * 1j round each part at most once: the full array's bits
+    half = amps[support] * 0.5
+    half_i = half * 1j
+    minus, minus_i = -half, -half_i
+    for slot in range(n):
+        bit = 1 << (n - 1 - slot)
+        flipped, up = support ^ bit, (support & bit) == 0
+        jx[flipped] += half
+        jy[flipped] += np.where(up, half_i, minus_i)  # a + (-b) is a - b
+        jz[support] += np.where(up, half, minus)
     return tuple(float(np.linalg.norm(j)) for j in (jx, jy, jz))

@@ -418,7 +418,7 @@ def test_algebra_boost_check(tmp_path):
     assert "zero vector" in err
 
 
-@pytest.mark.parametrize("scale", [1e308, 1e-200])
+@pytest.mark.parametrize("scale", [1e308, 1e-160, 1e-200])
 def test_algebra_runs_on_a_state_whose_norm_over_or_underflows(tmp_path, scale):
     # [s, s, 0] is read as [1, 1, 0]/sqrt(2), not as an unnormalized or zero state
     h0 = write_json(tmp_path / "h0.json", [[1, 0, 0], [0, 2, 0], [0, 0, 3]])

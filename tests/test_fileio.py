@@ -417,9 +417,11 @@ def test_zero_amplitudes_rejected():
 
 @pytest.mark.parametrize("entries, plain", [
     ([1e308, 1e308], [1, 1]), ([[1e308, 1e308], 0], [[1, 1], 0]),
-    ([1e-200, 1e-200], [1, 1]), ([1e-320, 0], [1, 0]), ([[0, -5e-324], 0], [[0, -1], 0])])
+    ([1e-160, 1e-160], [1, 1]), ([1e-200, 1e-200], [1, 1]), ([1e-320, 0], [1, 0]),
+    ([[0, -5e-324], 0], [[0, -1], 0])])
 def test_amplitudes_whose_norm_over_or_underflows_are_normalized(entries, plain):
-    # the plain norm is inf or 0: the parts are divided by the largest first
+    # the plain norm is inf, 0 or from a subnormal sum of squares with few
+    # correct digits: the parts are divided by the largest first
     doc = minimal_doc()
     doc["initial_state"] = {"amplitudes": entries}
     got = parse_scenario(doc).scenario.initial_state.amplitudes
@@ -428,6 +430,7 @@ def test_amplitudes_whose_norm_over_or_underflows_are_normalized(entries, plain)
 
 
 @pytest.mark.parametrize("vector, state", [([1e-320, 0], [1, 0]), ([0, 1e308], [0, 1]),
+                                           ([1e-160, 1e-160], [2**-0.5, 2**-0.5]),
                                            ([1e-200, 1e-200], [2**-0.5, 2**-0.5])])
 def test_single_slot_vectors_whose_norm_over_or_underflows_are_normalized(vector, state):
     doc = minimal_doc()
@@ -437,7 +440,8 @@ def test_single_slot_vectors_whose_norm_over_or_underflows_are_normalized(vector
 
 
 def test_normalize_vector_keeps_a_finite_norm_on_its_bits():
-    # only an over- or underflowing norm takes the scaled path
+    # only a norm that overflows or is below fileio._LEAST_PLAIN_NORM takes the
+    # scaled path; 1e-150 is above it
     vec = np.array([1e-150, 3e-151, 0], dtype=complex)
     assert np.array_equal(fileio.normalize_vector(vec, "v"), vec / np.linalg.norm(vec))
     vec = np.array([1e150, -2e150j, 0], dtype=complex)

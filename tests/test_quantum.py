@@ -1,7 +1,5 @@
 """Spin-slot states and contact unitaries against independent oracles."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -421,8 +419,7 @@ def sparse_states(draw):
     """A state on 1..MAX_SLOTS slots with few nonzero amplitudes: a singlet
     product on a random pairing, the other slots (any number, so odd n too)
     in random single-slot states, some of them basis states; or random
-    amplitudes on a random support of 1/8 to 1/2 of the basis, or of just
-    the support path's share or one more."""
+    amplitudes on a random support of 1/8 to 1/2 of the basis."""
     n = draw(st.integers(1, MAX_SLOTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -436,9 +433,7 @@ def sparse_states(draw):
         pairs = tuple((slots[2 * i], slots[2 * i + 1]) for i in range(k))
         return singlet_product(n, PairingSpec(pairs, tuple(singles)))
     size = 2**n
-    cut = int(quantum._SUPPORT_SHARE * size)
-    nnz = draw(st.integers(max(1, size // 8), max(1, size // 2))
-               | st.sampled_from([max(1, cut), cut + 1]))
+    nnz = draw(st.integers(max(1, size // 8), max(1, size // 2)))
     amps = np.zeros(size, dtype=complex)
     support = rng.choice(size, nnz, replace=False)
     amps[support] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
@@ -447,11 +442,7 @@ def sparse_states(draw):
 
 @given(sparse_states())
 def test_angular_momentum_norms_match_contraction_bit_for_bit_on_sparse_states(state):
-    want = contraction_norms(state)
-    assert angular_momentum_norms(state) == want
-    for share in (0.0, 1.0):  # every state through the strided pass, then the support path
-        with mock.patch.object(quantum, "_SUPPORT_SHARE", share):
-            assert angular_momentum_norms(state) == want
+    assert angular_momentum_norms(state) == contraction_norms(state)
 
 
 UNITS = (1, -1, 1j, -1j)
