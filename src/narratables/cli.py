@@ -138,12 +138,13 @@ def cmd_simulate(args) -> int:
             lo, hi = float(breakpoints[0]) - 1.0, float(breakpoints[-1]) + 1.0
         else:
             lo, hi = -1.0, 1.0
+        # one |overlap| per segment, looked up by each sample's segment
         initial = history.segments[0]
+        magnitudes = [abs(overlap(initial, state)) for state in history.segments]
         rows = []
         for k in range(args.tau_grid):
             tau = lo + (hi - lo) * k / (args.tau_grid - 1) if args.tau_grid > 1 else lo
-            state = history.state_at(tau)
-            rows.append((args.foliation, tau, abs(overlap(initial, state))))
+            rows.append((args.foliation, tau, magnitudes[history.segment_index(tau)]))
         _write_overlap_csv(args.csv, rows)
 
     print(f"scenario: {bundle.scenario.name}")

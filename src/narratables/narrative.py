@@ -30,7 +30,9 @@ from .quantum import (
     apply_group,
     identity_unitary,
     overlap,
+    permuted,
     swap_unitary,
+    swapped_axes,
 )
 
 COMPARISON_TOLERANCE = 1e-10
@@ -144,9 +146,13 @@ class History:
     def _float_breakpoints(self) -> list:
         return [float(t) for t in self.breakpoints]
 
+    def segment_index(self, tau) -> int:
+        """The index of the segment that holds at `tau`; right-continuous: on
+        a collision leaf the new segment already holds."""
+        return bisect_right(self._float_breakpoints, float(tau))
+
     def state_at(self, tau) -> SpinState:
-        # right-continuous: on a collision leaf the new segment already holds
-        return self.segments[bisect_right(self._float_breakpoints, float(tau))]
+        return self.segments[self.segment_index(tau)]
 
 
 def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> History:
@@ -187,10 +193,17 @@ def _emit(warned: list) -> None:
 
 class _Step:
     """One rule's contact trace and state after a group it fires (or before
-    any group)."""
+    any group).  The state is `base`, the state after the last group with a
+    contact that is not a swap, with its slot axes permuted by `axes`, those
+    of the swaps fired since (None: no swap).  A swap-only group moves no
+    amplitude: the state is built where it is read, and not kept."""
 
-    def __init__(self, trace: tuple, state: SpinState):
-        self.trace, self.state = trace, state
+    def __init__(self, trace: tuple, base: SpinState, axes: Optional[tuple] = None):
+        self.trace, self.base, self.axes = trace, base, axes
+
+    @property
+    def state(self) -> SpinState:
+        return permuted(self.base, self.axes)
 
     @cached_property
     def carries_spin(self) -> bool:
@@ -206,19 +219,22 @@ def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
     """One rule's step over a group of crossing `pairs` from `before`, with
     the rule's `_unitaries`, or None when none of its contacts fires.
 
-    The step's contact trace is interned in `traces`.  `earlier` holds states
+    The step's contact trace is interned in `traces`.  `earlier` holds steps
     an evolution of the same scenario and rule reached, with the same `traces`,
-    by their traces: a state held under the trace the step reaches equals its
-    state exactly, so it is reused, and `apply_group` runs only for traces
-    `earlier` does not hold."""
+    by their traces: a step held under the trace the step reaches has its
+    state exactly, so it is reused.  Otherwise a group of swaps only permutes
+    the slot axes of `before`, and any other group runs `apply_group` on
+    `before`'s state."""
     actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
     if not actions:
         return None
     trace = _trace_after(before.trace, actions, traces)
-    state = earlier.get(trace)
-    if state is None:
-        state = apply_group(before.state, actions)
-    return _Step(trace, state)
+    held = earlier.get(trace)
+    if held is not None:
+        return held
+    if all(u.is_swap for u, _ in actions):
+        return _Step(trace, before.base, swapped_axes(before.base, before.axes, actions))
+    return _Step(trace, apply_group(before.state, actions))
 
 
 def _spin_guard(scenario: Scenario, foliation: Foliation, unitaries: dict,
@@ -366,17 +382,18 @@ class _LeafTrie:
     def walk(self, sequence: tuple) -> list:
         """The path of the frame whose groups have the pairs `sequence`.
 
-        Each rule's step from the frame's first new group on reuses a state
+        Each rule's step from the frame's first new group on reuses a step
         the frame walked last reached under the same trace (`_step`'s
         `earlier`), and after each new group either rule fires |<a|b>| is
-        read from `magnitudes`, or taken when its pair of traces is new."""
+        read from `magnitudes`, or taken when its pair of traces is new: the
+        two states are built for that overlap only."""
         path, shared = self.path, 0
         for mine, theirs in zip(sequence, self.sequence):
             if mine != theirs:
                 break
             shared += 1
-        earlier_a = {a.trace: a.state for a, _, fired_a, _, _ in path if fired_a}
-        earlier_b = {b.trace: b.state for _, b, _, fired_b, _ in path if fired_b}
+        earlier_a = {a.trace: a for a, _, fired_a, _, _ in path if fired_a}
+        earlier_b = {b.trace: b for _, b, _, fired_b, _ in path if fired_b}
         del path[shared:]
         self.sequence = sequence
         a, b, _, _, mag = path[-1] if path else self.root

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -237,6 +237,21 @@ def _check_pair(state: SpinState, pair) -> tuple[int, int]:
     return a, b
 
 
+def _checked(state: SpinState, actions: Iterable) -> list:
+    """(unitary, a, b) per action of one group, once each pair's slots are in
+    range and distinct and no slot is used by two of the group's actions."""
+    checked = []
+    used: set[int] = set()
+    for u, pair in actions:
+        a, b = _check_pair(state, pair)
+        for s in (a, b):
+            if s in used:
+                raise OverlappingPairs(f"slot {s} used by two simultaneous unitaries")
+            used.add(s)
+        checked.append((u, a, b))
+    return checked
+
+
 def apply_contact(state: SpinState, u: TwoSlotUnitary, pair) -> SpinState:
     """Apply `u` to the ordered slot pair, identity on the rest."""
     return apply_group(state, [(u, pair)])
@@ -252,18 +267,9 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
     axes, a view that moves amplitudes with no arithmetic; every other
     unitary is one `np.dot` product.
     """
-    checked = []
-    used: set[int] = set()
-    for u, pair in actions:
-        a, b = _check_pair(state, pair)
-        for s in (a, b):
-            if s in used:
-                raise OverlappingPairs(f"slot {s} used by two simultaneous unitaries")
-            used.add(s)
-        checked.append((u, a, b))
     n = state.n_slots
     arr = state.amplitudes
-    for u, a, b in checked:
+    for u, a, b in _checked(state, actions):
         lo, hi = min(a, b), max(a, b)
         view = arr.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
         if u.is_swap:
@@ -273,6 +279,32 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
         moved = view.transpose(front)
         arr = np.dot(u.matrix, moved.reshape(4, -1)).reshape(moved.shape).transpose(back)
     return SpinState._owning(n, arr.reshape(-1))
+
+
+def swapped_axes(state: SpinState, axes: Optional[tuple], actions: Iterable) -> tuple:
+    """The slot permutation `axes` of `permuted(state, axes)` (None for the
+    identity) after one group of swap contacts, checked as `apply_group`
+    checks a group: a swap exchanges its two slots' bit axes, so it exchanges
+    their entries of `axes`, and no amplitude is moved."""
+    order = list(range(state.n_slots)) if axes is None else list(axes)
+    for u, a, b in _checked(state, actions):
+        if not u.is_swap:
+            raise ValueError("swapped_axes takes swap contacts only")
+        order[a], order[b] = order[b], order[a]
+    return tuple(order)
+
+
+def permuted(state: SpinState, axes: Optional[tuple]) -> SpinState:
+    """`state` with its slot axes permuted: slot i of the result holds what
+    slot axes[i] of `state` holds (`state` itself for None).  It is one
+    transposed copy, through the norm guard, that moves amplitudes with no
+    arithmetic: bit for bit what `apply_group` gives for the swaps whose
+    `swapped_axes` are `axes`, signed zeros included."""
+    if axes is None:
+        return state
+    n = state.n_slots
+    amps = state.amplitudes.reshape((2,) * n).transpose(axes).reshape(-1)
+    return SpinState._owning(n, amps)
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

@@ -172,6 +172,31 @@ def test_simulate_csv_shapes(tmp_path):
     assert all(float(r[2]) == pytest.approx(1.0) for r in rows)
 
 
+def test_simulate_csv_takes_one_overlap_per_segment(tmp_path, monkeypatch):
+    # 1001 samples on three segments: each sample's |overlap| is looked up by
+    # its segment, with the bits of an overlap taken at that sample
+    calls = []
+    original = cli.overlap
+
+    def counted(a, b):
+        calls.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(cli, "overlap", counted)
+    target = tmp_path / "sim.csv"
+    code, _, _ = run_cli("simulate", DEMO, "--rule", "flip", "--foliation", "1",
+                         "--tau-grid", "1001", "--csv", str(target))
+    assert code == 0
+    bundle = built_in_demo()
+    history = cli.evolve(bundle.scenario, bundle.foliations[1], bundle.rules["flip"])
+    assert len(calls) == len(history.segments) == 3
+    rows = csv_rows(target)
+    assert len(rows) == 1001
+    for _, tau, mag in rows:
+        state = history.state_at(float(tau))
+        assert mag == f"{abs(original(history.segments[0], state)):.17g}"
+
+
 def test_simulate_error_exits(tmp_path):
     code, _, err = run_cli("simulate", DEMO, "--rule", "nope", "--foliation", "0")
     assert code == 5

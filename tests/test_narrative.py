@@ -40,9 +40,12 @@ from narratables.narrative import (
     render_report,
 )
 from narratables.quantum import (
+    MAX_SLOTS,
+    PairingSpec,
     SpinState,
     TwoSlotUnitary,
     apply_contact,
+    apply_group,
     equal_up_to_phase,
     identity_unitary,
     overlap,
@@ -269,10 +272,15 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
         return apply_group(state, actions)
 
     monkeypatch.setattr(narrative, "apply_group", recording)
+    built = _materializing(monkeypatch)
     scenario = demo_scenario()
     history = evolve(scenario, rest_foliation(), rule)
     assert [g.pairs for g in history.groups] == [((0, 2), (1, 3))]
-    assert calls == [[(swap_unitary(), (0, 2))]]
+    # with the identity left out, the group is the swap alone: it exchanges
+    # the axes of slots 0 and 2 and runs no contact, and the segment after it
+    # is built from those axes once
+    assert calls == []
+    assert built == [(2, 1, 0, 3)]
     # the step, and both rules' steps on a report's walk, reach the trace of
     # the swap alone
     alone = narrative._trace_after((0, 0, 0, 0), [(swap_unitary(), (0, 2))], {})
@@ -280,6 +288,7 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     unitaries = narrative._unitaries(scenario, rule)
     step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {})
     assert step.trace == alone
+    assert (step.base, step.axes) == (scenario.initial_state, (2, 1, 0, 3))
     trie = narrative._LeafTrie(scenario, (unitaries, unitaries), 1.0)
     (node,) = trie.walk((group.pairs,))
     assert (node[0].trace, node[1].trace) == (alone, alone)
@@ -401,6 +410,21 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def _materializing(monkeypatch):
+    """The slot permutations `narrative.permuted` builds states by, one per
+    state built (a call with no permutation builds none)."""
+    built = []
+    original = narrative.permuted
+
+    def wrapper(state, axes):
+        if axes is not None:
+            built.append(axes)
+        return original(state, axes)
+
+    monkeypatch.setattr(narrative, "permuted", wrapper)
+    return built
 
 
 def test_report_finds_each_crossing_once(monkeypatch):
@@ -775,13 +799,13 @@ def touch(scenario, rule, slots, pairs):
     """Extend the contact trace `slots` (per slot, the pairs whose contacts
     touched it in order) by one group's `pairs` under `rule`, where an identity
     contact touches no slot and a contact that is not moves-only touches every
-    slot; whether the rule fires the group."""
-    fired = False
+    slot; the unitaries of the contacts the rule fires in the group."""
+    fired = []
     for a, b in pairs:
         u = rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
         if u.is_identity:
             continue
-        fired = True
+        fired.append(u)
         for s in (a, b) if u.moves_only else range(len(slots)):
             slots[s].append((a, b))
     return fired
@@ -791,15 +815,24 @@ def frozen(slots):
     return tuple(map(tuple, slots))
 
 
-def distinct_traces(scenario, rule, histories):
-    """The distinct contact traces that the fired groups of `histories` reach."""
-    seen = set()
+def runs_contacts(scenario, rule, pairs):
+    """Whether `rule` fires a contact that is not a swap (nor an identity) in
+    the group of `pairs`: a report then runs `apply_group` for it."""
+    unitaries = (rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
+                 for a, b in pairs)
+    return any(not (u.is_identity or u.is_swap) for u in unitaries)
+
+
+def distinct_run_traces(scenario, rule, histories):
+    """The distinct contact traces that only fired groups of `histories` with
+    a contact that is not a swap reach."""
+    by_swaps, by_runs = set(), set()
     for h in histories:
         slots = [[] for _ in scenario.worldlines]
         for g in h.groups:
-            touch(scenario, rule, slots, g.pairs)
-            seen.add(frozen(slots))
-    return len(seen)
+            ran = any(not u.is_swap for u in touch(scenario, rule, slots, g.pairs))
+            (by_runs if ran else by_swaps).add(frozen(slots))
+    return len(by_runs - by_swaps)
 
 
 def distinct_trace_pairs(scenario, rule_a, rule_b, foliations):
@@ -821,10 +854,12 @@ def distinct_trace_pairs(scenario, rule_a, rule_b, foliations):
 @given(shared_prefix_cases())
 def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     """Every verdict and LittleGroupWarning equals those of a fresh evolution
-    and comparison of its frame, in input order, and the contacts applied lie
-    between the distinct contact traces the fired groups reach (each needs
-    one) and the distinct raw prefixes that end in a fired group (which
-    evolving in raw leaf-sequence order never applies twice)."""
+    and comparison of its frame, in input order.  A group of swaps only
+    permutes slot axes, so the `apply_group` calls lie between the distinct
+    contact traces that only fired groups with another contact reach (each
+    needs one) and the distinct raw prefixes that end in such a group (which
+    evolving in raw leaf-sequence order never applies twice).  A state is
+    built only for an overlap, a spin check or a group that runs contacts."""
     lines, initial, rule_a, rule_b, foliations = case
 
     def spin_warnings(run):
@@ -835,7 +870,10 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
 
     try:
         scenario = Scenario(name="orders", worldlines=tuple(lines), initial_state=initial)
-        with mock.patch.object(narrative, "apply_group", wraps=narrative.apply_group) as calls:
+        with mock.patch.object(narrative, "apply_group", wraps=narrative.apply_group) as calls, \
+                mock.patch.object(narrative, "permuted", wraps=narrative.permuted) as built, \
+                mock.patch.object(narrative, "overlap", wraps=overlap) as overlaps, \
+                mock.patch.object(narrative, "_carries_spin", wraps=narrative._carries_spin) as spins:
             report, in_report = spin_warnings(
                 lambda: narratability_report(scenario, rule_a, rule_b, foliations))
         fresh, in_fresh = spin_warnings(lambda: [
@@ -851,14 +889,17 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     for verdict, fol, (ha, hb) in zip(report.verdicts, foliations, fresh):
         assert verdict.foliation is fol
         assert verdict.comparison == compare_histories(ha, hb)
-    traces, ending_in_fired = 0, 0
+    traces, ending_in_runs = 0, 0
     for k, rule in enumerate((rule_a, rule_b)):
         histories = [pair[k] for pair in fresh]
-        traces += distinct_traces(scenario, rule, histories)
-        ending_in_fired += len({
+        traces += distinct_run_traces(scenario, rule, histories)
+        ending_in_runs += len({
             tuple(seq[:m]) for seq, h in zip(raw, histories) for m in range(1, len(seq) + 1)
-            if seq[m - 1] in {g.pairs for g in h.groups}})
-    assert traces <= calls.call_count <= ending_in_fired
+            if seq[m - 1] in {g.pairs for g in h.groups
+                              if runs_contacts(scenario, rule, g.pairs)}})
+    assert traces <= calls.call_count <= ending_in_runs
+    states = sum(call.args[1] is not None for call in built.call_args_list)
+    assert states <= 2 * (overlaps.call_count - 1) + spins.call_count + calls.call_count
 
 
 def test_frames_that_share_a_leaf_sequence_take_no_overlap_again(monkeypatch):
@@ -980,7 +1021,7 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
     # 1/2 fire X Y P Q, X Y Q P and Y X Q P, and are walked in that order.  The
     # second frame keeps X and Y from the first; the third reaches Y X, which
     # is X Y's trace, so it reuses that state only if the second frame filed
-    # its kept groups again.  Per rule: 4 contacts, then Q, then Y alone.
+    # its kept groups again.  Per rule: 4 steps, then Q, then Y alone.
     crossings = [(0, 0, 0), (1, 10, 1), (20, 0, 2), (20, 1, 3)]  # (t, x, y): X, Y, P, Q
     lines = []
     for t, x, y in crossings:
@@ -994,17 +1035,22 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
     foliations = [Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0)),
                   Foliation((F(1, 20), 0, 0))]
     calls = _counting(monkeypatch, narrative, "apply_group")
+    built = _materializing(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
-        report, made = report_histories(scenario, flip_rule(), cz, foliations)
+        report = narratability_report(scenario, flip_rule(), cz, foliations)
     assert [[g.pairs for g in v.groups] for v in report.verdicts] == [
         [((2, 3),), ((0, 1),), ((6, 7),), ((4, 5),)],
         [((0, 1),), ((2, 3),), ((4, 5),), ((6, 7),)],
         [((0, 1),), ((2, 3),), ((6, 7),), ((4, 5),)]]
-    assert len(calls) == 2 * (4 + 1 + 1)
-    calls.clear()
+    # CZ runs its contacts; flip's swaps only permute slot axes, and a flip
+    # state is built for the overlap after each of its steps
+    assert [actions for _, actions in calls] == [[(cz.default, p)] for p in (
+        (0, 1), (2, 3), (4, 5), (6, 7), (6, 7), (2, 3))]
+    assert len(built) == 4 + 1 + 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
+        _, made = report_histories(scenario, flip_rule(), cz, foliations)
         fresh = [evolve(scenario, fol, rule) for fol in foliations for rule in (flip_rule(), cz)]
     for got, want in zip(made, fresh):
         assert got.groups == want.groups
@@ -1056,20 +1102,24 @@ def test_a_spin_conserving_contact_does_not_warn_on_a_state_that_carries_spin():
 
 
 def test_same_fired_order_in_the_next_frame_applies_no_contact(monkeypatch):
-    # the 3/5 and 4/5 x boosts both fire (1,3) and then (0,2)
+    # the 3/5 and 4/5 x boosts both fire (1,3) and then (0,2).  flip's swaps
+    # only permute slot axes, so no contact runs; a state is built for each
+    # segment of an evolution and for each overlap of a report, which free's
+    # initial state and a flip state take after each new pair of traces
     scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
     calls = _counting(monkeypatch, narrative, "apply_group")
+    built = _materializing(monkeypatch)
     evolve(scenario, X_BOOST, flip)
-    assert len(calls) == 2
-    calls.clear()
+    assert (len(calls), built) == (0, [(0, 3, 2, 1), (2, 3, 0, 1)])
+    built.clear()
     narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(4, 5), 0, 0))])
-    assert len(calls) == 2  # all in the first frame
-    calls.clear()
-    # the -3/5 boost fires (0,2) first and is evolved first; the 3/5 boost
-    # applies (1,3), and the disjoint swaps (0,2) and (1,3) then reach the
-    # contact trace whose state the -3/5 frame holds
+    assert (len(calls), len(built)) == (0, 2)  # all in the first frame
+    built.clear()
+    # the -3/5 boost fires (0,2) first and is walked first; the 3/5 boost
+    # builds a state for (1,3), and the disjoint swaps (0,2) and (1,3) then
+    # reach the contact trace whose step the -3/5 frame holds
     narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(-3, 5), 0, 0))])
-    assert len(calls) == 3
+    assert (len(calls), len(built)) == (0, 3)
 
 
 def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
@@ -1097,3 +1147,60 @@ def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
     assert {category for category, _ in in_report} == {LittleGroupWarning}
     taus = [message.split("tau = ")[1] for _, message in in_report]
     assert taus == ["17/4", "23/4", "16/3", "8", "17/4", "23/4"]
+
+
+CZ = TwoSlotUnitary(np.diag([1, 1, 1, -1]))
+# the swap as a scenario file spells it: a matrix of its own, flagged a swap
+PARSED_SWAP = TwoSlotUnitary(np.eye(4)[[0, 2, 1, 3]])
+
+
+@st.composite
+def relabeling_cases(draw):
+    """A state on 2..12 slots, a singlet product (whose zero amplitudes carry
+    signs) or a dense state, and 1-8 groups of contacts on disjoint pairs,
+    mostly swaps, with CZ and random unitaries, alone or beside swaps."""
+    n = draw(st.integers(2, MAX_SLOTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        slots = draw(st.permutations(range(n)))
+        singles = []
+        for slot in slots[n - n % 2:]:
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            singles.append((slot, v / np.linalg.norm(v)))
+        pairs = tuple(zip(slots[0:n - 1:2], slots[1:n:2]))
+        initial = singlet_product(n, PairingSpec(pairs, tuple(singles)))
+    else:
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        initial = SpinState(n, vec / np.linalg.norm(vec))
+    contacts = st.sampled_from([swap_unitary(), swap_unitary(), PARSED_SWAP, CZ, None])
+    groups = []
+    for _ in range(draw(st.integers(1, 8))):
+        slots = draw(st.permutations(range(n)))
+        group = []
+        for i in range(draw(st.integers(1, n // 2))):
+            u = draw(contacts) or random_unitary(draw(st.integers(0, 99)))
+            group.append((u, (slots[2 * i], slots[2 * i + 1])))
+        groups.append(group)
+    return initial, groups
+
+
+@given(relabeling_cases())
+def test_steps_build_the_amplitudes_of_sequential_groups_bit_for_bit(case):
+    """A group of swaps only permutes the step's slot axes and keeps its base;
+    any other group runs `apply_group` on the built state.  Either way the
+    state built after each group is, byte for byte, that of `apply_group` on
+    every group in turn, signed zeros included."""
+    initial, groups = case
+    step, want = narrative._Step((0,) * initial.n_slots, initial), initial
+    for actions in groups:
+        unitaries = {pair: u for u, pair in actions}
+        after = narrative._step(step, tuple(unitaries), unitaries, {}, {})
+        want = apply_group(want, actions)
+        if all(u.is_swap for u, _ in actions):
+            assert after.base is step.base
+        else:
+            assert (after.base.amplitudes.tobytes(), after.axes) == (want.amplitudes.tobytes(),
+                                                                      None)
+        assert after.state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        step = after
+

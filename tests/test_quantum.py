@@ -30,8 +30,10 @@ from narratables.quantum import (
     equal_up_to_phase,
     identity_unitary,
     overlap,
+    permuted,
     singlet_product,
     swap_unitary,
+    swapped_axes,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -579,6 +581,34 @@ def test_swap_groups_make_no_product(monkeypatch):
     monkeypatch.setattr(quantum.np, "dot", refuse)
     out = apply_group(state, [(swap_unitary(), (4, 1)), (fresh, (0, 5))])
     assert out.amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pairs, error", [
+    (((0, 4),), SlotOutOfRange), (((-1, 2),), SlotOutOfRange), (((1, 1),), EqualSlots),
+    (((0, 2), (2, 3)), OverlappingPairs)])
+def test_swapped_axes_checks_a_group_as_apply_group_does(pairs, error):
+    state = singlet_product(4, [(0, 1), (2, 3)])
+    actions = [(swap_unitary(), pair) for pair in pairs]
+    with pytest.raises(error) as want:
+        apply_group(state, actions)
+    for axes in (None, (1, 0, 3, 2)):
+        with pytest.raises(error) as got:
+            swapped_axes(state, axes, actions)
+        assert str(got.value) == str(want.value)
+
+
+def test_swapped_axes_compose_swaps_and_permuted_builds_their_state():
+    state = state_with_zeros(np.random.default_rng(5), 4)
+    first = [(swap_unitary(), (0, 2)), (swap_unitary(), (3, 1))]
+    axes = swapped_axes(state, None, first)
+    assert axes == (2, 3, 0, 1)
+    assert swapped_axes(state, axes, [(swap_unitary(), (2, 1))]) == (2, 0, 3, 1)
+    assert permuted(state, None) is state
+    built = permuted(state, axes)
+    assert built.amplitudes.tobytes() == apply_group(state, first).amplitudes.tobytes()
+    assert not built.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        swapped_axes(state, None, [(TwoSlotUnitary(np.diag([1, 1, 1, -1])), (0, 1))])
 
 
 def test_swap_unitary_is_shared_flagged_and_read_only():
