@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import algebra, clusterkit, fileio
 from .errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
-from .geometry import Foliation
+from .geometry import Foliation, as_float
 from .narrative import (COMPARISON_TOLERANCE, evolve, format_foliation, format_pairs,
                         format_scalar, format_tau, narratability_report, paint, render_report)
 from .quantum import overlap
@@ -135,7 +135,8 @@ def cmd_simulate(args) -> int:
     if args.csv:
         breakpoints = history.breakpoints
         if breakpoints:
-            lo, hi = float(breakpoints[0]) - 1.0, float(breakpoints[-1]) + 1.0
+            lo = as_float(breakpoints[0], "CSV breakpoint tau") - 1.0
+            hi = as_float(breakpoints[-1], "CSV breakpoint tau") + 1.0
         else:
             lo, hi = -1.0, 1.0
         # one |overlap| per segment, looked up by each sample's segment

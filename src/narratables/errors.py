@@ -19,6 +19,10 @@ class OverlappingSimultaneousPairs(NarratablesError):
     """A particle takes part in two collisions on the same leaf."""
 
 
+class BeyondFloatRange(NarratablesError):
+    """An exact value is too large in magnitude for the float it must become."""
+
+
 # -- quantum ---------------------------------------------------------------
 
 class InvalidPairing(NarratablesError):

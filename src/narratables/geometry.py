@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm, sqrt
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    BeyondFloatRange,
     CoincidentWorldlines,
     ExactnessWarning,
     OverlappingSimultaneousPairs,
@@ -46,6 +47,15 @@ def as_exact(value) -> Fraction:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_float(value, what: str) -> float:
+    """float(value), or BeyondFloatRange naming `what` and the value when the
+    value is beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise BeyondFloatRange(f"{what} = {value} is beyond the float range") from None
 
 
 def _vector3(components, coerce) -> tuple:
@@ -382,22 +392,33 @@ def _leaf_keys(events: Crossings, foliation: Foliation) -> tuple[list, int]:
     ...) and a rational velocity over dv (v = (a, b, c)/dv), the core is
     t - v . x = (T*dv - (a*X + b*Y + c*Z)) / (dv*de): an integer key over
     dv*de.  A float velocity's key is the float core itself (scale 1),
-    the same float `Foliation.leaf_core` gives."""
+    the same float `Foliation.leaf_core` gives; a coordinate beyond the float
+    range raises BeyondFloatRange there."""
     rows, de = events.integer_rows
     if not foliation.exact:
-        return [t / de - sum(v * (p / de) for v, p in zip(foliation.velocity, xyz))
-                for t, *xyz in rows], 1
+        try:
+            return [t / de - sum(v * (p / de) for v, p in zip(foliation.velocity, xyz))
+                    for t, *xyz in rows], 1
+        except OverflowError:  # t / de or p / de: name the first such coordinate
+            for pair, event in events:
+                for name, c in zip("txyz", event.coordinates()):
+                    as_float(c, f"float foliation {foliation.velocity}: {name} of crossing {pair}")
+            raise
     (a, b, c), dv = foliation._integer_velocity
     return [t * dv - (a * x + b * y + c * z) for t, x, y, z in rows], dv * de
 
 
-def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
-    """Collision events grouped by leaf, ordered by increasing tau.
+def leaf_runs(events: Sequence, foliation: Foliation, *,
+              stacklevel: int = 2) -> tuple[list, int]:
+    """Collision events grouped by leaf, ordered by increasing tau, as one run
+    (key, members, pairs) per leaf, and the frame's one scale: the leaf's
+    core is key/scale, `members` its ((id_low, id_high), Event) entries and
+    `pairs` their pairs, both sorted by pair.  No core or tau is built here.
 
     `Foliation.same_leaf` decides ties: exact for rational velocities, within
-    1e-9 for float ones (with an ExactnessWarning).  Each group keeps its
-    leaf's key and the frame's one scale; no core or tau is built here.  A
-    particle meeting two partners on one leaf raises OverlappingSimultaneousPairs.
+    1e-9 for float ones, with an ExactnessWarning at `stacklevel` as
+    `warnings.warn` counts it (2: the caller).  A particle meeting two
+    partners on one leaf raises OverlappingSimultaneousPairs.
 
     Events are taken in pair order, so the stable sort by key leaves every
     exact leaf's members in pair order."""
@@ -409,25 +430,38 @@ def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup
         warnings.warn(
             "float foliation velocity: leaf ties grouped within 1e-9",
             ExactnessWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    grouped: list = []  # (key, members, pairs) per leaf
     # keys order like cores, so `same_leaf` (equality when exact) ties them too
+    same_leaf = eq if exact else foliation.same_leaf
+    runs: list = []
     for key, member in sorted(zip(keys, events), key=itemgetter(0)):
-        if grouped and foliation.same_leaf(grouped[-1][0], key):
-            grouped[-1][1].append(member)
-            grouped[-1][2].append(member[0])
+        if runs and same_leaf(runs[-1][0], key):
+            first, members, pairs = runs[-1]
+            runs[-1] = (first, members + (member,), pairs + (member[0],))
         else:
-            grouped.append((key, [member], [member[0]]))
-    groups = []
-    for key, members, pairs in grouped:
-        if not exact:  # a float leaf's members tie within the tolerance, not by key
-            members.sort(key=itemgetter(0))
-            pairs = [pair for pair, _ in members]
+            runs.append((key, (member,), (member[0],)))
+    for k, (key, members, pairs) in enumerate(runs):
+        if len(pairs) > 1 and not exact:  # a float leaf's members tie within 1e-9, not by key
+            members = tuple(sorted(members, key=itemgetter(0)))
+            pairs = tuple([pair for pair, _ in members])
+            runs[k] = (key, members, pairs)
         if len(pairs) > 1 or pairs[0][0] == pairs[0][1]:  # else no slot repeats
             _check_slots(foliation, key, scale, pairs)
-        groups.append(CollisionGroup._built(key, scale, foliation, tuple(members), tuple(pairs)))
-    return groups
+    return runs, scale
+
+
+def collision_groups(runs: Sequence, scale: int, foliation: Foliation) -> list[CollisionGroup]:
+    """One `CollisionGroup` per `leaf_runs` run of the frame of `foliation`."""
+    return [CollisionGroup._built(key, scale, foliation, members, pairs)
+            for key, members, pairs in runs]
+
+
+def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
+    """Collision events grouped by leaf, ordered by increasing tau: the
+    `leaf_runs` of the frame, each as a `CollisionGroup` that keeps its
+    leaf's key and the frame's one scale."""
+    return collision_groups(*leaf_runs(events, foliation, stacklevel=3), foliation)
 
 
 def collision_schedule(

@@ -7,8 +7,11 @@ least one foliation and disagree under another, the pair of histories is
 flagged NON_NARRATABLE: no single leaf-by-leaf record pins down the dynamics.
 
 Boosted histories are obtained by re-grouping the same collision events under
-the boosted leaves, not by actively transforming the states; the zero
-angular-momentum guard in `evolve` is what licenses that shortcut.
+the boosted leaves, not by actively transforming the states.  A verdict reads
+only |<a|b>|: worldlines never deflect, so a boost acts on both rules' states
+on a leaf as one product of per-worldline Wigner rotations, which leaves
+|<a|b>| unchanged.  A printed segment is the re-foliated state; zero total
+spin, which the spin guard checks, does not make it the boosted one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
-from .geometry import Foliation, Scalar, collision_events, group_by_leaf
+from .geometry import (Foliation, Scalar, as_float, collision_events, collision_groups,
+                       leaf_runs)
 from .quantum import (
     SpinState,
     TwoSlotUnitary,
@@ -114,7 +118,18 @@ class Scenario:
 
     @cached_property
     def has_initial_spin(self) -> bool:
-        """Whether the initial state carries nonzero total spin."""
+        """Whether the initial state carries nonzero total spin.
+
+        A singlet product answers from its `pairing`, with no dense pass: it
+        carries spin exactly when it has single slots.  Every J_k annihilates
+        a singlet pair, so with m >= 1 singles of Bloch vectors e_s,
+        sum_k |J_k psi|^2 = <J^2> = (2m + |sum_s e_s|^2)/4 >= m/2, and
+        max_k |J_k psi| >= sqrt(1/6) ~ 0.41, far above SPIN_GUARD_TOLERANCE;
+        with none, all three norms are 0.  A state given by its amplitudes
+        takes the dense check."""
+        pairing = self.initial_state.pairing
+        if pairing is not None:
+            return bool(pairing.singles)
         return _carries_spin(self.initial_state)
 
     def species_of(self, slot: int) -> str:
@@ -144,7 +159,7 @@ class History:
 
     @cached_property
     def _float_breakpoints(self) -> list:
-        return [float(t) for t in self.breakpoints]
+        return [as_float(t, "breakpoint tau") for t in self.breakpoints]
 
     def segment_index(self, tau) -> int:
         """The index of the segment that holds at `tau`; right-continuous: on
@@ -160,11 +175,11 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
 
     Under a boost, LittleGroupWarning fires when the initial state carries
     spin, or when a contact unitary that does not conserve spin leaves some."""
-    groups = group_by_leaf(scenario.events, foliation)
+    runs, scale = leaf_runs(scenario.events, foliation)
     unitaries, traces = _unitaries(scenario, rule), {}
     step = _origin(scenario)
     fired, segments, inert = [], [step.state], []
-    for group in groups:
+    for group in collision_groups(runs, scale, foliation):
         after = _step(step, group.pairs, unitaries, traces, {})
         if after is None:
             inert.append(group)
@@ -172,7 +187,8 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
         step = after
         fired.append((group, step))
         segments.append(step.state)
-    _emit(_spin_guard(scenario, foliation, unitaries, fired))
+    _emit(_spin_guard(scenario, foliation, scale, unitaries,
+                      [(g.pairs, g.key, step) for g, step in fired]))
     return History(foliation, tuple(g for g, _ in fired), tuple(segments), tuple(inert))
 
 
@@ -237,13 +253,14 @@ def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
     return _Step(trace, apply_group(before.state, actions))
 
 
-def _spin_guard(scenario: Scenario, foliation: Foliation, unitaries: dict,
+def _spin_guard(scenario: Scenario, foliation: Foliation, scale: int, unitaries: dict,
                 fired: Iterable) -> list:
     """The LittleGroupWarning messages of one rule's evolution, with the
-    rule's `_unitaries`, whose fired groups and the steps they reach are
-    `fired`: none at rest; under a boost, one when the initial state carries
-    spin, then one per fired group whose contacts that do not conserve spin
-    leave some spin."""
+    rule's `_unitaries`, whose fired groups, each as its pairs and key over
+    the frame's `scale`, and the steps they reach are `fired`, (pairs, key,
+    step) each: none at rest; under a boost, one when the initial state
+    carries spin, then one per fired group whose contacts that do not
+    conserve spin leave some spin."""
     if foliation.is_rest:
         return []
     warned = []
@@ -252,13 +269,13 @@ def _spin_guard(scenario: Scenario, foliation: Foliation, unitaries: dict,
             "initial state carries nonzero total spin; re-foliated history "
             "ignores the boost's action on spins"
         )
-    for group, step in fired:
-        culprits = [pair for pair in group.pairs
+    for pairs, key, step in fired:
+        culprits = [pair for pair in pairs
                     if pair in unitaries and not unitaries[pair].conserves_spin]
         if culprits and step.carries_spin:
             species = ", ".join("({}, {})".format(*map(scenario.species_of, p))
                                 for p in culprits)
-            tau = format_tau(foliation, group.key, group.scale)
+            tau = format_tau(foliation, key, scale)
             warned.append(
                 f"contact unitary for species {species} does not conserve spin; re-foliated "
                 f"history ignores the spin it leaves from tau = {tau}"
@@ -416,10 +433,19 @@ class _LeafTrie:
 
 @dataclass(frozen=True, eq=False)
 class FrameVerdict:
+    """One frame's verdict, with the frame's `leaf_runs`, (key, members,
+    pairs) per leaf over the frame's one `scale`; `groups` wraps them as
+    `group_by_leaf` does when first read."""
+
     foliation_index: int
     foliation: Foliation
-    groups: tuple
+    runs: tuple
+    scale: int
     comparison: HistoryComparison
+
+    @cached_property
+    def groups(self) -> tuple:
+        return tuple(collision_groups(self.runs, self.scale, self.foliation))
 
     @property
     def equal(self) -> bool:
@@ -441,8 +467,9 @@ class NarratabilityReport:
     def csv_rows(self) -> list[tuple[int, float, float]]:
         rows = []
         for v in self.verdicts:
+            where = f"CSV tau of foliation {v.foliation_index}"
             for _core, tau, mag in v.comparison.samples:
-                rows.append((v.foliation_index, float(tau), mag))
+                rows.append((v.foliation_index, as_float(tau, where), mag))
         return rows
 
 
@@ -489,13 +516,16 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         f"note: {REFOLIATION_NOTE}",
         "",
     ]
+    labels: dict = {}  # each distinct pair list, formatted once per report
     for v in report.verdicts:
         fol = v.foliation
         lines.append(format_foliation(v.foliation_index, fol))
-        lines.append(f"  collision leaves: {len(v.groups)}")
-        for g in v.groups:
-            tau = format_tau(fol, g.key, g.scale)
-            lines.append(f"    tau = {tau}: pairs {format_pairs(g.pairs)}")
+        lines.append(f"  collision leaves: {len(v.runs)}")
+        for key, _, pairs in v.runs:
+            label = labels.get(pairs)
+            if label is None:
+                label = labels[pairs] = format_pairs(pairs)
+            lines.append(f"    tau = {format_tau(fol, key, v.scale)}: pairs {label}")
         c = v.comparison
         if c.equal:
             lines.append(
@@ -554,8 +584,8 @@ def narratability_report(
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
     # raw schedules: the crossings exist whichever rule fires them
-    schedules = [tuple(group_by_leaf(scenario.events, fol)) for fol in foliations]
-    sequences = [tuple([g.pairs for g in groups]) for groups in schedules]
+    schedules = [leaf_runs(scenario.events, fol) for fol in foliations]
+    sequences = [tuple([pairs for _, _, pairs in runs]) for runs, _ in schedules]
     rules = (_unitaries(scenario, rule_a), _unitaries(scenario, rule_b))
     # only a rule with a contact that does not conserve spin can leave some
     guarded = [any(not u.conserves_spin for u in unitaries.values()) for unitaries in rules]
@@ -563,23 +593,22 @@ def narratability_report(
     trie = _LeafTrie(scenario, rules, start)
     comparisons, warned = [None] * len(foliations), [None] * len(foliations)
     for idx in sorted(range(len(foliations)), key=sequences.__getitem__):
-        fol, groups = foliations[idx], schedules[idx]
+        fol, (runs, scale) = foliations[idx], schedules[idx]
         path = trie.walk(sequences[idx])
-        leaves = [(g.key, node[4]) for g, node in zip(groups, path) if node[2] or node[3]]
-        unit = groups[0].scale if groups else 1
-        comparisons[idx] = _sampled(fol, start, leaves, unit, tol)
+        leaves = [(key, node[4]) for (key, _, _), node in zip(runs, path) if node[2] or node[3]]
+        comparisons[idx] = _sampled(fol, start, leaves, scale, tol)
         warned[idx] = []
         for r in (0, 1):  # rule a's warnings first
-            nodes = zip(groups, path) if guarded[r] else ()
-            fired = [(g, node[r]) for g, node in nodes if node[2 + r]]
-            warned[idx] += _spin_guard(scenario, fol, rules[r], fired)
+            nodes = zip(runs, path) if guarded[r] else ()
+            fired = [(pairs, key, node[r]) for (key, _, pairs), node in nodes if node[2 + r]]
+            warned[idx] += _spin_guard(scenario, fol, scale, rules[r], fired)
     for messages in warned:
         _emit(messages)
     return NarratabilityReport(
         scenario_name=scenario.name,
         rule_names=(rule_a.name, rule_b.name),
         verdicts=tuple(
-            FrameVerdict(foliation_index=idx, foliation=fol, groups=groups, comparison=c)
-            for idx, (fol, groups, c) in enumerate(zip(foliations, schedules, comparisons))
+            FrameVerdict(idx, fol, tuple(runs), scale, c)
+            for idx, (fol, (runs, scale), c) in enumerate(zip(foliations, schedules, comparisons))
         ),
     )

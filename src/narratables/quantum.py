@@ -9,7 +9,7 @@ vectors of length 2**n_slots, capped at 12 slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -59,10 +59,15 @@ _MOVING_ENTRIES = (0, 1, -1, 1j, -1j)
 
 @dataclass(frozen=True, eq=False)
 class SpinState:
-    """Normalized state of n_slots spin-1/2 particles."""
+    """Normalized state of n_slots spin-1/2 particles.
+
+    `pairing` is the `PairingSpec` a state from `singlet_product` was built
+    from, and None for every other state."""
 
     n_slots: int
     amplitudes: np.ndarray
+    pairing: Optional["PairingSpec"] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         if self.n_slots < 1:
@@ -201,7 +206,8 @@ def singlet_product(n_slots: int, pairing) -> SpinState:
     """Tensor product of singlets on the given pairs (and explicit singles).
 
     `pairing` is a PairingSpec or a bare list of pairs.  The pairing together
-    with the singles must cover slots 0..n_slots-1 exactly.
+    with the singles must cover slots 0..n_slots-1 exactly.  The state keeps
+    the PairingSpec as its `pairing`.
     """
     if n_slots > MAX_SLOTS:
         # before the product is built: 2**n_slots amplitudes can exhaust memory
@@ -224,7 +230,9 @@ def singlet_product(n_slots: int, pairing) -> SpinState:
         slot_order.append(s)
     arr = vec.reshape([2] * n_slots)
     arr = np.transpose(arr, axes=[slot_order.index(s) for s in range(n_slots)])
-    return SpinState(n_slots, arr.reshape(-1))
+    state = SpinState(n_slots, arr.reshape(-1))
+    object.__setattr__(state, "pairing", pairing)
+    return state
 
 
 def _check_pair(state: SpinState, pair) -> tuple[int, int]:

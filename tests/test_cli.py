@@ -679,6 +679,51 @@ def test_foliation_within_rounding_of_light_speed_runs(tmp_path):
     assert "gamma = 7.07106781187e+23" in out
 
 
+def _far_crossing(tmp_path, *foliations):
+    """Two lines from x = -/+(1e190 - 1e100) at t = 0 with speeds +/-1e-189,
+    which cross at a tau beyond the float range, under the rest frame, x 3/5
+    and `foliations`."""
+    far, slow = "9" * 90 + "e100", "0." + "0" * 88 + "1e-100"
+    doc = {"name": "far", "initial_state": {"singlet_pairs": [[0, 1]]},
+           "particles": [{"id": i, "species": "s", "velocity": [sign + slow, "0", "0"],
+                          "start": {"t": "0", "x": other + far, "y": "0", "z": "0"}}
+                         for i, (sign, other) in enumerate((("", "-"), ("-", "")))],
+           "rules": {"flip": [{"unitary": "swap"}], "free": []},
+           "foliations": [["0", "0", "0"], ["3/5", "0", "0"], *foliations]}
+    return write_json(tmp_path / "far.json", doc)
+
+
+def test_crossing_beyond_the_float_range_prints_its_exact_tau(tmp_path):
+    tau = str((10**190 - 10**100) * 10**189)  # at rest: t = x / v
+    for argv in (("compare-frames",), ("simulate", "--rule", "flip", "--foliation", "0")):
+        code, out, err = run_cli(*argv[:1], _far_crossing(tmp_path), *argv[1:])
+        assert (code, err) == (0, "")
+        assert f"tau = {tau}" in out or f"tau < {tau}" in out
+
+
+@pytest.mark.parametrize("argv, what", [
+    pytest.param(("simulate", "--rule", "flip", "--foliation", "0", "--csv"),
+                 "CSV breakpoint tau", id="simulate-csv"),
+    pytest.param(("compare-frames", "--csv"), "CSV tau of foliation 0", id="compare-frames-csv"),
+    pytest.param(("compare-frames",), "float foliation (0.6, 0.0, 0.0): t of crossing (0, 1)",
+                 id="compare-frames-float-foliation"),
+    pytest.param(("simulate", "--rule", "flip", "--foliation", "2"),
+                 "float foliation (0.6, 0.0, 0.0): t of crossing (0, 1)",
+                 id="simulate-float-foliation"),
+])
+def test_a_float_of_a_crossing_beyond_the_float_range_exits_7(tmp_path, argv, what):
+    # a CSV holds floats, and a float foliation takes each event as floats:
+    # an exact value past the float range is named, and nothing is printed
+    csv = (str(tmp_path / "out.csv"),) if argv[-1] == "--csv" else ()
+    path = _far_crossing(tmp_path) if csv else _far_crossing(tmp_path, [0.6, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        code, out, err = run_cli(argv[0], path, *argv[1:], *csv)
+    assert (code, out) == (7, "")
+    assert err.startswith(f"error: {what} = 9999") and err.endswith(" is beyond the float range\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(("demo-paper", "--tolerance", "nan"), id="nan-tolerance"),
     pytest.param(("demo-paper", "--tolerance", "inf"), id="infinite-tolerance"),

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from narratables import cli, geometry, narrative
 from narratables.cli import built_in_demo
 from narratables.errors import (
+    BeyondFloatRange,
     CoincidentWorldlines,
     ExactnessWarning,
     FoliationMismatch,
@@ -294,6 +295,18 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     assert (node[0].trace, node[1].trace) == (alone, alone)
 
 
+def test_a_breakpoint_beyond_the_float_range_is_named_when_a_float_tau_is_looked_up():
+    # two lines from x = -/+(1e190 - 1e100) at speed 1e-189 cross at t ~ 1e379
+    far, slow = F(10**190 - 10**100), F(1, 10**189)
+    lines = tuple(Worldline(i, "s", Event.of(0, sign * -far, 0, 0), (sign * slow, 0, 0))
+                  for i, sign in enumerate((1, -1)))
+    scenario = Scenario("far", lines, singlet_product(2, [(0, 1)]))
+    history = evolve(scenario, rest_foliation(), flip_rule())
+    assert history.breakpoints == (far / slow,)
+    with pytest.raises(BeyondFloatRange, match=f"^breakpoint tau = {far / slow} is beyond"):
+        history.state_at(0)
+
+
 def test_report_flags_non_narratable():
     report = narratability_report(
         demo_scenario(),
@@ -437,22 +450,93 @@ def test_report_finds_each_crossing_once(monkeypatch):
 
 
 def test_report_groups_each_foliation_once(monkeypatch):
-    calls = _counting(monkeypatch, narrative, "group_by_leaf")
+    calls = []
+    original = narrative.leaf_runs
+
+    def counting(events, foliation, **kwargs):
+        calls.append(foliation)
+        return original(events, foliation, **kwargs)
+
+    monkeypatch.setattr(narrative, "leaf_runs", counting)
     foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
     report = narratability_report(demo_scenario(), free_rule(), flip_rule(), foliations)
-    assert [fol for _events, fol in calls] == foliations
+    assert calls == foliations
     assert [v.groups for v in report.verdicts] == [
         tuple(geometry.group_by_leaf(demo_scenario().events, fol)) for fol in foliations
     ]
 
 
-def test_spin_guard_runs_once_per_scenario(monkeypatch):
+def test_spin_guard_of_a_singlet_product_takes_no_dense_pass(monkeypatch):
+    # the demo's state is a singlet product: its pairing has no single slot
     calls = _counting(monkeypatch, narrative, "angular_momentum_norms")
     scenario = demo_scenario()
     foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
     narratability_report(scenario, free_rule(), flip_rule(), foliations)
     narratability_report(scenario, flip_rule(), free_rule(), foliations)
+    assert len(calls) == 0
+    assert scenario.has_initial_spin is False
+
+
+def test_spin_guard_runs_once_per_scenario(monkeypatch):
+    # the demo's state given by its amplitudes, as a dumped scenario gives it
+    amplitudes = singlet_product(4, [(0, 1), (2, 3)]).amplitudes
+    scenario = demo_scenario(SpinState(4, amplitudes))
+    calls = _counting(monkeypatch, narrative, "angular_momentum_norms")
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
+    narratability_report(scenario, free_rule(), flip_rule(), foliations)
+    narratability_report(scenario, flip_rule(), free_rule(), foliations)
     assert len(calls) == 1
+    assert scenario.has_initial_spin is False
+
+
+def _parallel_lines(n):
+    """n worldlines at rest on the x axis: no two of them cross."""
+    return tuple(Worldline(i, "s", Event.of(0, i, 0, 0), (0, 0, 0)) for i in range(n))
+
+
+SINGLE_STATES = st.sampled_from([(1, 0), (0, 1)]).map(np.array) | st.tuples(
+    st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).map(
+    lambda c: np.array([complex(c[0], c[1]), complex(c[2], c[3])])).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([m for m in range(min(3, n) + 1) if (n - m) % 2 == 0]),
+    st.permutations(range(n)))), st.lists(SINGLE_STATES, min_size=3, max_size=3))
+def test_initial_spin_from_the_pairing_equals_the_dense_check(shape, states):
+    """A singlet product's spin licence, read from its pairing, equals the
+    dense norms' verdict, and that of the same amplitudes without a pairing."""
+    (n, m, order), singles = shape, states[:shape[1]]
+    pairing = PairingSpec(tuple(zip(order[m::2], order[m + 1::2])),
+                          tuple(zip(order[:m], singles)))
+    state = singlet_product(n, pairing)
+    assert state.pairing is pairing
+    dense = narrative._carries_spin(state)
+    assert Scenario("pairing", _parallel_lines(n), state).has_initial_spin is dense is (m > 0)
+    amplitudes = SpinState(n, state.amplitudes)
+    assert amplitudes.pairing is None
+    assert Scenario("amplitudes", _parallel_lines(n), amplitudes).has_initial_spin is dense
+
+
+def test_report_and_rendering_build_no_collision_group_until_read(monkeypatch):
+    built = []
+    original = CollisionGroup._built.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(CollisionGroup, "_built", classmethod(counting))
+    monkeypatch.setattr(CollisionGroup, "__post_init__",
+                        lambda group: pytest.fail("a CollisionGroup was constructed"))
+    foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
+    report = narratability_report(demo_scenario(), free_rule(), flip_rule(), foliations)
+    render_report(report)
+    assert built == []
+    groups = [v.groups for v in report.verdicts]
+    assert len(built) == sum(len(g) for g in groups) == 1 + 2 + 1 + 2
+    assert [v.groups for v in report.verdicts] == groups  # built once, then cached
+    assert len(built) == 6
 
 
 def test_free_rule_report_constructs_no_unitary(monkeypatch):
@@ -889,6 +973,9 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     for verdict, fol, (ha, hb) in zip(report.verdicts, foliations, fresh):
         assert verdict.foliation is fol
         assert verdict.comparison == compare_histories(ha, hb)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExactnessWarning)
+            assert verdict.groups == tuple(geometry.group_by_leaf(scenario.events, fol))
     traces, ending_in_runs = 0, 0
     for k, rule in enumerate((rule_a, rule_b)):
         histories = [pair[k] for pair in fresh]
