@@ -30,6 +30,7 @@ from .geometry import (Foliation, Scalar, as_float, collision_events, collision_
 from .quantum import (
     SpinState,
     TwoSlotUnitary,
+    _checked,
     angular_momentum_norms,
     apply_group,
     identity_unitary,
@@ -231,26 +232,31 @@ def _origin(scenario: Scenario) -> _Step:
 
 
 def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
-          earlier: dict) -> Optional[_Step]:
+          steps: dict) -> Optional[_Step]:
     """One rule's step over a group of crossing `pairs` from `before`, with
     the rule's `_unitaries`, or None when none of its contacts fires.
 
-    The step's contact trace is interned in `traces`.  `earlier` holds steps
-    an evolution of the same scenario and rule reached, with the same `traces`,
-    by their traces: a step held under the trace the step reaches has its
-    state exactly, so it is reused.  Otherwise a group of swaps only permutes
-    the slot axes of `before`, and any other group runs `apply_group` on
-    `before`'s state."""
+    The group is checked as `apply_group` checks one, and the step's contact
+    trace is interned in `traces`.  `steps` holds the steps that evolutions
+    of the same scenario and rule built, with the same `traces`, by their
+    traces: a step held under the trace the step reaches has its state
+    exactly, so it is reused.  Otherwise a group of swaps only permutes the
+    slot axes of `before`, and any other group runs `apply_group` on
+    `before`'s state; the new step is filed in `steps`."""
     actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
     if not actions:
         return None
+    _checked(before.base, actions)
     trace = _trace_after(before.trace, actions, traces)
-    held = earlier.get(trace)
+    held = steps.get(trace)
     if held is not None:
         return held
     if all(u.is_swap for u, _ in actions):
-        return _Step(trace, before.base, swapped_axes(before.base, before.axes, actions))
-    return _Step(trace, apply_group(before.state, actions))
+        step = _Step(trace, before.base, swapped_axes(before.base, before.axes, actions))
+    else:
+        step = _Step(trace, apply_group(before.state, actions))
+    steps[trace] = step
+    return step
 
 
 def _spin_guard(scenario: Scenario, foliation: Foliation, scale: int, unitaries: dict,
@@ -369,66 +375,6 @@ def _sampled(fol: Foliation, start: float, leaves: list, unit: int,
                     if abs(mag - 1.0) > tol), (None, None, None))
     min_overlap = min(mag for _, mag in points)
     return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, tuple(points), scale)
-
-
-class _LeafTrie:
-    """A report's frames, walked in the order of their raw leaf sequences
-    (each group's pairs) as a depth-first walk of the trie of those sequences.
-
-    `path` holds one node per group of the frame walked last: (a, b, fired a,
-    fired b, |<a|b>|), where a and b are the two rules' `_Step`s that hold
-    after the group and a rule that does not fire it keeps its step.  The
-    next frame keeps the nodes of the groups it starts with too, and steps
-    both rules only from its first new group.
-
-    `magnitudes` holds |<a|b>| by the pair of contact traces (a's, b's) for
-    the whole report.  Within one report and rule a contact trace fixes the
-    state bit for bit, as `_step`'s `earlier` reuse has it, so a pair of
-    traces fixes |<a|b>|: it is taken once per pair, and only floats are
-    kept."""
-
-    def __init__(self, scenario: Scenario, rules: tuple, start: float):
-        origin = _origin(scenario)
-        self.root = (origin, origin, False, False, start)
-        self.rules = rules
-        self.path: list = []
-        self.sequence: tuple = ()
-        self.traces: dict = {}
-        self.magnitudes: dict = {}
-
-    def walk(self, sequence: tuple) -> list:
-        """The path of the frame whose groups have the pairs `sequence`.
-
-        Each rule's step from the frame's first new group on reuses a step
-        the frame walked last reached under the same trace (`_step`'s
-        `earlier`), and after each new group either rule fires |<a|b>| is
-        read from `magnitudes`, or taken when its pair of traces is new: the
-        two states are built for that overlap only."""
-        path, shared = self.path, 0
-        for mine, theirs in zip(sequence, self.sequence):
-            if mine != theirs:
-                break
-            shared += 1
-        earlier_a = {a.trace: a for a, _, fired_a, _, _ in path if fired_a}
-        earlier_b = {b.trace: b for _, b, _, fired_b, _ in path if fired_b}
-        del path[shared:]
-        self.sequence = sequence
-        a, b, _, _, mag = path[-1] if path else self.root
-        (ua, ub), traces, magnitudes = self.rules, self.traces, self.magnitudes
-        for pairs in sequence[shared:]:
-            after_a = _step(a, pairs, ua, traces, earlier_a)
-            after_b = _step(b, pairs, ub, traces, earlier_b)
-            if after_a is not None:
-                a = after_a
-            if after_b is not None:
-                b = after_b
-            if after_a is not None or after_b is not None:
-                key = (a.trace, b.trace)
-                mag = magnitudes.get(key)
-                if mag is None:
-                    mag = magnitudes[key] = abs(overlap(a.state, b.state))
-            path.append((a, b, after_a is not None, after_b is not None, mag))
-        return path
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,46 +515,59 @@ def narratability_report(
 ) -> NarratabilityReport:
     """Evolve under both rules in every frame and compare leaf by leaf.
 
-    Every frame is grouped first, in input order.  The frames are then walked
-    in the order of their raw leaf sequences (each group's pairs) by one
-    `_LeafTrie`: a frame keeps the evolved states, and |<a|b>|, of the groups
-    it shares with the frame walked before it, and steps both rules from its
-    first new group on, reusing the states that frame reached under the same
-    contact trace.  |<a|b>| is taken once per pair of the two rules' contact
-    traces in the whole report, so two frames that reach one pair through
-    different orders of commuting contacts share it.  Each comparison,
-    sampled from the frame's path, equals `compare_histories` of the frame's
-    two histories: every group either rule fires is its own merged leaf, over
-    the frame's one scale.  Verdicts and LittleGroupWarnings come out in
-    input order."""
+    Every frame is grouped first, then walked from the initial state in
+    input order.  Each rule keeps two tables for the whole report: `moves`,
+    the step a group's pairs take from a contact trace (None: no contact of
+    the rule fires), so a group met again from one trace is one lookup; and
+    `steps`, where `_step` files the step it builds under its trace, so a
+    trace reached again through another order of commuting contacts reuses
+    its state.  |<a|b>| is taken once per pair of the two rules' traces.
+    Each comparison equals `compare_histories` of the frame's two histories:
+    every group either rule fires is its own merged leaf, over the frame's
+    one scale.  LittleGroupWarnings are emitted once every frame is walked,
+    frame by frame, rule a's first.
+
+    A step after a group with a contact that is not a swap holds its own 2^n
+    amplitudes until the report ends: at most the distinct traces such groups
+    reach, times 2^n * 16 bytes, per rule.  A swap-only step holds none."""
     if len(foliations) < 2:
         raise ValueError("need at least two foliations to probe narratability")
     # raw schedules: the crossings exist whichever rule fires them
     schedules = [leaf_runs(scenario.events, fol) for fol in foliations]
-    sequences = [tuple([pairs for _, _, pairs in runs]) for runs, _ in schedules]
     rules = (_unitaries(scenario, rule_a), _unitaries(scenario, rule_b))
     # only a rule with a contact that does not conserve spin can leave some
     guarded = [any(not u.conserves_spin for u in unitaries.values()) for unitaries in rules]
     start = abs(overlap(scenario.initial_state, scenario.initial_state))
-    trie = _LeafTrie(scenario, rules, start)
-    comparisons, warned = [None] * len(foliations), [None] * len(foliations)
-    for idx in sorted(range(len(foliations)), key=sequences.__getitem__):
-        fol, (runs, scale) = foliations[idx], schedules[idx]
-        path = trie.walk(sequences[idx])
-        leaves = [(key, node[4]) for (key, _, _), node in zip(runs, path) if node[2] or node[3]]
-        comparisons[idx] = _sampled(fol, start, leaves, scale, tol)
-        warned[idx] = []
+    origin, traces, magnitudes = _origin(scenario), {}, {}
+    tables = ({}, {}), ({}, {})  # per rule: moves, steps
+    verdicts, warned = [], []
+    for idx, (fol, (runs, scale)) in enumerate(zip(foliations, schedules)):
+        now, leaves, fired = [origin, origin], [], ([], [])
+        for key, _, pairs in runs:
+            moved = False
+            for r, (moves, steps) in enumerate(tables):
+                edge = (now[r].trace, pairs)
+                after = moves.get(edge, False)
+                if after is False:
+                    after = moves[edge] = _step(now[r], pairs, rules[r], traces, steps)
+                if after is not None:
+                    now[r], moved = after, True
+                    if guarded[r]:
+                        fired[r].append((pairs, key, after))
+            if moved:
+                a, b = now
+                pair = (a.trace, b.trace)
+                mag = magnitudes.get(pair)
+                if mag is None:
+                    mag = magnitudes[pair] = abs(overlap(a.state, b.state))
+                leaves.append((key, mag))
         for r in (0, 1):  # rule a's warnings first
-            nodes = zip(runs, path) if guarded[r] else ()
-            fired = [(pairs, key, node[r]) for (key, _, pairs), node in nodes if node[2 + r]]
-            warned[idx] += _spin_guard(scenario, fol, scale, rules[r], fired)
-    for messages in warned:
-        _emit(messages)
+            warned += _spin_guard(scenario, fol, scale, rules[r], fired[r])
+        verdicts.append(FrameVerdict(idx, fol, tuple(runs), scale,
+                                     _sampled(fol, start, leaves, scale, tol)))
+    _emit(warned)
     return NarratabilityReport(
         scenario_name=scenario.name,
         rule_names=(rule_a.name, rule_b.name),
-        verdicts=tuple(
-            FrameVerdict(idx, fol, tuple(runs), scale, c)
-            for idx, (fol, (runs, scale), c) in enumerate(zip(foliations, schedules, comparisons))
-        ),
+        verdicts=tuple(verdicts),
     )

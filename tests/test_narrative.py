@@ -5,7 +5,7 @@ import io
 import json
 import warnings
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -20,10 +20,13 @@ from narratables.cli import built_in_demo
 from narratables.errors import (
     BeyondFloatRange,
     CoincidentWorldlines,
+    EqualSlots,
     ExactnessWarning,
     FoliationMismatch,
     LittleGroupWarning,
+    OverlappingPairs,
     OverlappingSimultaneousPairs,
+    SlotOutOfRange,
 )
 from narratables.fileio import dump_scenario, load_scenario_file
 from narratables.geometry import CollisionGroup, Event, Foliation, Worldline, rest_foliation
@@ -31,6 +34,7 @@ from narratables.narrative import (
     COMPARISON_TOLERANCE,
     REFOLIATION_NOTE,
     History,
+    HistoryComparison,
     InteractionRule,
     Scenario,
     compare_histories,
@@ -283,16 +287,18 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     assert calls == []
     assert built == [(2, 1, 0, 3)]
     # the step, and both rules' steps on a report's walk, reach the trace of
-    # the swap alone
+    # the swap alone; the second frame takes that step from each rule's table
     alone = narrative._trace_after((0, 0, 0, 0), [(swap_unitary(), (0, 2))], {})
     (group,) = geometry.group_by_leaf(scenario.events, rest_foliation())
     unitaries = narrative._unitaries(scenario, rule)
     step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {})
     assert step.trace == alone
     assert (step.base, step.axes) == (scenario.initial_state, (2, 1, 0, 3))
-    trie = narrative._LeafTrie(scenario, (unitaries, unitaries), 1.0)
-    (node,) = trie.walk((group.pairs,))
-    assert (node[0].trace, node[1].trace) == (alone, alone)
+    with report_moves() as tables:
+        narratability_report(scenario, rule, rule, [rest_foliation(), rest_foliation()])
+    for _, moves in tables:
+        ((edge, after),) = moves.items()
+        assert (edge, after.trace) == (((0, 0, 0, 0), group.pairs), alone)
 
 
 def test_a_breakpoint_beyond_the_float_range_is_named_when_a_float_tau_is_looked_up():
@@ -789,36 +795,56 @@ def test_simulate_builds_core_and_tau_once_per_fired_group(tmp_path):
                 assert (cores.call_count, taus.call_count) == (0, count if csv else 0)
 
 
+@contextlib.contextmanager
+def report_moves():
+    """While active: one table per `narrative._unitaries` call, in call order
+    (rule a's, then rule b's, per report), of the steps `narrative._step`
+    takes with those unitaries, {(trace, pairs): step or None}.  A report
+    calls `_step` once per entry of its own `moves` tables, so these equal
+    them; a second call for one entry fails."""
+    tables = []
+    unitaries_of, step_of = narrative._unitaries, narrative._step
+
+    def unitaries(scenario, rule):
+        made = unitaries_of(scenario, rule)
+        tables.append((made, {}))
+        return made
+
+    def step(before, pairs, unitaries, *rest):
+        after = step_of(before, pairs, unitaries, *rest)
+        moves = next(moves for made, moves in tables if made is unitaries)
+        assert (before.trace, pairs) not in moves
+        moves[before.trace, pairs] = after
+        return after
+
+    with mock.patch.object(narrative, "_unitaries", unitaries), \
+            mock.patch.object(narrative, "_step", step):
+        yield tables
+
+
 def report_histories(scenario, rule_a, rule_b, foliations):
-    """The report, and the histories its `_LeafTrie` walks hold, in input
-    order: rule a then rule b per frame, each read from the path the trie
-    returned for the frame's leaf sequence (a rule's fired groups, the states
-    after them and its inert groups).  The report walks each frame once, in
-    an order of its own; frames with one leaf sequence evolve to equal
-    histories."""
-    walks = []
-    original = narrative._LeafTrie.walk
-
-    def recording(trie, sequence):
-        path = original(trie, sequence)
-        walks.append((sequence, list(path)))
-        return path
-
-    with mock.patch.object(narrative._LeafTrie, "walk", recording):
+    """The report, and the histories its steps hold, in input order: rule a
+    then rule b per frame, each read by walking the frame's groups through
+    the rule's `report_moves` table from the initial state (a rule's fired
+    groups, the states after them and its inert groups)."""
+    with report_moves() as tables:
         report = narratability_report(scenario, rule_a, rule_b, foliations)
-    assert len(walks) == len(foliations)
+    assert len(tables) == 2
+    origin = (0,) * len(scenario.worldlines)
     in_order = []
     for verdict in report.verdicts:
-        groups = verdict.groups
-        walk = next(w for w in walks if w[0] == tuple(g.pairs for g in groups))
-        walks.remove(walk)
-        path = walk[1]
-        assert len(path) == len(groups)
-        for r in (0, 1):
-            fired = tuple(g for g, node in zip(groups, path) if node[2 + r])
-            inert = tuple(g for g, node in zip(groups, path) if not node[2 + r])
-            segments = (scenario.initial_state, *(node[r].state for node in path if node[2 + r]))
-            in_order.append(History(verdict.foliation, fired, segments, inert))
+        for _, moves in tables:
+            trace, fired, inert, segments = origin, [], [], [scenario.initial_state]
+            for g in verdict.groups:
+                after = moves[trace, g.pairs]
+                if after is None:
+                    inert.append(g)
+                    continue
+                trace = after.trace
+                fired.append(g)
+                segments.append(after.state)
+            in_order.append(History(verdict.foliation, tuple(fired), tuple(segments),
+                                    tuple(inert)))
     return report, in_order
 
 
@@ -907,16 +933,16 @@ def runs_contacts(scenario, rule, pairs):
     return any(not (u.is_identity or u.is_swap) for u in unitaries)
 
 
-def distinct_run_traces(scenario, rule, histories):
-    """The distinct contact traces that only fired groups of `histories` with
-    a contact that is not a swap reach."""
+def run_traces(scenario, rule, histories):
+    """The distinct contact traces that fired groups of `histories` with a
+    contact that is not a swap reach, and those that swap-only groups reach."""
     by_swaps, by_runs = set(), set()
     for h in histories:
         slots = [[] for _ in scenario.worldlines]
         for g in h.groups:
             ran = any(not u.is_swap for u in touch(scenario, rule, slots, g.pairs))
             (by_runs if ran else by_swaps).add(frozen(slots))
-    return len(by_runs - by_swaps)
+    return by_runs, by_swaps
 
 
 def distinct_trace_pairs(scenario, rule_a, rule_b, foliations):
@@ -935,29 +961,33 @@ def distinct_trace_pairs(scenario, rule_a, rule_b, foliations):
     return len(seen)
 
 
+def spin_warnings(run):
+    """`run()`, and the LittleGroupWarning messages it emits, in order."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [str(w.message) for w in seen if w.category is LittleGroupWarning]
+
+
 @given(shared_prefix_cases())
 def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     """Every verdict and LittleGroupWarning equals those of a fresh evolution
     and comparison of its frame, in input order.  A group of swaps only
     permutes slot axes, so the `apply_group` calls lie between the distinct
     contact traces that only fired groups with another contact reach (each
-    needs one) and the distinct raw prefixes that end in such a group (which
-    evolving in raw leaf-sequence order never applies twice).  A state is
+    needs one) and the distinct raw prefixes that end in such a group (a
+    rule's table steps each group from one trace once).  Each rule's calls,
+    one per step its table holds with no slot permutation, never exceed the
+    distinct traces that its groups with another contact reach.  A state is
     built only for an overlap, a spin check or a group that runs contacts."""
     lines, initial, rule_a, rule_b, foliations = case
-
-    def spin_warnings(run):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            result = run()
-        return result, [str(w.message) for w in seen if w.category is LittleGroupWarning]
-
     try:
         scenario = Scenario(name="orders", worldlines=tuple(lines), initial_state=initial)
         with mock.patch.object(narrative, "apply_group", wraps=narrative.apply_group) as calls, \
                 mock.patch.object(narrative, "permuted", wraps=narrative.permuted) as built, \
                 mock.patch.object(narrative, "overlap", wraps=overlap) as overlaps, \
-                mock.patch.object(narrative, "_carries_spin", wraps=narrative._carries_spin) as spins:
+                mock.patch.object(narrative, "_carries_spin", wraps=narrative._carries_spin) as spins, \
+                report_moves() as tables:
             report, in_report = spin_warnings(
                 lambda: narratability_report(scenario, rule_a, rule_b, foliations))
         fresh, in_fresh = spin_warnings(lambda: [
@@ -976,17 +1006,52 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExactnessWarning)
             assert verdict.groups == tuple(geometry.group_by_leaf(scenario.events, fol))
-    traces, ending_in_runs = 0, 0
+    traces, ending_in_runs, ran = 0, 0, []
     for k, rule in enumerate((rule_a, rule_b)):
         histories = [pair[k] for pair in fresh]
-        traces += distinct_run_traces(scenario, rule, histories)
+        by_runs, by_swaps = run_traces(scenario, rule, histories)
+        traces += len(by_runs - by_swaps)
         ending_in_runs += len({
             tuple(seq[:m]) for seq, h in zip(raw, histories) for m in range(1, len(seq) + 1)
             if seq[m - 1] in {g.pairs for g in h.groups
                               if runs_contacts(scenario, rule, g.pairs)}})
+        ran.append(len({id(step) for step in tables[k][1].values()
+                        if step is not None and step.axes is None}))
+        assert ran[k] <= len(by_runs)
+    assert sum(ran) == calls.call_count
     assert traces <= calls.call_count <= ending_in_runs
     states = sum(call.args[1] is not None for call in built.call_args_list)
     assert states <= 2 * (overlaps.call_count - 1) + spins.call_count + calls.call_count
+
+
+@given(shared_prefix_cases(), st.data())
+def test_a_report_does_not_depend_on_the_order_of_its_frames(case, data):
+    """Permuting a report's foliations permutes its verdicts, though the
+    rules' report-wide tables then fill in another order: each frame keeps
+    its leaves and its comparison field by field, and the LittleGroupWarnings
+    are each frame's, those of its fresh evolutions under rule a then rule b,
+    in frame order."""
+    lines, initial, rule_a, rule_b, foliations = case
+    order = data.draw(st.permutations(range(len(foliations))))
+    try:
+        scenario = Scenario(name="permuted", worldlines=tuple(lines), initial_state=initial)
+        report, in_report = spin_warnings(
+            lambda: narratability_report(scenario, rule_a, rule_b, foliations))
+        permuted, in_permuted = spin_warnings(lambda: narratability_report(
+            scenario, rule_a, rule_b, [foliations[i] for i in order]))
+        per_frame = [spin_warnings(lambda: [evolve(scenario, fol, rule)
+                                            for rule in (rule_a, rule_b)])[1]
+                     for fol in foliations]
+    except (CoincidentWorldlines, OverlappingSimultaneousPairs):
+        assume(False)  # an accidental extra crossing; not what is probed here
+    assert in_report == [message for messages in per_frame for message in messages]
+    assert in_permuted == [message for i in order for message in per_frame[i]]
+    for k, i in enumerate(order):
+        got, want = permuted.verdicts[k], report.verdicts[i]
+        assert (got.foliation_index, got.foliation) == (k, want.foliation)
+        assert (got.runs, got.scale) == (want.runs, want.scale)
+        for f in fields(HistoryComparison):
+            assert getattr(got.comparison, f.name) == getattr(want.comparison, f.name)
 
 
 def test_frames_that_share_a_leaf_sequence_take_no_overlap_again(monkeypatch):
@@ -1104,11 +1169,12 @@ def test_prefix_reuse_stops_at_the_first_differing_group(monkeypatch):
 
 
 def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
-    # four crossings of disjoint pairs X, Y, P, Q; the x boosts -1/2, 1/20 and
-    # 1/2 fire X Y P Q, X Y Q P and Y X Q P, and are walked in that order.  The
-    # second frame keeps X and Y from the first; the third reaches Y X, which
-    # is X Y's trace, so it reuses that state only if the second frame filed
-    # its kept groups again.  Per rule: 4 steps, then Q, then Y alone.
+    # four crossings of disjoint pairs X, Y, P, Q; the x boosts 1/2, -1/2 and
+    # 1/20 fire Y X Q P, X Y P Q and X Y Q P, and are walked in that order.
+    # CZs on disjoint slots commute exactly: the second frame's X Y reaches
+    # the first frame's Y X trace, and its X Y P Q the first frame's Y X Q P
+    # trace, so it builds X and P alone; the third frame takes every group
+    # from the rules' tables, its X Y Q from the first frame's Y X Q.
     crossings = [(0, 0, 0), (1, 10, 1), (20, 0, 2), (20, 1, 3)]  # (t, x, y): X, Y, P, Q
     lines = []
     for t, x, y in crossings:
@@ -1133,7 +1199,7 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
     # CZ runs its contacts; flip's swaps only permute slot axes, and a flip
     # state is built for the overlap after each of its steps
     assert [actions for _, actions in calls] == [[(cz.default, p)] for p in (
-        (0, 1), (2, 3), (4, 5), (6, 7), (6, 7), (2, 3))]
+        (2, 3), (0, 1), (6, 7), (4, 5), (0, 1), (4, 5))]
     assert len(built) == 4 + 1 + 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
@@ -1143,6 +1209,10 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
         assert got.groups == want.groups
         for a, b in zip(got.segments, want.segments, strict=True):
             assert np.array_equal(a.amplitudes, b.amplitudes)
+    # CZ's states after Y X and after Y X Q P are the first frame's, not rebuilt
+    first, second, third = made[1].segments, made[3].segments, made[5].segments
+    assert all(x is y for x, y in zip((second[2], second[4], third[2], third[3]),
+                                      (first[2], first[4], first[2], first[3])))
 
 
 def test_both_rules_warn_in_a_frame_rule_a_first():
@@ -1239,6 +1309,30 @@ def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
 CZ = TwoSlotUnitary(np.diag([1, 1, 1, -1]))
 # the swap as a scenario file spells it: a matrix of its own, flagged a swap
 PARSED_SWAP = TwoSlotUnitary(np.eye(4)[[0, 2, 1, 3]])
+
+
+@pytest.mark.parametrize("u", [swap_unitary(), CZ, random_unitary(3)])
+@pytest.mark.parametrize("pairs, error, message", [
+    (((0, 4),), SlotOutOfRange, "slot 4 outside 0..3"),
+    (((-1, 0),), SlotOutOfRange, "slot -1 outside 0..3"),
+    (((0, 4), (-1, 0)), SlotOutOfRange, "slot 4 outside 0..3"),
+    (((2, 2),), EqualSlots, "contact unitary needs two distinct slots, got 2"),
+    (((0, 1), (1, 2)), OverlappingPairs, "slot 1 used by two simultaneous unitaries"),
+])
+def test_a_step_checks_its_group_before_it_traces_it(u, pairs, error, message):
+    # a group `apply_group` refuses (a slot past the last one or a negative
+    # one, equal slots, a slot used twice) is refused with its text before the
+    # contact trace is extended, which a slot out of range would index past
+    # its end or wrap to; nothing is interned or filed
+    initial = singlet_product(4, [(0, 1), (2, 3)])
+    traces, steps = {}, {}
+    with pytest.raises(error) as from_apply:
+        apply_group(initial, [(u, pair) for pair in pairs])
+    with pytest.raises(error) as from_step:
+        narrative._step(narrative._Step((0,) * 4, initial), pairs,
+                        {pair: u for pair in pairs}, traces, steps)
+    assert str(from_step.value) == str(from_apply.value) == message
+    assert (traces, steps) == ({}, {})
 
 
 @st.composite
