@@ -28,16 +28,18 @@ from .errors import FoliationMismatch, LittleGroupWarning
 from .geometry import (Foliation, Scalar, as_float, collision_events, collision_groups,
                        leaf_runs)
 from .quantum import (
+    DotBuffers,
     SpinState,
     TwoSlotUnitary,
     _checked,
+    _swapped,
     angular_momentum_norms,
     apply_group,
     identity_unitary,
     overlap,
     permuted,
+    placed_magnitude,
     swap_unitary,
-    swapped_axes,
 )
 
 COMPARISON_TOLERANCE = 1e-10
@@ -246,13 +248,13 @@ def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
     actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
     if not actions:
         return None
-    _checked(before.base, actions)
+    checked = _checked(before.base, actions)
     trace = _trace_after(before.trace, actions, traces)
     held = steps.get(trace)
     if held is not None:
         return held
     if all(u.is_swap for u, _ in actions):
-        step = _Step(trace, before.base, swapped_axes(before.base, before.axes, actions))
+        step = _Step(trace, before.base, _swapped(before.base.n_slots, before.axes, checked))
     else:
         step = _Step(trace, apply_group(before.state, actions))
     steps[trace] = step
@@ -428,14 +430,25 @@ def format_scalar(value) -> str:
 
 def format_tau(foliation: Foliation, key, scale: int) -> str:
     """`format_scalar` of the tau of the core key/scale (scale > 0), from the
-    key: for a rational gamma p/q, the reduced fraction p*key/(q*scale) with
-    one gcd and no Fraction; otherwise the float `Foliation.leaf_tau` gives."""
+    key: `format_taus` of one key."""
+    return format_taus(foliation, (key,), scale)[0]
+
+
+def format_taus(foliation: Foliation, keys: Iterable, scale: int) -> list:
+    """`format_tau` of each of one frame's `keys` over one `scale`, with
+    gamma's parts and the scale read once: for a rational gamma p/q, the
+    reduced fraction p*key/(q*scale) with one gcd and no Fraction; otherwise
+    the float `Foliation.leaf_tau` gives, to 12 significant digits."""
     gamma = foliation.gamma
-    if isinstance(gamma, Fraction):
-        num, den = gamma.numerator * key, gamma.denominator * scale
+    if not isinstance(gamma, Fraction):
+        return [f"{gamma * (key / scale):.12g}" for key in keys]
+    p, den = gamma.numerator, gamma.denominator * scale
+    taus = []
+    for key in keys:
+        num = p * key
         common = gcd(num, den)
-        return str(num // common) if den == common else f"{num // common}/{den // common}"
-    return format_scalar(gamma * (key / scale))
+        taus.append(str(num // common) if den == common else f"{num // common}/{den // common}")
+    return taus
 
 
 def format_foliation(index: int, foliation: Foliation) -> str:
@@ -467,11 +480,12 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         fol = v.foliation
         lines.append(format_foliation(v.foliation_index, fol))
         lines.append(f"  collision leaves: {len(v.runs)}")
-        for key, _, pairs in v.runs:
+        taus = format_taus(fol, [key for key, _, _ in v.runs], v.scale)
+        for tau, (_, _, pairs) in zip(taus, v.runs):
             label = labels.get(pairs)
             if label is None:
                 label = labels[pairs] = format_pairs(pairs)
-            lines.append(f"    tau = {format_tau(fol, key, v.scale)}: pairs {label}")
+            lines.append(f"    tau = {tau}: pairs {label}")
         c = v.comparison
         if c.equal:
             lines.append(
@@ -521,7 +535,9 @@ def narratability_report(
     the rule fires), so a group met again from one trace is one lookup; and
     `steps`, where `_step` files the step it builds under its trace, so a
     trace reached again through another order of commuting contacts reuses
-    its state.  |<a|b>| is taken once per pair of the two rules' traces.
+    its state.  |<a|b>| is taken once per pair of the two rules' traces, by
+    `placed_magnitude` from the two steps' bases and slot permutations into
+    the report's `DotBuffers`, with no state built.
     Each comparison equals `compare_histories` of the frame's two histories:
     every group either rule fires is its own merged leaf, over the frame's
     one scale.  LittleGroupWarnings are emitted once every frame is walked,
@@ -539,6 +555,7 @@ def narratability_report(
     guarded = [any(not u.conserves_spin for u in unitaries.values()) for unitaries in rules]
     start = abs(overlap(scenario.initial_state, scenario.initial_state))
     origin, traces, magnitudes = _origin(scenario), {}, {}
+    dots = DotBuffers(scenario.initial_state.n_slots)
     tables = ({}, {}), ({}, {})  # per rule: moves, steps
     verdicts, warned = [], []
     for idx, (fol, (runs, scale)) in enumerate(zip(foliations, schedules)):
@@ -559,7 +576,8 @@ def narratability_report(
                 pair = (a.trace, b.trace)
                 mag = magnitudes.get(pair)
                 if mag is None:
-                    mag = magnitudes[pair] = abs(overlap(a.state, b.state))
+                    mag = magnitudes[pair] = placed_magnitude(a.base, a.axes, b.base, b.axes,
+                                                              dots)
                 leaves.append((key, mag))
         for r in (0, 1):  # rule a's warnings first
             warned += _spin_guard(scenario, fol, scale, rules[r], fired[r])

@@ -34,7 +34,7 @@ from narratables.geometry import (
     lorentz_gamma,
     rest_foliation,
 )
-from narratables.narrative import format_scalar, format_tau
+from narratables.narrative import format_scalar, format_tau, format_taus
 
 F = Fraction
 
@@ -483,6 +483,10 @@ def test_printed_tau_is_the_formatted_leaf_tau(foliation, data):
         key = data.draw(st.integers(-10**6, 10**6)) * scale * over
     text = format_tau(foliation, key, scale)
     assert text == format_scalar(foliation.leaf_tau(key, scale))
+    # a frame's taus in one call, as `render_report` formats them
+    keys = [key, key + scale, -key, 0]
+    assert format_taus(foliation, keys, scale) == [
+        format_scalar(foliation.leaf_tau(k, scale)) for k in keys]
     if kind == "integer tau" and isinstance(foliation.gamma, Fraction):
         assert text == str(foliation.gamma.numerator * (key // (scale * over)))
 

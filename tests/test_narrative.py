@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from narratables import cli, geometry, narrative
+from narratables import cli, geometry, narrative, quantum
 from narratables.cli import built_in_demo
 from narratables.errors import (
     BeyondFloatRange,
@@ -46,6 +46,7 @@ from narratables.narrative import (
 )
 from narratables.quantum import (
     MAX_SLOTS,
+    DotBuffers,
     PairingSpec,
     SpinState,
     TwoSlotUnitary,
@@ -54,6 +55,7 @@ from narratables.quantum import (
     equal_up_to_phase,
     identity_unitary,
     overlap,
+    placed_magnitude,
     singlet_product,
     swap_unitary,
 )
@@ -446,6 +448,20 @@ def _materializing(monkeypatch):
     return built
 
 
+def _placing(monkeypatch):
+    """The slot permutations `narrative.placed_magnitude` dots states by, one
+    per permuted side of a call (a side with no permutation places none)."""
+    placed = []
+    original = narrative.placed_magnitude
+
+    def wrapper(a, a_axes, b, b_axes, dots):
+        placed.extend(axes for axes in (a_axes, b_axes) if axes is not None)
+        return original(a, a_axes, b, b_axes, dots)
+
+    monkeypatch.setattr(narrative, "placed_magnitude", wrapper)
+    return placed
+
+
 def test_report_finds_each_crossing_once(monkeypatch):
     calls = _counting(monkeypatch, geometry, "collide")
     foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
@@ -720,6 +736,12 @@ def counting_builds():
         yield cores, taus
 
 
+def printed(formatted):
+    """The taus formatted through a mock wrapping `narrative.format_taus`:
+    one per key of each call."""
+    return sum(len(call.args[1]) for call in formatted.call_args_list)
+
+
 @given(history_pairs())
 def test_samples_are_built_when_read_as_eagerly_before(pair):
     h1, h2 = pair
@@ -750,9 +772,9 @@ def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
                                        (mix, free_rule(), (5, 7, 15))]:
             caught.clear()
             with counting_builds() as (cores, taus), mock.patch.object(
-                    narrative, "format_tau", wraps=narrative.format_tau) as printed:
+                    narrative, "format_taus", wraps=narrative.format_taus) as formatted:
                 report = narratability_report(scenario, rule_a, rule_b, foliations)
-                before = (cores.call_count, taus.call_count, printed.call_count)
+                before = (cores.call_count, taus.call_count, printed(formatted))
                 render_report(report)
             # free vs flip: EQUAL and DIFFER verdicts; mix vs free: DIFFER in every frame
             assert [v.equal for v in report.verdicts] == (
@@ -763,8 +785,10 @@ def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
             differ = sum(not v.equal for v in report.verdicts)
             assert before == (differ, differ, len(caught))
             assert (cores.call_count, taus.call_count) == (differ, differ)
-            assert printed.call_count == before[2] + sum(len(v.groups) for v in report.verdicts)
-            assert (taus.call_count, before[2], printed.call_count) == counts
+            assert printed(formatted) == before[2] + sum(len(v.groups) for v in report.verdicts)
+            assert (taus.call_count, before[2], printed(formatted)) == counts
+            # render_report formats each frame's taus in one call
+            assert formatted.call_count == before[2] + len(foliations)
             expected = [
                 (idx, float(tau).hex(), mag.hex())
                 for idx, fol in enumerate(foliations)
@@ -979,7 +1003,9 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     rule's table steps each group from one trace once).  Each rule's calls,
     one per step its table holds with no slot permutation, never exceed the
     distinct traces that its groups with another contact reach.  A state is
-    built only for an overlap, a spin check or a group that runs contacts."""
+    built only for a spin check or a group that runs contacts: the one
+    overlap is of the initial states, and each magnitude after a group is
+    dotted from the steps' bases."""
     lines, initial, rule_a, rule_b, foliations = case
     try:
         scenario = Scenario(name="orders", worldlines=tuple(lines), initial_state=initial)
@@ -1021,7 +1047,8 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     assert sum(ran) == calls.call_count
     assert traces <= calls.call_count <= ending_in_runs
     states = sum(call.args[1] is not None for call in built.call_args_list)
-    assert states <= 2 * (overlaps.call_count - 1) + spins.call_count + calls.call_count
+    assert overlaps.call_count == 1
+    assert states <= spins.call_count + calls.call_count
 
 
 @given(shared_prefix_cases(), st.data())
@@ -1062,9 +1089,11 @@ def test_frames_that_share_a_leaf_sequence_take_no_overlap_again(monkeypatch):
     scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
     foliations = [X_BOOST, Foliation((F(4, 5), 0, 0)), rest_foliation(), X_BOOST]
     calls = _counting(monkeypatch, narrative, "overlap")
+    dots = _counting(monkeypatch, narrative, "placed_magnitude")
     report = narratability_report(scenario, free, flip, foliations)
-    assert len(calls) == 1 + 1 + 1  # the initial states, the rest leaf, the boosts' (1,3)
-    assert len(calls) == 1 + distinct_trace_pairs(scenario, free, flip, foliations)
+    # an overlap of the initial states; the rest leaf's and the boosts' (1,3) magnitudes
+    assert (len(calls), len(dots)) == (1, 1 + 1)
+    assert len(calls) + len(dots) == 1 + distinct_trace_pairs(scenario, free, flip, foliations)
     for verdict, fol in zip(report.verdicts, foliations):
         assert verdict.comparison == compare_histories(evolve(scenario, fol, free),
                                                        evolve(scenario, fol, flip))
@@ -1084,10 +1113,12 @@ def test_frames_that_reach_one_trace_pair_in_two_orders_take_one_overlap(monkeyp
     free, flip = free_rule(), flip_rule()
     foliations = [Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0))]
     calls = _counting(monkeypatch, narrative, "overlap")
+    dots = _counting(monkeypatch, narrative, "placed_magnitude")
     report, made = report_histories(scenario, free, flip, foliations)
     assert [g.pairs for g in made[1].groups] == [((0, 1),), ((2, 3),)]
     assert [g.pairs for g in made[3].groups] == [((2, 3),), ((0, 1),)]
-    assert len(calls) == 1 + 2 + 1 == 1 + distinct_trace_pairs(scenario, free, flip, foliations)
+    assert (len(calls), len(dots)) == (1, 2 + 1)
+    assert len(calls) + len(dots) == 1 + distinct_trace_pairs(scenario, free, flip, foliations)
     for verdict, fol in zip(report.verdicts, foliations):
         assert verdict.comparison == compare_histories(evolve(scenario, fol, free),
                                                        evolve(scenario, fol, flip))
@@ -1117,23 +1148,26 @@ def test_same_rule_reports_equal_fresh_comparisons():
 
 @given(shared_prefix_cases())
 def test_report_takes_one_overlap_per_fired_group_after_the_shared_prefix(case):
-    """One overlap for the two initial states, then one per distinct pair of
-    the two rules' contact traces after a group either rule fires, however
-    many frames reach it; every comparison equals that of the frame's fresh
-    histories."""
+    """One overlap for the two initial states, then one `placed_magnitude`
+    per distinct pair of the two rules' contact traces after a group either
+    rule fires, however many frames reach it; every comparison equals that
+    of the frame's fresh histories."""
     lines, initial, rule_a, rule_b, foliations = case
     try:
         scenario = Scenario(name="overlaps", worldlines=tuple(lines), initial_state=initial)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LittleGroupWarning)
             warnings.simplefilter("ignore", ExactnessWarning)
-            with mock.patch.object(narrative, "overlap", wraps=overlap) as counted:
+            with mock.patch.object(narrative, "overlap", wraps=overlap) as counted, \
+                    mock.patch.object(narrative, "placed_magnitude",
+                                      wraps=narrative.placed_magnitude) as dots:
                 report = narratability_report(scenario, rule_a, rule_b, foliations)
             fresh = [[evolve(scenario, fol, rule) for rule in (rule_a, rule_b)]
                      for fol in foliations]
     except (CoincidentWorldlines, OverlappingSimultaneousPairs):
         assume(False)  # an accidental extra crossing; not what is probed here
-    assert counted.call_count == 1 + distinct_trace_pairs(scenario, rule_a, rule_b, foliations)
+    assert counted.call_count == 1
+    assert dots.call_count == distinct_trace_pairs(scenario, rule_a, rule_b, foliations)
     for verdict, (ha, hb) in zip(report.verdicts, fresh):
         assert verdict.comparison == compare_histories(ha, hb)
 
@@ -1188,7 +1222,7 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
     foliations = [Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0)),
                   Foliation((F(1, 20), 0, 0))]
     calls = _counting(monkeypatch, narrative, "apply_group")
-    built = _materializing(monkeypatch)
+    built, placed = _materializing(monkeypatch), _placing(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
         report = narratability_report(scenario, flip_rule(), cz, foliations)
@@ -1197,10 +1231,10 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
         [((0, 1),), ((2, 3),), ((4, 5),), ((6, 7),)],
         [((0, 1),), ((2, 3),), ((6, 7),), ((4, 5),)]]
     # CZ runs its contacts; flip's swaps only permute slot axes, and a flip
-    # state is built for the overlap after each of its steps
+    # state is placed for the magnitude after each of its steps, never built
     assert [actions for _, actions in calls] == [[(cz.default, p)] for p in (
         (2, 3), (0, 1), (6, 7), (4, 5), (0, 1), (4, 5))]
-    assert len(built) == 4 + 1 + 1
+    assert (len(placed), built) == (4 + 1 + 1, [])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
         _, made = report_histories(scenario, flip_rule(), cz, foliations)
@@ -1261,22 +1295,23 @@ def test_a_spin_conserving_contact_does_not_warn_on_a_state_that_carries_spin():
 def test_same_fired_order_in_the_next_frame_applies_no_contact(monkeypatch):
     # the 3/5 and 4/5 x boosts both fire (1,3) and then (0,2).  flip's swaps
     # only permute slot axes, so no contact runs; a state is built for each
-    # segment of an evolution and for each overlap of a report, which free's
-    # initial state and a flip state take after each new pair of traces
+    # segment of an evolution, and a report builds none: it places a flip
+    # state for the magnitude after each new pair of traces, which free's
+    # initial state takes unpermuted
     scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
     calls = _counting(monkeypatch, narrative, "apply_group")
-    built = _materializing(monkeypatch)
+    built, placed = _materializing(monkeypatch), _placing(monkeypatch)
     evolve(scenario, X_BOOST, flip)
     assert (len(calls), built) == (0, [(0, 3, 2, 1), (2, 3, 0, 1)])
     built.clear()
     narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(4, 5), 0, 0))])
-    assert (len(calls), len(built)) == (0, 2)  # all in the first frame
-    built.clear()
+    assert (len(calls), len(placed), built) == (0, 2, [])  # all in the first frame
+    placed.clear()
     # the -3/5 boost fires (0,2) first and is walked first; the 3/5 boost
-    # builds a state for (1,3), and the disjoint swaps (0,2) and (1,3) then
+    # places a state for (1,3), and the disjoint swaps (0,2) and (1,3) then
     # reach the contact trace whose step the -3/5 frame holds
     narratability_report(scenario, free, flip, [X_BOOST, Foliation((F(-3, 5), 0, 0))])
-    assert (len(calls), len(built)) == (0, 3)
+    assert (len(calls), len(placed), built) == (0, 3, [])
 
 
 def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
@@ -1353,6 +1388,12 @@ def relabeling_cases(draw):
     else:
         vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         initial = SpinState(n, vec / np.linalg.norm(vec))
+    return initial, contact_groups(draw, n)
+
+
+def contact_groups(draw, n):
+    """1-8 groups of contacts on disjoint pairs of `n` slots, mostly swaps,
+    with CZ and random unitaries, alone or beside swaps."""
     contacts = st.sampled_from([swap_unitary(), swap_unitary(), PARSED_SWAP, CZ, None])
     groups = []
     for _ in range(draw(st.integers(1, 8))):
@@ -1362,7 +1403,7 @@ def relabeling_cases(draw):
             u = draw(contacts) or random_unitary(draw(st.integers(0, 99)))
             group.append((u, (slots[2 * i], slots[2 * i + 1])))
         groups.append(group)
-    return initial, groups
+    return groups
 
 
 @given(relabeling_cases())
@@ -1385,3 +1426,37 @@ def test_steps_build_the_amplitudes_of_sequential_groups_bit_for_bit(case):
         assert after.state.amplitudes.tobytes() == want.amplitudes.tobytes()
         step = after
 
+
+
+# every base is placed at 1, none at 2**13
+@given(relabeling_cases(), st.data(), st.sampled_from([1, quantum.PLACED_SHARE, 2**13]))
+def test_placed_magnitudes_equal_overlaps_of_built_states_bit_for_bit(case, data, share):
+    """Two rules' steps walked side by side as a report walks them: for each
+    new pair of traces, `placed_magnitude` of the steps' bases and slot
+    permutations is, bit for bit, |<a|b>| of the two states `permuted`
+    builds, whether each base is placed into a buffer or transposed, and it
+    leaves both buffers zero.  A base is placed when it has at most 2^n /
+    PLACED_SHARE nonzero amplitudes."""
+    initial, groups_a = case
+    n = initial.n_slots
+    groups_b = contact_groups(data.draw, n)
+    origin = narrative._Step((0,) * n, initial)
+    now, traces, steps, seen = [origin, origin], {}, ({}, {}), set()
+    dots = DotBuffers(n)
+    with mock.patch.object(quantum, "PLACED_SHARE", share):
+        for k in range(max(len(groups_a), len(groups_b))):
+            for r, groups in enumerate((groups_a, groups_b)):
+                if k < len(groups):
+                    unitaries = {pair: u for u, pair in groups[k]}
+                    now[r] = narrative._step(now[r], tuple(unitaries), unitaries, traces,
+                                             steps[r])
+            a, b = now
+            if (a.trace, b.trace) in seen:
+                continue
+            seen.add((a.trace, b.trace))
+            want = abs(overlap(quantum.permuted(a.base, a.axes), quantum.permuted(b.base, b.axes)))
+            got = placed_magnitude(a.base, a.axes, b.base, b.axes, dots)
+            assert got.hex() == want.hex()
+            assert not any(buffer.any() for buffer in dots.buffers if buffer is not None)
+    for base, support in dots.supports.items():
+        assert (support is None) == (np.count_nonzero(base.amplitudes) * share > 2**n)

@@ -1,5 +1,7 @@
 """Spin-slot states and contact unitaries against independent oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from narratables.fileio import parse_matrix
 from narratables.quantum import (
     MAX_SLOTS,
     SINGLET_PAIR,
+    DotBuffers,
     PairingSpec,
     SpinState,
     TwoSlotUnitary,
@@ -31,6 +34,7 @@ from narratables.quantum import (
     identity_unitary,
     overlap,
     permuted,
+    placed_magnitude,
     singlet_product,
     swap_unitary,
     swapped_axes,
@@ -609,6 +613,58 @@ def test_swapped_axes_compose_swaps_and_permuted_builds_their_state():
     assert not built.amplitudes.flags.writeable
     with pytest.raises(ValueError):
         swapped_axes(state, None, [(TwoSlotUnitary(np.diag([1, 1, 1, -1])), (0, 1))])
+
+
+# no base is placed at 2**13, every base is at 1
+@pytest.mark.parametrize("share", [1, quantum.PLACED_SHARE, 2**13])
+def test_placed_magnitude_of_a_base_with_negative_zeros_keeps_the_dense_bits(share):
+    # every zero amplitude of the base is -0.0 - 0.0j, and its nonzero ones
+    # carry signed zero parts; a placed copy holds +0 where a transposed copy
+    # holds -0.  The magnitudes keep the dense overlaps' bits, the exact zero
+    # of two disjoint supports too
+    n, rng = 12, np.random.default_rng(17)
+    amps = np.full(2**n, complex(-0.0, -0.0))
+    where = rng.choice(2**n, 48, replace=False)
+    amps[where] = rng.normal(size=48) + 1j * rng.normal(size=48)
+    amps[where[:8]] = amps[where[:8]].real - 0.0j
+    amps[where[8:16]] = complex(-0.0, 1.0) * amps[where[8:16]].imag
+    base = SpinState(n, amps / np.linalg.norm(amps))
+    other = SpinState(n, np.eye(2**n)[0])  # |++...+>, outside the base's support
+    assert amps[0] == 0 and np.signbit(base.amplitudes[0].real)
+    dots = DotBuffers(n)
+    with mock.patch.object(quantum, "PLACED_SHARE", share):
+        for _ in range(8):
+            a_axes, b_axes = (tuple(rng.permutation(n).tolist()) for _ in range(2))
+            for a, a_ax, b, b_ax in [(base, a_axes, base, b_axes), (base, None, base, b_axes),
+                                     (base, a_axes, base, None), (base, a_axes, other, b_axes)]:
+                want = abs(overlap(permuted(a, a_ax), permuted(b, b_ax)))
+                assert placed_magnitude(a, a_ax, b, b_ax, dots).hex() == want.hex()
+    assert (dots.supports[base] is None) == (48 * share > 2**n)
+    zeros = permuted(base, a_axes).amplitudes == 0
+    assert np.signbit(permuted(base, a_axes).amplitudes[zeros].real).all()
+
+
+def test_placed_magnitude_leaves_both_buffers_zero():
+    # a 12-slot singlet product is placed (64 of 4096 amplitudes nonzero), as
+    # is |++...+>, which lies outside its support wherever the slots go: a
+    # buffer that kept the product placed by the first call would read
+    # |<s|s>| near 1 in the second, not 0
+    n = 12
+    state = singlet_product(n, [(i, i + 1) for i in range(0, n, 2)])
+    basis = SpinState(n, np.eye(2**n)[0])
+    axes, other = tuple(range(1, n)) + (0,), tuple(reversed(range(n)))
+    same = abs(overlap(permuted(state, axes), permuted(state, axes)))
+    dots = DotBuffers(n)
+    placed_magnitude(state, axes, state, None, dots)
+    assert dots.buffers[1] is None  # made on first use
+    for second in [(basis, other, state, axes), (state, axes, basis, other)]:
+        assert placed_magnitude(state, axes, state, axes, dots) == same
+        assert not dots.buffers[0].any() and not dots.buffers[1].any()
+        assert placed_magnitude(*second, dots) == 0.0
+        assert not dots.buffers[0].any() and not dots.buffers[1].any()
+    assert dots.supports[basis] is not None and dots.supports[state] is not None
+    with pytest.raises(DimensionMismatch):
+        placed_magnitude(singlet_product(2, [(0, 1)]), None, state, None, dots)
 
 
 def test_swap_unitary_is_shared_flagged_and_read_only():
