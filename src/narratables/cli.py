@@ -21,7 +21,7 @@ from . import algebra, clusterkit, fileio
 from .errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
 from .geometry import Foliation, as_float
 from .narrative import (COMPARISON_TOLERANCE, evolve, format_foliation, format_pairs,
-                        format_scalar, format_tau, narratability_report, paint, render_report)
+                        format_scalar, format_taus, narratability_report, paint, render_report)
 from .quantum import overlap
 
 EXIT_OK = 0
@@ -152,7 +152,9 @@ def cmd_simulate(args) -> int:
     print(f"rule: {rule.name}")
     print(format_foliation(args.foliation, foliation))
     print(f"collision leaves: {len(history.groups)}")
-    taus = [format_tau(foliation, g.key, g.scale) for g in history.groups]
+    # a history's groups share the frame's one scale
+    scale = history.groups[0].scale if history.groups else 1
+    taus = format_taus(foliation, [g.key for g in history.groups], scale)
     for g, tau in zip(history.groups, taus):
         events = ", ".join(
             "(t={}, x={}, y={}, z={})".format(*(map(format_scalar, e.coordinates())))

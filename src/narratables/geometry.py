@@ -346,7 +346,21 @@ class CollisionGroup:
 
 class Crossings(tuple):
     """Collision events ((id_low, id_high), Event), sorted by pair, that put
-    their coordinates over one common denominator once (`integer_rows`)."""
+    their coordinates over one common denominator once (`integer_rows`), and
+    build once the members and pairs of a leaf that holds one crossing
+    alone (`single_runs`)."""
+
+    @cached_property
+    def single_runs(self) -> list:
+        """Per event, ((pair, event),) and (pair,): the `leaf_runs` members and
+        pairs of a leaf that holds that event alone, shared by every frame."""
+        return [((member,), (member[0],)) for member in self]
+
+    @cached_property
+    def repeats_a_slot(self) -> bool:
+        """Whether some event's pair holds one slot twice: a leaf of that
+        event alone then holds a slot twice too."""
+        return any(a == b for (a, b), _ in self)
 
     @cached_property
     def integer_rows(self) -> tuple[list, int]:
@@ -420,8 +434,10 @@ def leaf_runs(events: Sequence, foliation: Foliation, *,
     `warnings.warn` counts it (2: the caller).  A particle meeting two
     partners on one leaf raises OverlappingSimultaneousPairs.
 
-    Events are taken in pair order, so the stable sort by key leaves every
-    exact leaf's members in pair order."""
+    Each event's `Crossings.single_runs` entry is sorted by key, stably, so
+    a leaf of one event keeps that entry's members and pairs, shared by
+    every frame, and every exact leaf's members stay in pair order; only a
+    leaf of two or more events builds its own."""
     if not isinstance(events, Crossings):
         events = Crossings(sorted(events, key=itemgetter(0)))
     keys, scale = _leaf_keys(events, foliation)
@@ -435,19 +451,23 @@ def leaf_runs(events: Sequence, foliation: Foliation, *,
     # keys order like cores, so `same_leaf` (equality when exact) ties them too
     same_leaf = eq if exact else foliation.same_leaf
     runs: list = []
-    for key, member in sorted(zip(keys, events), key=itemgetter(0)):
+    merged: list = []  # the indices of the runs of two or more events, in order
+    for key, (members, pairs) in sorted(zip(keys, events.single_runs), key=itemgetter(0)):
         if runs and same_leaf(runs[-1][0], key):
-            first, members, pairs = runs[-1]
-            runs[-1] = (first, members + (member,), pairs + (member[0],))
+            first, held, held_pairs = runs[-1]
+            runs[-1] = (first, held + members, held_pairs + pairs)
+            if not merged or merged[-1] != len(runs) - 1:
+                merged.append(len(runs) - 1)
         else:
-            runs.append((key, (member,), (member[0],)))
-    for k, (key, members, pairs) in enumerate(runs):
+            runs.append((key, members, pairs))
+    # a run of one event holds a slot twice only when its pair does
+    for k in range(len(runs)) if events.repeats_a_slot else merged:
+        key, members, pairs = runs[k]
         if len(pairs) > 1 and not exact:  # a float leaf's members tie within 1e-9, not by key
             members = tuple(sorted(members, key=itemgetter(0)))
             pairs = tuple([pair for pair, _ in members])
             runs[k] = (key, members, pairs)
-        if len(pairs) > 1 or pairs[0][0] == pairs[0][1]:  # else no slot repeats
-            _check_slots(foliation, key, scale, pairs)
+        _check_slots(foliation, key, scale, pairs)
     return runs, scale
 
 

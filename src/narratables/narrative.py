@@ -31,10 +31,10 @@ from .quantum import (
     DotBuffers,
     SpinState,
     TwoSlotUnitary,
+    _applied,
     _checked,
     _swapped,
     angular_momentum_norms,
-    apply_group,
     identity_unitary,
     overlap,
     permuted,
@@ -183,7 +183,7 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
     step = _origin(scenario)
     fired, segments, inert = [], [step.state], []
     for group in collision_groups(runs, scale, foliation):
-        after = _step(step, group.pairs, unitaries, traces, {})
+        after = _step(step, group.pairs, unitaries, traces, {}, {})
         if after is None:
             inert.append(group)
             continue
@@ -215,10 +215,18 @@ class _Step:
     any group).  The state is `base`, the state after the last group with a
     contact that is not a swap, with its slot axes permuted by `axes`, those
     of the swaps fired since (None: no swap).  A swap-only group moves no
-    amplitude: the state is built where it is read, and not kept."""
+    amplitude: the state is built where it is read, and not kept.
+
+    A report links its steps as it walks: `moves` maps a group's pairs to
+    the step the rule takes over that group from here (None: none of its
+    contacts fires), and on rule a's steps `magnitudes` maps a step of rule
+    b to |<a|b>| of the two.  Within one report and rule, a step stands for
+    exactly one trace, so these keys are as good as traces."""
 
     def __init__(self, trace: tuple, base: SpinState, axes: Optional[tuple] = None):
         self.trace, self.base, self.axes = trace, base, axes
+        self.moves: dict = {}
+        self.magnitudes: dict = {}
 
     @property
     def state(self) -> SpinState:
@@ -233,30 +241,36 @@ def _origin(scenario: Scenario) -> _Step:
     return _Step((0,) * len(scenario.worldlines), scenario.initial_state)
 
 
-def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
-          steps: dict) -> Optional[_Step]:
+def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict, steps: dict,
+          checks: dict) -> Optional[_Step]:
     """One rule's step over a group of crossing `pairs` from `before`, with
     the rule's `_unitaries`, or None when none of its contacts fires.
 
-    The group is checked as `apply_group` checks one, and the step's contact
-    trace is interned in `traces`.  `steps` holds the steps that evolutions
-    of the same scenario and rule built, with the same `traces`, by their
-    traces: a step held under the trace the step reaches has its state
-    exactly, so it is reused.  Otherwise a group of swaps only permutes the
-    slot axes of `before`, and any other group runs `apply_group` on
-    `before`'s state; the new step is filed in `steps`."""
-    actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
-    if not actions:
+    The group's contacts are checked as `apply_group` checks a group, before
+    the trace is extended.  `checks` keeps a group's checked (unitary, a, b)
+    triples by its pairs, or None when no contact fires, for every step of
+    the rule: with the rule's unitaries, the check depends only on the pairs
+    and the slot count, so it runs once per pairs.  The step's contact trace
+    is interned in `traces`.  `steps` holds the steps that evolutions of the
+    same scenario and rule built, with the same `traces`, by their traces: a
+    step held under the trace the step reaches has its state exactly, so it
+    is returned.  Otherwise a group of swaps only permutes the slot axes of
+    `before`, and any other group runs its checked contacts on `before`'s
+    state; the new step is filed in `steps`."""
+    checked = checks.get(pairs, False)
+    if checked is False:
+        actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
+        checked = checks[pairs] = _checked(before.base, actions) if actions else None
+    if checked is None:
         return None
-    checked = _checked(before.base, actions)
-    trace = _trace_after(before.trace, actions, traces)
+    trace = _trace_after(before.trace, checked, traces)
     held = steps.get(trace)
     if held is not None:
         return held
-    if all(u.is_swap for u, _ in actions):
+    if all(u.is_swap for u, _, _ in checked):
         step = _Step(trace, before.base, _swapped(before.base.n_slots, before.axes, checked))
     else:
-        step = _Step(trace, apply_group(before.state, actions))
+        step = _Step(trace, _applied(before.state, checked))
     steps[trace] = step
     return step
 
@@ -291,19 +305,20 @@ def _spin_guard(scenario: Scenario, foliation: Foliation, scale: int, unitaries:
     return warned
 
 
-def _trace_after(trace: tuple, actions: list, traces: dict) -> tuple:
-    """The contact trace `trace` after one group's (unitary, pair) actions.
+def _trace_after(trace: tuple, checked: list, traces: dict) -> tuple:
+    """The contact trace `trace` after one group's checked (unitary, a, b)
+    contacts.
 
     A contact trace holds, per slot, the sequence of contacts that touched it,
-    interned in `traces` as (sequence id, pair) -> id.  A moves-only contact
+    interned in `traces` as (sequence id, a, b) -> id.  A moves-only contact
     touches its two slots; any other touches every slot, so it stays ordered
     against every contact.  Moves-only contacts on disjoint slots commute
     exactly, so two orders of the same contacts that reach one trace (the
     Mazurkiewicz trace of the contact sequence) reach one state."""
     slots = list(trace)
-    for u, pair in actions:
-        for s in pair if u.moves_only else range(len(slots)):
-            slots[s] = traces.setdefault((slots[s], pair), len(traces) + 1)
+    for u, a, b in checked:
+        for s in (a, b) if u.moves_only else range(len(slots)):
+            slots[s] = traces.setdefault((slots[s], a, b), len(traces) + 1)
     return tuple(slots)
 
 
@@ -315,8 +330,25 @@ class HistoryComparison:
     witness_overlap: Optional[float]
     min_overlap: float
     foliation: Foliation = field(repr=False)
-    points: tuple = field(repr=False)  # (sum of two keys, |overlap|), one per sample
-    scale: int = field(repr=False)  # sum/scale is the sample's core
+    start: float = field(repr=False)  # |overlap| before the first merged leaf
+    leaves: tuple = field(repr=False)  # (key over scale/2, |overlap| from it on) per merged leaf
+    scale: int = field(repr=False)  # a point's sum/scale is the sample's core
+
+    @cached_property
+    def points(self) -> tuple:
+        """(sum of two keys, |overlap|) per sample, built when first read:
+        before the first leaf, on each leaf, and after it (at the midpoint to
+        the next leaf, or one unit past the last); with no leaf, the one
+        sample is core 0."""
+        leaves, start = self.leaves, self.start
+        if not leaves:
+            return ((0, start),)
+        unit = self.scale // 2
+        points = [(2 * (leaves[0][0] - unit), start)]
+        for (key, mag), following in zip(leaves, leaves[1:] + (None,)):
+            after = 2 * (key + unit) if following is None else key + following[0]
+            points += [(2 * key, mag), (after, mag)]
+        return tuple(points)
 
     @cached_property
     def samples(self) -> tuple:
@@ -363,20 +395,24 @@ def _sampled(fol: Foliation, start: float, leaves: list, unit: int,
              tol: float) -> HistoryComparison:
     """The comparison sampled as `compare_histories` says, from the merged
     `leaves`, each (key over `unit`, |overlap| from it on), and the |overlap|
-    `start` before them.  A sample is kept as the sum of two keys, over
-    2 * unit, with its |overlap|; with no leaf, the one sample is core 0.  The
-    first sample off unit |overlap| by more than `tol` is the witness, whose
-    core and tau alone are built here."""
-    points, scale = [(0, start)], 2
-    if leaves:
-        points, scale = [(2 * (leaves[0][0] - unit), start)], 2 * unit
-        for (key, mag), following in zip(leaves, leaves[1:] + [None]):
-            after = 2 * (key + unit) if following is None else key + following[0]
-            points += [(2 * key, mag), (after, mag)]
-    witness = next(((*fol.core_and_tau(key, scale), mag) for key, mag in points
-                    if abs(mag - 1.0) > tol), (None, None, None))
-    min_overlap = min(mag for _, mag in points)
-    return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, tuple(points), scale)
+    `start` before them.  A sample is the sum of two keys, over 2 * unit (2
+    with no leaf), with its |overlap|; the samples are built when first read.
+    The first sample off unit |overlap| by more than `tol` is the witness,
+    whose core and tau alone are built here: the start sample, or else the
+    sample on the first such leaf, which comes before the one after it."""
+    scale = 2 * unit if leaves else 2
+    witness = (None, None, None)
+    if abs(start - 1.0) > tol:
+        first = 2 * (leaves[0][0] - unit) if leaves else 0
+        witness = (*fol.core_and_tau(first, scale), start)
+    else:
+        for key, mag in leaves:
+            if abs(mag - 1.0) > tol:
+                witness = (*fol.core_and_tau(2 * key, scale), mag)
+                break
+    min_overlap = min([start] + [mag for _, mag in leaves])
+    return HistoryComparison(witness[2] is None, *witness, min_overlap, fol, start,
+                             tuple(leaves), scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,14 +566,17 @@ def narratability_report(
     """Evolve under both rules in every frame and compare leaf by leaf.
 
     Every frame is grouped first, then walked from the initial state in
-    input order.  Each rule keeps two tables for the whole report: `moves`,
-    the step a group's pairs take from a contact trace (None: no contact of
-    the rule fires), so a group met again from one trace is one lookup; and
-    `steps`, where `_step` files the step it builds under its trace, so a
-    trace reached again through another order of commuting contacts reuses
-    its state.  |<a|b>| is taken once per pair of the two rules' traces, by
-    `placed_magnitude` from the two steps' bases and slot permutations into
-    the report's `DotBuffers`, with no state built.
+    input order, each rule from an origin step of its own.  A rule follows
+    its steps' links: a group met again from one step is one lookup in that
+    step's `moves`, and `_step` runs only for a new one.  For the whole
+    report each rule keeps two tables: `steps`, where `_step` files the step
+    it builds under its trace, so a trace reached again through another
+    order of commuting contacts reuses its step; and `checks`, where `_step`
+    keeps a group's checked contacts by its pairs, so the rule checks them
+    once.  |<a|b>| is taken once per pair of the two rules' steps, kept in
+    rule a's step's `magnitudes`, by `placed_magnitude` from the two steps'
+    bases and slot permutations into the report's `DotBuffers`, with no
+    state built.  Each frame's samples are built when first read.
     Each comparison equals `compare_histories` of the frame's two histories:
     every group either rule fires is its own merged leaf, over the frame's
     one scale.  LittleGroupWarnings are emitted once every frame is walked,
@@ -554,30 +593,31 @@ def narratability_report(
     # only a rule with a contact that does not conserve spin can leave some
     guarded = [any(not u.conserves_spin for u in unitaries.values()) for unitaries in rules]
     start = abs(overlap(scenario.initial_state, scenario.initial_state))
-    origin, traces, magnitudes = _origin(scenario), {}, {}
+    # the origin's links differ per rule: one origin step each
+    origins, traces = (_origin(scenario), _origin(scenario)), {}
     dots = DotBuffers(scenario.initial_state.n_slots)
-    tables = ({}, {}), ({}, {})  # per rule: moves, steps
+    tables = ({}, {}), ({}, {})  # per rule: steps, checks
     verdicts, warned = [], []
     for idx, (fol, (runs, scale)) in enumerate(zip(foliations, schedules)):
-        now, leaves, fired = [origin, origin], [], ([], [])
+        now, leaves, fired = list(origins), [], ([], [])
         for key, _, pairs in runs:
             moved = False
-            for r, (moves, steps) in enumerate(tables):
-                edge = (now[r].trace, pairs)
-                after = moves.get(edge, False)
+            for r in (0, 1):
+                before = now[r]
+                after = before.moves.get(pairs, False)
                 if after is False:
-                    after = moves[edge] = _step(now[r], pairs, rules[r], traces, steps)
+                    after = before.moves[pairs] = _step(before, pairs, rules[r], traces,
+                                                        *tables[r])
                 if after is not None:
                     now[r], moved = after, True
                     if guarded[r]:
                         fired[r].append((pairs, key, after))
             if moved:
                 a, b = now
-                pair = (a.trace, b.trace)
-                mag = magnitudes.get(pair)
+                mag = a.magnitudes.get(b)
                 if mag is None:
-                    mag = magnitudes[pair] = placed_magnitude(a.base, a.axes, b.base, b.axes,
-                                                              dots)
+                    mag = a.magnitudes[b] = placed_magnitude(a.base, a.axes, b.base, b.axes,
+                                                             dots)
                 leaves.append((key, mag))
         for r in (0, 1):  # rule a's warnings first
             warned += _spin_guard(scenario, fol, scale, rules[r], fired[r])

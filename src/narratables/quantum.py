@@ -286,9 +286,15 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
     axes, a view that moves amplitudes with no arithmetic; every other
     unitary is one `np.dot` product.
     """
+    return _applied(state, _checked(state, actions))
+
+
+def _applied(state: SpinState, checked: list) -> SpinState:
+    """`apply_group` for a group `_checked` has already checked: its
+    (unitary, a, b) triples."""
     n = state.n_slots
     arr = state.amplitudes
-    for u, a, b in _checked(state, actions):
+    for u, a, b in checked:
         lo, hi = min(a, b), max(a, b)
         view = arr.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi - 1))
         if u.is_swap:

@@ -197,6 +197,28 @@ def test_simulate_csv_takes_one_overlap_per_segment(tmp_path, monkeypatch):
         assert mag == f"{abs(original(history.segments[0], state)):.17g}"
 
 
+def test_simulate_formats_its_taus_in_one_call(monkeypatch):
+    # a history's groups share the frame's one scale: flip fires one group at
+    # rest and two under the x boost, free none, and each run formats all its
+    # taus in one call, whose strings label the leaves and the segments
+    calls = []
+    original = cli.format_taus
+
+    def counted(foliation, keys, scale):
+        calls.append(list(keys))
+        return original(foliation, keys, scale)
+
+    monkeypatch.setattr(cli, "format_taus", counted)
+    for rule, index, fired, label in [("flip", "0", 1, "tau >= 4"),
+                                      ("flip", "1", 2, "17/4 <= tau < 23/4"),
+                                      ("free", "1", 0, "all tau")]:
+        calls.clear()
+        code, out, _ = run_cli("simulate", DEMO, "--rule", rule, "--foliation", index)
+        assert code == 0
+        assert [len(keys) for keys in calls] == [fired]
+        assert f"({label})" in out
+
+
 def test_simulate_error_exits(tmp_path):
     code, _, err = run_cli("simulate", DEMO, "--rule", "nope", "--foliation", "0")
     assert code == 5

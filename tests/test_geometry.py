@@ -5,12 +5,14 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from operator import eq, itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from narratables import geometry
 from narratables.errors import (
     CoincidentWorldlines,
     ExactnessWarning,
@@ -31,6 +33,7 @@ from narratables.geometry import (
     collision_events,
     collision_schedule,
     group_by_leaf,
+    leaf_runs,
     lorentz_gamma,
     rest_foliation,
 )
@@ -787,6 +790,87 @@ def test_float_group_core_is_its_smallest_member_leaf_core(case, nudge):
     for g in groups:
         core = min(foliation.leaf_core(event) for _, event in g.collisions)
         assert type(g.core) is float and g.core.hex() == core.hex()
+
+
+def sorted_and_grouped(events, foliation):
+    """`leaf_runs` as it grouped before a leaf of one event shared its tuples:
+    (key, event) pairs sorted by key, stably, then grouped run by run into
+    fresh tuples; then a float leaf of two or more events re-sorted by pair,
+    and every leaf of two or more events, or of one pair that holds its slot
+    twice, checked."""
+    events = Crossings(sorted(events, key=itemgetter(0)))
+    keys, scale = geometry._leaf_keys(events, foliation)
+    exact = foliation.exact
+    same_leaf = eq if exact else foliation.same_leaf
+    runs = []
+    for key, member in sorted(zip(keys, events), key=itemgetter(0)):
+        if runs and same_leaf(runs[-1][0], key):
+            first, members, pairs = runs[-1]
+            runs[-1] = (first, members + (member,), pairs + (member[0],))
+        else:
+            runs.append((key, (member,), (member[0],)))
+    for k, (key, members, pairs) in enumerate(runs):
+        if len(pairs) > 1 and not exact:
+            members = tuple(sorted(members, key=itemgetter(0)))
+            pairs = tuple([pair for pair, _ in members])
+            runs[k] = (key, members, pairs)
+        if len(pairs) > 1 or pairs[0][0] == pairs[0][1]:
+            geometry._check_slots(foliation, key, scale, pairs)
+    return runs, scale
+
+
+@st.composite
+def leaf_run_cases(draw):
+    """Events as `leaf_event_sets` draws them, now and then with one more
+    whose pair holds a slot twice, and two frames.  The first is the drawn
+    exact velocity or its floats, nudged or not, so that a drawn leaf's
+    events tie exactly, within rounding or within 1e-9, or split; the second
+    is another velocity, exact or float."""
+    velocity, events = draw(leaf_event_sets())
+    if draw(st.integers(0, 9)) == 0:
+        slot = draw(st.integers(0, 11))
+        events.append(((slot, slot), Event(*draw(st.tuples(*[MIXED_COORDS] * 4)))))
+
+    def frame(velocity):
+        if draw(st.booleans()):
+            return Foliation(velocity)
+        nudge = draw(st.sampled_from([0.0, 1e-10, 4e-10, 2e-9]))
+        return Foliation(tuple(float(v) + nudge for v in velocity))
+
+    other = draw(st.tuples(MIXED_SPEEDS, MIXED_SPEEDS, MIXED_SPEEDS))
+    return events, (frame(velocity), frame(other))
+
+
+@given(leaf_run_cases())
+def test_leaf_runs_equal_the_sort_and_group_reference(case):
+    """`leaf_runs` gives the reference's runs, key types and scale, or its
+    OverlappingSimultaneousPairs text, from Crossings or a plain list; and a
+    leaf of one event, in either frame, holds that event's members and pairs
+    tuples from `Crossings.single_runs`, the same objects in both frames."""
+    events, frames = case
+    crossings = Crossings(sorted(events, key=itemgetter(0)))
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        for foliation in frames:
+            want = grouping_outcome(lambda: sorted_and_grouped(events, foliation))
+            got = grouping_outcome(lambda: leaf_runs(crossings, foliation))
+            assert got == want
+            assert grouping_outcome(lambda: leaf_runs(list(events), foliation)) == want
+            if not isinstance(got, str):
+                assert [type(key) for key, _, _ in got[0]] == [type(key) for key, _, _ in want[0]]
+            outcomes.append(got)
+    if any(isinstance(got, str) for got in outcomes):
+        return
+    index = {member: k for k, member in enumerate(crossings)}  # distinct pairs
+    alone = [{pairs[0]: (members, pairs) for _, members, pairs in runs if len(pairs) == 1}
+             for runs, _ in outcomes]
+    for runs in alone:
+        for members, pairs in runs.values():
+            shared = crossings.single_runs[index[members[0]]]
+            assert members is shared[0] and pairs is shared[1]
+    for pair in alone[0].keys() & alone[1].keys():
+        assert all(x is y for x, y in zip(alone[0][pair], alone[1][pair], strict=True))
 
 
 def reference_collide(a, b):

@@ -272,13 +272,13 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     rule = InteractionRule("half", ((("s1", "s3"), swap_unitary()),
                                     (("s2", "s4"), identity_unitary())))
     calls = []
-    apply_group = narrative.apply_group
+    applied = narrative._applied
 
-    def recording(state, actions):
-        calls.append(list(actions))
-        return apply_group(state, actions)
+    def recording(state, checked):
+        calls.append(list(checked))
+        return applied(state, checked)
 
-    monkeypatch.setattr(narrative, "apply_group", recording)
+    monkeypatch.setattr(narrative, "_applied", recording)
     built = _materializing(monkeypatch)
     scenario = demo_scenario()
     history = evolve(scenario, rest_foliation(), rule)
@@ -289,11 +289,11 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     assert calls == []
     assert built == [(2, 1, 0, 3)]
     # the step, and both rules' steps on a report's walk, reach the trace of
-    # the swap alone; the second frame takes that step from each rule's table
-    alone = narrative._trace_after((0, 0, 0, 0), [(swap_unitary(), (0, 2))], {})
+    # the swap alone; the second frame follows each rule's origin's link to it
+    alone = narrative._trace_after((0, 0, 0, 0), [(swap_unitary(), 0, 2)], {})
     (group,) = geometry.group_by_leaf(scenario.events, rest_foliation())
     unitaries = narrative._unitaries(scenario, rule)
-    step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {})
+    step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {}, {})
     assert step.trace == alone
     assert (step.base, step.axes) == (scenario.initial_state, (2, 1, 0, 3))
     with report_moves() as tables:
@@ -756,6 +756,70 @@ def test_samples_are_built_when_read_as_eagerly_before(pair):
     assert [tuple(map(type, s)) for s in samples] == [tuple(map(type, s)) for s in expected]
 
 
+def eager_sampled(fol, start, leaves, unit, tol):
+    """`narrative._sampled` as it built every sample before the samples were
+    deferred: (equal, witness, min_overlap, points, scale), with the witness
+    the first point off unit |overlap| by more than `tol`."""
+    points, scale = [(0, start)], 2
+    if leaves:
+        points, scale = [(2 * (leaves[0][0] - unit), start)], 2 * unit
+        for (key, mag), following in zip(leaves, leaves[1:] + [None]):
+            after = 2 * (key + unit) if following is None else key + following[0]
+            points += [(2 * key, mag), (after, mag)]
+    witness = next(((*fol.core_and_tau(key, scale), mag) for key, mag in points
+                    if abs(mag - 1.0) > tol), (None, None, None))
+    min_overlap = min(mag for _, mag in points)
+    return witness[2] is None, witness, min_overlap, tuple(points), scale
+
+
+# on 1, within 1e-10 of it, just past it, and far from it
+MAGNITUDES = st.sampled_from([1.0, 0.9999999999999996, 1.0000000000000004, 1 - 1e-10,
+                              1 - 2e-10, 0.5, 0.0]) | st.floats(0, 1)
+
+
+@st.composite
+def merged_leaves(draw):
+    """A foliation, the |overlap| before its merged leaves, the leaves as
+    (key, |overlap|) in increasing key order (none, at times), the scale their
+    keys are over and a tolerance: integer keys over a scale for an exact
+    foliation (rational or irrational gamma), float keys over 1 for a float
+    one, some beyond 1 in size."""
+    fol = draw(st.sampled_from([rest_foliation(), X_BOOST, Y_BOOST, FLOAT_BOOST]))
+    if fol.exact:
+        unit = draw(st.integers(1, 60))
+        keys = st.integers(-10**4, 10**4)
+    else:
+        unit = 1
+        keys = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.5, 1.5, 1e-9, 3e5])
+    leaves = [(key, draw(MAGNITUDES)) for key in sorted(draw(st.sets(keys, max_size=6)))]
+    tol = draw(st.sampled_from([COMPARISON_TOLERANCE, 0.0, 1e-3]))
+    return fol, draw(MAGNITUDES), leaves, unit, tol
+
+
+@given(merged_leaves())
+def test_deferred_samples_equal_the_eager_reference(case):
+    """`_sampled` finds the eager reference's verdict, witness and least
+    |overlap| from the leaves alone, and its points, scale and samples, built
+    when read, equal the reference's, value and type."""
+    fol, start, leaves, unit, tol = case
+    equal, witness, least, points, scale = eager_sampled(fol, start, leaves, unit, tol)
+    with counting("core_and_tau") as built:
+        comparison = narrative._sampled(fol, start, leaves, unit, tol)
+    assert built.call_count == (not equal)
+    assert comparison.equal == equal
+    got = (comparison.witness_core, comparison.witness_tau, comparison.witness_overlap)
+    assert got == witness
+    assert [type(x) for x in got] == [type(x) for x in witness]
+    assert comparison.min_overlap.hex() == least.hex()
+    assert (comparison.points, comparison.scale) == (points, scale)
+    assert [tuple(map(type, p)) for p in comparison.points] == [tuple(map(type, p))
+                                                                 for p in points]
+    samples = tuple((*fol.core_and_tau(key, scale), mag) for key, mag in points)
+    assert comparison.samples == samples
+    assert [tuple(map(type, s)) for s in comparison.samples] == [tuple(map(type, s))
+                                                                  for s in samples]
+
+
 def test_report_builds_core_and_tau_per_witness_warning_and_printed_group():
     # rational gamma (rest, x 3/5), irrational gamma (y 1/2, (1/3, 1/4, 0)) and float
     foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(1, 3), F(1, 4), F(0))),
@@ -824,8 +888,9 @@ def report_moves():
     """While active: one table per `narrative._unitaries` call, in call order
     (rule a's, then rule b's, per report), of the steps `narrative._step`
     takes with those unitaries, {(trace, pairs): step or None}.  A report
-    calls `_step` once per entry of its own `moves` tables, so these equal
-    them; a second call for one entry fails."""
+    calls `_step` once per link it adds to a step's `moves`, and a rule's
+    step stands for one trace, so these hold every link of the rule's steps;
+    a second call for one entry fails."""
     tables = []
     unitaries_of, step_of = narrative._unitaries, narrative._step
 
@@ -951,7 +1016,8 @@ def frozen(slots):
 
 def runs_contacts(scenario, rule, pairs):
     """Whether `rule` fires a contact that is not a swap (nor an identity) in
-    the group of `pairs`: a report then runs `apply_group` for it."""
+    the group of `pairs`: a report then runs the group's checked contacts
+    (`quantum._applied`) for it."""
     unitaries = (rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
                  for a, b in pairs)
     return any(not (u.is_identity or u.is_swap) for u in unitaries)
@@ -997,22 +1063,25 @@ def spin_warnings(run):
 def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     """Every verdict and LittleGroupWarning equals those of a fresh evolution
     and comparison of its frame, in input order.  A group of swaps only
-    permutes slot axes, so the `apply_group` calls lie between the distinct
+    permutes slot axes, so the `_applied` calls lie between the distinct
     contact traces that only fired groups with another contact reach (each
     needs one) and the distinct raw prefixes that end in such a group (a
     rule's table steps each group from one trace once).  Each rule's calls,
     one per step its table holds with no slot permutation, never exceed the
-    distinct traces that its groups with another contact reach.  A state is
-    built only for a spin check or a group that runs contacts: the one
-    overlap is of the initial states, and each magnitude after a group is
-    dotted from the steps' bases."""
+    distinct traces that its groups with another contact reach.  Each rule
+    checks the pairs of a group that fires one of its contacts once per
+    report, however many frames and steps meet them.  A state is built only
+    for a spin check or a group that runs contacts: the one overlap is of
+    the initial states, and each magnitude after a group is dotted from the
+    steps' bases."""
     lines, initial, rule_a, rule_b, foliations = case
     try:
         scenario = Scenario(name="orders", worldlines=tuple(lines), initial_state=initial)
-        with mock.patch.object(narrative, "apply_group", wraps=narrative.apply_group) as calls, \
+        with mock.patch.object(narrative, "_applied", wraps=narrative._applied) as calls, \
                 mock.patch.object(narrative, "permuted", wraps=narrative.permuted) as built, \
                 mock.patch.object(narrative, "overlap", wraps=overlap) as overlaps, \
                 mock.patch.object(narrative, "_carries_spin", wraps=narrative._carries_spin) as spins, \
+                mock.patch.object(narrative, "_checked", wraps=narrative._checked) as checks, \
                 report_moves() as tables:
             report, in_report = spin_warnings(
                 lambda: narratability_report(scenario, rule_a, rule_b, foliations))
@@ -1046,6 +1115,11 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
         assert ran[k] <= len(by_runs)
     assert sum(ran) == calls.call_count
     assert traces <= calls.call_count <= ending_in_runs
+    assert checks.call_count == sum(
+        len({pairs for seq in raw for pairs in seq
+             if any(not rule.unitary_for(*map(scenario.species_of, pair)).is_identity
+                    for pair in pairs)})
+        for rule in (rule_a, rule_b))
     states = sum(call.args[1] is not None for call in built.call_args_list)
     assert overlaps.call_count == 1
     assert states <= spins.call_count + calls.call_count
@@ -1187,7 +1261,7 @@ def test_prefix_reuse_stops_at_the_first_differing_group(monkeypatch):
     scenario = Scenario("diverging", tuple(lines), initial)
     rule = InteractionRule("random", default=random_unitary(7))
     forward, backward = Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0))
-    calls = _counting(monkeypatch, narrative, "apply_group")
+    calls = _counting(monkeypatch, narrative, "_applied")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
         _, made = report_histories(scenario, free_rule(), rule, [forward, backward])
@@ -1221,7 +1295,7 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
     cz = InteractionRule("cz", default=TwoSlotUnitary(np.diag([1, 1, 1, -1])))
     foliations = [Foliation((F(1, 2), 0, 0)), Foliation((F(-1, 2), 0, 0)),
                   Foliation((F(1, 20), 0, 0))]
-    calls = _counting(monkeypatch, narrative, "apply_group")
+    calls = _counting(monkeypatch, narrative, "_applied")
     built, placed = _materializing(monkeypatch), _placing(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LittleGroupWarning)
@@ -1232,7 +1306,7 @@ def test_prefix_states_are_filed_again_for_the_next_frame(monkeypatch):
         [((0, 1),), ((2, 3),), ((6, 7),), ((4, 5),)]]
     # CZ runs its contacts; flip's swaps only permute slot axes, and a flip
     # state is placed for the magnitude after each of its steps, never built
-    assert [actions for _, actions in calls] == [[(cz.default, p)] for p in (
+    assert [checked for _, checked in calls] == [[(cz.default, *p)] for p in (
         (2, 3), (0, 1), (6, 7), (4, 5), (0, 1), (4, 5))]
     assert (len(placed), built) == (4 + 1 + 1, [])
     with warnings.catch_warnings():
@@ -1299,7 +1373,7 @@ def test_same_fired_order_in_the_next_frame_applies_no_contact(monkeypatch):
     # state for the magnitude after each new pair of traces, which free's
     # initial state takes unpermuted
     scenario, free, flip = demo_scenario(), free_rule(), flip_rule()
-    calls = _counting(monkeypatch, narrative, "apply_group")
+    calls = _counting(monkeypatch, narrative, "_applied")
     built, placed = _materializing(monkeypatch), _placing(monkeypatch)
     evolve(scenario, X_BOOST, flip)
     assert (len(calls), built) == (0, [(0, 3, 2, 1), (2, 3, 0, 1)])
@@ -1327,7 +1401,7 @@ def test_reused_prefix_raises_the_warnings_of_fresh_evolutions(monkeypatch):
             run()
         return [(w.category, str(w.message)) for w in seen]
 
-    calls = _counting(monkeypatch, narrative, "apply_group")
+    calls = _counting(monkeypatch, narrative, "_applied")
     in_report = caught(lambda: narratability_report(scenario, free_rule(), cz, foliations))
     # evolved in the order rest, x 3/5, x 4/5, x 3/5: the boosts share every
     # state, and CZ is moves-only, so after both crossings the first boost
@@ -1358,16 +1432,16 @@ def test_a_step_checks_its_group_before_it_traces_it(u, pairs, error, message):
     # a group `apply_group` refuses (a slot past the last one or a negative
     # one, equal slots, a slot used twice) is refused with its text before the
     # contact trace is extended, which a slot out of range would index past
-    # its end or wrap to; nothing is interned or filed
+    # its end or wrap to; nothing is interned, filed or kept as checked
     initial = singlet_product(4, [(0, 1), (2, 3)])
-    traces, steps = {}, {}
+    traces, steps, checks = {}, {}, {}
     with pytest.raises(error) as from_apply:
         apply_group(initial, [(u, pair) for pair in pairs])
     with pytest.raises(error) as from_step:
         narrative._step(narrative._Step((0,) * 4, initial), pairs,
-                        {pair: u for pair in pairs}, traces, steps)
+                        {pair: u for pair in pairs}, traces, steps, checks)
     assert str(from_step.value) == str(from_apply.value) == message
-    assert (traces, steps) == ({}, {})
+    assert (traces, steps, checks) == ({}, {}, {})
 
 
 @st.composite
@@ -1409,14 +1483,14 @@ def contact_groups(draw, n):
 @given(relabeling_cases())
 def test_steps_build_the_amplitudes_of_sequential_groups_bit_for_bit(case):
     """A group of swaps only permutes the step's slot axes and keeps its base;
-    any other group runs `apply_group` on the built state.  Either way the
-    state built after each group is, byte for byte, that of `apply_group` on
-    every group in turn, signed zeros included."""
+    any other group runs its checked contacts on the built state.  Either way
+    the state built after each group is, byte for byte, that of `apply_group`
+    on every group in turn, signed zeros included."""
     initial, groups = case
     step, want = narrative._Step((0,) * initial.n_slots, initial), initial
     for actions in groups:
         unitaries = {pair: u for u, pair in actions}
-        after = narrative._step(step, tuple(unitaries), unitaries, {}, {})
+        after = narrative._step(step, tuple(unitaries), unitaries, {}, {}, {})
         want = apply_group(want, actions)
         if all(u.is_swap for u, _ in actions):
             assert after.base is step.base
@@ -1448,8 +1522,9 @@ def test_placed_magnitudes_equal_overlaps_of_built_states_bit_for_bit(case, data
             for r, groups in enumerate((groups_a, groups_b)):
                 if k < len(groups):
                     unitaries = {pair: u for u, pair in groups[k]}
+                    # each group has unitaries of its own: no checks carry over
                     now[r] = narrative._step(now[r], tuple(unitaries), unitaries, traces,
-                                             steps[r])
+                                             steps[r], {})
             a, b = now
             if (a.trace, b.trace) in seen:
                 continue
