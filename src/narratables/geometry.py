@@ -325,16 +325,6 @@ class CollisionGroup:
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple([pair for pair, _ in self.collisions]))
 
-    @classmethod
-    def _built(cls, key, scale: int, foliation: Foliation, collisions: tuple,
-               pairs: tuple) -> "CollisionGroup":
-        """The group the constructor builds, from pairs already walked: the
-        fields and `pairs` are stored without `__init__`'s per-field setattr."""
-        group = object.__new__(cls)
-        group.__dict__.update(key=key, scale=scale, foliation=foliation,
-                              collisions=collisions, pairs=pairs)
-        return group
-
     @property
     def core(self) -> Scalar:
         return self.foliation.core_and_tau(self.key, self.scale)[0]
@@ -473,8 +463,7 @@ def leaf_runs(events: Sequence, foliation: Foliation, *,
 
 def collision_groups(runs: Sequence, scale: int, foliation: Foliation) -> list[CollisionGroup]:
     """One `CollisionGroup` per `leaf_runs` run of the frame of `foliation`."""
-    return [CollisionGroup._built(key, scale, foliation, members, pairs)
-            for key, members, pairs in runs]
+    return [CollisionGroup(key, scale, foliation, members) for key, members, _ in runs]
 
 
 def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:

@@ -32,7 +32,6 @@ from .quantum import (
     SpinState,
     TwoSlotUnitary,
     _applied,
-    _checked,
     _swapped,
     angular_momentum_norms,
     identity_unitary,
@@ -167,7 +166,7 @@ class History:
     def segment_index(self, tau) -> int:
         """The index of the segment that holds at `tau`; right-continuous: on
         a collision leaf the new segment already holds."""
-        return bisect_right(self._float_breakpoints, float(tau))
+        return bisect_right(self._float_breakpoints, as_float(tau, "tau"))
 
     def state_at(self, tau) -> SpinState:
         return self.segments[self.segment_index(tau)]
@@ -183,7 +182,7 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
     step = _origin(scenario)
     fired, segments, inert = [], [step.state], []
     for group in collision_groups(runs, scale, foliation):
-        after = _step(step, group.pairs, unitaries, traces, {}, {})
+        after = _step(step, group.pairs, unitaries, traces, {})
         if after is None:
             inert.append(group)
             continue
@@ -241,36 +240,30 @@ def _origin(scenario: Scenario) -> _Step:
     return _Step((0,) * len(scenario.worldlines), scenario.initial_state)
 
 
-def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict, steps: dict,
-          checks: dict) -> Optional[_Step]:
+def _step(before: _Step, pairs: tuple, unitaries: dict, traces: dict,
+          steps: dict) -> Optional[_Step]:
     """One rule's step over a group of crossing `pairs` from `before`, with
     the rule's `_unitaries`, or None when none of its contacts fires.
 
-    The group's contacts are checked as `apply_group` checks a group, before
-    the trace is extended.  `checks` keeps a group's checked (unitary, a, b)
-    triples by its pairs, or None when no contact fires, for every step of
-    the rule: with the rule's unitaries, the check depends only on the pairs
-    and the slot count, so it runs once per pairs.  The step's contact trace
-    is interned in `traces`.  `steps` holds the steps that evolutions of the
-    same scenario and rule built, with the same `traces`, by their traces: a
-    step held under the trace the step reaches has its state exactly, so it
-    is returned.  Otherwise a group of swaps only permutes the slot axes of
-    `before`, and any other group runs its checked contacts on `before`'s
-    state; the new step is filed in `steps`."""
-    checked = checks.get(pairs, False)
-    if checked is False:
-        actions = [(unitaries[pair], pair) for pair in pairs if pair in unitaries]
-        checked = checks[pairs] = _checked(before.base, actions) if actions else None
-    if checked is None:
+    The pairs are a `leaf_runs` run's, so `Scenario` and the grouping have
+    checked them: distinct slots in range, none held twice on the leaf.  The
+    step's contact trace is interned in `traces`.  `steps` holds the steps
+    that evolutions of the same scenario and rule built, with the same
+    `traces`, by their traces: a step held under the trace the step reaches
+    has its state exactly, so it is returned.  Otherwise a group of swaps
+    only permutes the slot axes of `before`, and any other group runs its
+    contacts on `before`'s state; the new step is filed in `steps`."""
+    contacts = [(unitaries[pair], *pair) for pair in pairs if pair in unitaries]
+    if not contacts:
         return None
-    trace = _trace_after(before.trace, checked, traces)
+    trace = _trace_after(before.trace, contacts, traces)
     held = steps.get(trace)
     if held is not None:
         return held
-    if all(u.is_swap for u, _, _ in checked):
-        step = _Step(trace, before.base, _swapped(before.base.n_slots, before.axes, checked))
+    if all(u.is_swap for u, _, _ in contacts):
+        step = _Step(trace, before.base, _swapped(before.base.n_slots, before.axes, contacts))
     else:
-        step = _Step(trace, _applied(before.state, checked))
+        step = _Step(trace, _applied(before.state, contacts))
     steps[trace] = step
     return step
 
@@ -305,9 +298,8 @@ def _spin_guard(scenario: Scenario, foliation: Foliation, scale: int, unitaries:
     return warned
 
 
-def _trace_after(trace: tuple, checked: list, traces: dict) -> tuple:
-    """The contact trace `trace` after one group's checked (unitary, a, b)
-    contacts.
+def _trace_after(trace: tuple, contacts: list, traces: dict) -> tuple:
+    """The contact trace `trace` after one group's (unitary, a, b) contacts.
 
     A contact trace holds, per slot, the sequence of contacts that touched it,
     interned in `traces` as (sequence id, a, b) -> id.  A moves-only contact
@@ -316,7 +308,7 @@ def _trace_after(trace: tuple, checked: list, traces: dict) -> tuple:
     exactly, so two orders of the same contacts that reach one trace (the
     Mazurkiewicz trace of the contact sequence) reach one state."""
     slots = list(trace)
-    for u, a, b in checked:
+    for u, a, b in contacts:
         for s in (a, b) if u.moves_only else range(len(slots)):
             slots[s] = traces.setdefault((slots[s], a, b), len(traces) + 1)
     return tuple(slots)
@@ -565,22 +557,15 @@ def narratability_report(
 ) -> NarratabilityReport:
     """Evolve under both rules in every frame and compare leaf by leaf.
 
-    Every frame is grouped first, then walked from the initial state in
-    input order, each rule from an origin step of its own.  A rule follows
-    its steps' links: a group met again from one step is one lookup in that
-    step's `moves`, and `_step` runs only for a new one.  For the whole
-    report each rule keeps two tables: `steps`, where `_step` files the step
-    it builds under its trace, so a trace reached again through another
-    order of commuting contacts reuses its step; and `checks`, where `_step`
-    keeps a group's checked contacts by its pairs, so the rule checks them
-    once.  |<a|b>| is taken once per pair of the two rules' steps, kept in
-    rule a's step's `magnitudes`, by `placed_magnitude` from the two steps'
-    bases and slot permutations into the report's `DotBuffers`, with no
-    state built.  Each frame's samples are built when first read.
-    Each comparison equals `compare_histories` of the frame's two histories:
-    every group either rule fires is its own merged leaf, over the frame's
-    one scale.  LittleGroupWarnings are emitted once every frame is walked,
-    frame by frame, rule a's first.
+    Every frame is grouped first (`leaf_runs` checks each leaf), then walked
+    in input order from each rule's origin step.  A rule follows its steps'
+    `moves` links and calls `_step` only for a new one; `_step` files each
+    step under its trace, so a trace reached through another order of
+    commuting contacts reuses its step.  |<a|b>| is taken once per pair of
+    steps, kept in rule a's step's `magnitudes`, by `placed_magnitude` with
+    no state built.  Each comparison equals `compare_histories` of the
+    frame's two histories.  LittleGroupWarnings are emitted once every frame
+    is walked, frame by frame, rule a's first.
 
     A step after a group with a contact that is not a swap holds its own 2^n
     amplitudes until the report ends: at most the distinct traces such groups
@@ -596,7 +581,7 @@ def narratability_report(
     # the origin's links differ per rule: one origin step each
     origins, traces = (_origin(scenario), _origin(scenario)), {}
     dots = DotBuffers(scenario.initial_state.n_slots)
-    tables = ({}, {}), ({}, {})  # per rule: steps, checks
+    steps = ({}, {})  # per rule: `_step`'s steps by trace
     verdicts, warned = [], []
     for idx, (fol, (runs, scale)) in enumerate(zip(foliations, schedules)):
         now, leaves, fired = list(origins), [], ([], [])
@@ -607,7 +592,7 @@ def narratability_report(
                 after = before.moves.get(pairs, False)
                 if after is False:
                     after = before.moves[pairs] = _step(before, pairs, rules[r], traces,
-                                                        *tables[r])
+                                                        steps[r])
                 if after is not None:
                     now[r], moved = after, True
                     if guarded[r]:

@@ -246,23 +246,18 @@ def singlet_product(n_slots: int, pairing) -> SpinState:
     return state
 
 
-def _check_pair(state: SpinState, pair) -> tuple[int, int]:
-    a, b = int(pair[0]), int(pair[1])
-    for s in (a, b):
-        if not 0 <= s < state.n_slots:
-            raise SlotOutOfRange(f"slot {s} outside 0..{state.n_slots - 1}")
-    if a == b:
-        raise EqualSlots(f"contact unitary needs two distinct slots, got {a}")
-    return a, b
-
-
 def _checked(state: SpinState, actions: Iterable) -> list:
     """(unitary, a, b) per action of one group, once each pair's slots are in
     range and distinct and no slot is used by two of the group's actions."""
     checked = []
     used: set[int] = set()
     for u, pair in actions:
-        a, b = _check_pair(state, pair)
+        a, b = int(pair[0]), int(pair[1])
+        for s in (a, b):
+            if not 0 <= s < state.n_slots:
+                raise SlotOutOfRange(f"slot {s} outside 0..{state.n_slots - 1}")
+        if a == b:
+            raise EqualSlots(f"contact unitary needs two distinct slots, got {a}")
         for s in (a, b):
             if s in used:
                 raise OverlappingPairs(f"slot {s} used by two simultaneous unitaries")
@@ -290,8 +285,8 @@ def apply_group(state: SpinState, actions: Iterable) -> SpinState:
 
 
 def _applied(state: SpinState, checked: list) -> SpinState:
-    """`apply_group` for a group `_checked` has already checked: its
-    (unitary, a, b) triples."""
+    """`apply_group` for a checked group: its (unitary, a, b) triples, each on
+    two distinct slots in range, no slot used twice."""
     n = state.n_slots
     arr = state.amplitudes
     for u, a, b in checked:
@@ -306,21 +301,15 @@ def _applied(state: SpinState, checked: list) -> SpinState:
     return SpinState._owning(n, arr.reshape(-1))
 
 
-def swapped_axes(state: SpinState, axes: Optional[tuple], actions: Iterable) -> tuple:
-    """The slot permutation `axes` of `permuted(state, axes)` (None for the
-    identity) after one group of swap contacts, checked as `apply_group`
-    checks a group: a swap exchanges its two slots' bit axes, so it exchanges
-    their entries of `axes`, and no amplitude is moved."""
-    return _swapped(state.n_slots, axes, _checked(state, actions))
-
-
 def _swapped(n_slots: int, axes: Optional[tuple], checked: list) -> tuple:
-    """`swapped_axes` for a group `_checked` has already checked: its
-    (unitary, a, b) triples."""
+    """The slot permutation `axes` of `permuted(state, axes)` (None for the
+    identity) after one checked group of swaps, its (unitary, a, b) triples:
+    a swap exchanges its two slots' bit axes, so it exchanges their entries
+    of `axes`, and no amplitude is moved."""
     order = list(range(n_slots)) if axes is None else list(axes)
     for u, a, b in checked:
         if not u.is_swap:
-            raise ValueError("swapped_axes takes swap contacts only")
+            raise ValueError("_swapped takes swap contacts only")
         order[a], order[b] = order[b], order[a]
     return tuple(order)
 
@@ -330,7 +319,7 @@ def permuted(state: SpinState, axes: Optional[tuple]) -> SpinState:
     slot axes[i] of `state` holds (`state` itself for None).  It is one
     transposed copy, through the norm guard, that moves amplitudes with no
     arithmetic: bit for bit what `apply_group` gives for the swaps whose
-    `swapped_axes` are `axes`, signed zeros included."""
+    `_swapped` axes are `axes`, signed zeros included."""
     if axes is None:
         return state
     n = state.n_slots

@@ -1,21 +1,25 @@
 """Exact kinematics: boosts, leaf parameters, collisions, schedules."""
 
 import dataclasses
+import itertools
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 from operator import eq, itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from narratables import geometry
+from narratables import geometry, narrative, quantum
 from narratables.errors import (
     CoincidentWorldlines,
     ExactnessWarning,
+    OverlappingPairs,
     OverlappingSimultaneousPairs,
     SuperluminalVelocity,
 )
@@ -37,7 +41,22 @@ from narratables.geometry import (
     lorentz_gamma,
     rest_foliation,
 )
-from narratables.narrative import format_scalar, format_tau, format_taus
+from narratables.narrative import (
+    Scenario,
+    evolve,
+    flip_rule,
+    format_scalar,
+    format_tau,
+    format_taus,
+    narratability_report,
+)
+from narratables.quantum import (
+    SpinState,
+    TwoSlotUnitary,
+    identity_unitary,
+    singlet_product,
+    swap_unitary,
+)
 
 F = Fraction
 
@@ -618,6 +637,34 @@ def test_collision_events_are_frame_independent(lines, velocity):
         mine = sorted((event.t, leaf_of[(pair, event)]) for pair, event in events
                       if line.id in pair)
         assert all(a[1] < b[1] for a, b in zip(mine, mine[1:]))
+    # nor do causally ordered events on different worldlines: dt > 0 and
+    # dt^2 >= |dx|^2 give dt - v.dx >= dt (1 - |v|) > 0
+    for first, later in itertools.permutations(events, 2):
+        dt = later[1].t - first[1].t
+        dx = [b - a for a, b in zip(first[1].position(), later[1].position())]
+        if dt > 0 and dt * dt >= sum(c * c for c in dx):
+            assert leaf_of[later] > leaf_of[first]
+
+
+# the core gap is 1 - v_x, the smallest along +x; 0.999999 leaves 1e-6, beyond
+# the float tie tolerance
+@pytest.mark.parametrize("velocity", [
+    (0, 0, 0), (F(3, 5), 0, 0), (F(-3, 5), 0, 0), (F(12, 13), 0, 0), (F(99, 100), 0, 0),
+    (F(3, 5), F(4, 5) - F(1, 100), 0), (0.999999, 0.0, 0.0)])
+def test_lightlike_separated_crossings_of_different_lines_never_reorder(velocity):
+    # lines 0 and 1 cross at the origin, lines 2 and 3 at (1, 1, 0, 0), on
+    # the light cone of the first crossing; no other pair of lines meets
+    lines = [Worldline(0, "a", Event.of(0, 0, 0, 0), (0, 0, 0)),
+             Worldline(1, "b", Event.of(0, 0, 0, 0), (0, 0, F(1, 2))),
+             Worldline(2, "c", Event.of(1, 1, 0, 0), (0, 0, 0)),
+             Worldline(3, "d", Event.of(1, 1, 0, 0), (0, F(1, 2), 0))]
+    events = collision_events(lines)
+    assert [pair for pair, _ in events] == [(0, 1), (2, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        groups = group_by_leaf(events, Foliation(velocity))
+    assert [g.pairs for g in groups] == [((0, 1),), ((2, 3),)]
+    assert groups[0].core < groups[1].core
 
 
 # mixed denominators and both signs; |v|^2 <= 3/4 keeps every draw subluminal
@@ -748,6 +795,78 @@ def test_found_crossings_group_as_with_every_leaf_checked(lines, velocity):
         else:
             assert [(F(key, scale), pairs) for key, scale, pairs, _ in got] == [
                 (core, tuple(pair for pair, _ in members)) for core, _, members in reference]
+
+
+CONTACTS = st.sampled_from([swap_unitary(), identity_unitary(),
+                            TwoSlotUnitary(np.diag([1, 1, 1, -1])),
+                            TwoSlotUnitary(np.eye(4)[[0, 2, 1, 3]] * 1j)])
+
+
+@given(meeting_scenarios(), st.one_of(VELOCITIES, VELOCITIES.map(
+    lambda v: tuple(float(c) for c in v))), st.data())
+def test_a_walk_meets_only_groups_that_pass_the_contact_check(lines, velocity, data):
+    """Lines as `crossing_scenarios` draws them, half the time with a third
+    through one crossing, under an exact or a float frame.  Every run that
+    `leaf_runs` yields from the scenario's crossings passes
+    `quantum._checked` with any unitary on each pair, so the walk's `_step`
+    does not check it again.  A leaf where one line meets two partners
+    raises OverlappingSimultaneousPairs from grouping: `evolve` and a report
+    raise it with that text before any step is walked."""
+    n = len(lines)
+    try:
+        scenario = Scenario("walk", tuple(lines), SpinState(n, np.eye(1, 1 << n)[0]))
+    except CoincidentWorldlines:
+        assume(False)
+    foliation = Foliation(velocity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        try:
+            runs, _ = leaf_runs(scenario.events, foliation)
+        except OverlappingSimultaneousPairs as exc:
+            walks = (lambda: evolve(scenario, foliation, flip_rule()),
+                     lambda: narratability_report(scenario, flip_rule(), flip_rule(),
+                                                  [foliation, foliation]))
+            with mock.patch.object(narrative, "_step", side_effect=AssertionError("walked")):
+                for walk in walks:
+                    with pytest.raises(OverlappingSimultaneousPairs) as got:
+                        walk()
+                    assert str(got.value) == str(exc)
+            return
+    for _, _, pairs in runs:
+        actions = [(data.draw(CONTACTS), pair) for pair in pairs]
+        assert quantum._checked(scenario.initial_state, actions) == [
+            (u, a, b) for u, (a, b) in actions]
+
+
+TWELVE_SLOTS = singlet_product(12, [(k, k + 1) for k in range(0, 12, 2)])
+
+
+@given(leaf_event_sets(), st.sampled_from([None, 0.0, 1e-10, 4e-10]))
+def test_grouping_refuses_the_leaves_the_contact_check_refuses(case, nudge):
+    """Under the drawn exact velocity (nudge None) or its floats, nudged or
+    not: `leaf_runs` raises OverlappingSimultaneousPairs exactly when a run
+    it yields with its slot check off holds a slot twice, which
+    `quantum._checked` refuses, naming the same slot as the first such run;
+    otherwise it yields those runs, and each passes `_checked`."""
+    velocity, events = case
+    if nudge is not None:
+        velocity = tuple(float(v) + nudge for v in velocity)
+    foliation = Foliation(velocity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExactnessWarning)
+        got = grouping_outcome(lambda: leaf_runs(events, foliation)[0])
+        with mock.patch.object(geometry, "_check_slots"):
+            unchecked, _ = leaf_runs(events, foliation)
+    refused = []
+    for _, _, pairs in unchecked:
+        try:
+            quantum._checked(TWELVE_SLOTS, [(swap_unitary(), pair) for pair in pairs])
+        except OverlappingPairs as exc:
+            refused.append(re.match(r"slot (\d+) used by two", str(exc))[1])
+    if refused:
+        assert isinstance(got, str) and got.startswith(f"particle {refused[0]} collides twice")
+    else:
+        assert got == unchecked
 
 
 @given(crossing_scenarios(), VELOCITIES)

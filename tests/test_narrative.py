@@ -20,13 +20,10 @@ from narratables.cli import built_in_demo
 from narratables.errors import (
     BeyondFloatRange,
     CoincidentWorldlines,
-    EqualSlots,
     ExactnessWarning,
     FoliationMismatch,
     LittleGroupWarning,
-    OverlappingPairs,
     OverlappingSimultaneousPairs,
-    SlotOutOfRange,
 )
 from narratables.fileio import dump_scenario, load_scenario_file
 from narratables.geometry import CollisionGroup, Event, Foliation, Worldline, rest_foliation
@@ -293,7 +290,7 @@ def test_identity_contacts_are_left_out_of_a_fired_group(monkeypatch):
     alone = narrative._trace_after((0, 0, 0, 0), [(swap_unitary(), 0, 2)], {})
     (group,) = geometry.group_by_leaf(scenario.events, rest_foliation())
     unitaries = narrative._unitaries(scenario, rule)
-    step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {}, {})
+    step = narrative._step(narrative._origin(scenario), group.pairs, unitaries, {}, {})
     assert step.trace == alone
     assert (step.base, step.axes) == (scenario.initial_state, (2, 1, 0, 3))
     with report_moves() as tables:
@@ -313,6 +310,16 @@ def test_a_breakpoint_beyond_the_float_range_is_named_when_a_float_tau_is_looked
     assert history.breakpoints == (far / slow,)
     with pytest.raises(BeyondFloatRange, match=f"^breakpoint tau = {far / slow} is beyond"):
         history.state_at(0)
+
+
+@pytest.mark.parametrize("tau", [F(10**400), F(-10**400, 3), 10**400])
+def test_a_tau_beyond_the_float_range_is_named_when_it_is_looked_up(tau):
+    history = evolve(demo_scenario(), X_BOOST, flip_rule())
+    for lookup in (history.segment_index, history.state_at):
+        with pytest.raises(BeyondFloatRange, match=f"^tau = {tau} is beyond the float range$"):
+            lookup(tau)
+    assert history.state_at(F(10**300)) is history.segments[-1]
+    assert history.state_at(-1e300) is history.segments[0]
 
 
 def test_report_flags_non_narratable():
@@ -541,16 +548,7 @@ def test_initial_spin_from_the_pairing_equals_the_dense_check(shape, states):
 
 
 def test_report_and_rendering_build_no_collision_group_until_read(monkeypatch):
-    built = []
-    original = CollisionGroup._built.__func__
-
-    def counting(cls, *args):
-        built.append(args)
-        return original(cls, *args)
-
-    monkeypatch.setattr(CollisionGroup, "_built", classmethod(counting))
-    monkeypatch.setattr(CollisionGroup, "__post_init__",
-                        lambda group: pytest.fail("a CollisionGroup was constructed"))
+    built = _counting(monkeypatch, CollisionGroup, "__post_init__")
     foliations = [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))]
     report = narratability_report(demo_scenario(), free_rule(), flip_rule(), foliations)
     render_report(report)
@@ -1068,11 +1066,10 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
     needs one) and the distinct raw prefixes that end in such a group (a
     rule's table steps each group from one trace once).  Each rule's calls,
     one per step its table holds with no slot permutation, never exceed the
-    distinct traces that its groups with another contact reach.  Each rule
-    checks the pairs of a group that fires one of its contacts once per
-    report, however many frames and steps meet them.  A state is built only
-    for a spin check or a group that runs contacts: the one overlap is of
-    the initial states, and each magnitude after a group is dotted from the
+    distinct traces that its groups with another contact reach.  The walk
+    checks no group again: `leaf_runs` did.  A state is built only for a
+    spin check or a group that runs contacts: the one overlap is of the
+    initial states, and each magnitude after a group is dotted from the
     steps' bases."""
     lines, initial, rule_a, rule_b, foliations = case
     try:
@@ -1081,7 +1078,7 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
                 mock.patch.object(narrative, "permuted", wraps=narrative.permuted) as built, \
                 mock.patch.object(narrative, "overlap", wraps=overlap) as overlaps, \
                 mock.patch.object(narrative, "_carries_spin", wraps=narrative._carries_spin) as spins, \
-                mock.patch.object(narrative, "_checked", wraps=narrative._checked) as checks, \
+                mock.patch.object(quantum, "_checked", wraps=quantum._checked) as checks, \
                 report_moves() as tables:
             report, in_report = spin_warnings(
                 lambda: narratability_report(scenario, rule_a, rule_b, foliations))
@@ -1115,11 +1112,7 @@ def test_report_in_leaf_sequence_order_matches_fresh_frames(case):
         assert ran[k] <= len(by_runs)
     assert sum(ran) == calls.call_count
     assert traces <= calls.call_count <= ending_in_runs
-    assert checks.call_count == sum(
-        len({pairs for seq in raw for pairs in seq
-             if any(not rule.unitary_for(*map(scenario.species_of, pair)).is_identity
-                    for pair in pairs)})
-        for rule in (rule_a, rule_b))
+    assert checks.call_count == 0
     states = sum(call.args[1] is not None for call in built.call_args_list)
     assert overlaps.call_count == 1
     assert states <= spins.call_count + calls.call_count
@@ -1420,30 +1413,6 @@ CZ = TwoSlotUnitary(np.diag([1, 1, 1, -1]))
 PARSED_SWAP = TwoSlotUnitary(np.eye(4)[[0, 2, 1, 3]])
 
 
-@pytest.mark.parametrize("u", [swap_unitary(), CZ, random_unitary(3)])
-@pytest.mark.parametrize("pairs, error, message", [
-    (((0, 4),), SlotOutOfRange, "slot 4 outside 0..3"),
-    (((-1, 0),), SlotOutOfRange, "slot -1 outside 0..3"),
-    (((0, 4), (-1, 0)), SlotOutOfRange, "slot 4 outside 0..3"),
-    (((2, 2),), EqualSlots, "contact unitary needs two distinct slots, got 2"),
-    (((0, 1), (1, 2)), OverlappingPairs, "slot 1 used by two simultaneous unitaries"),
-])
-def test_a_step_checks_its_group_before_it_traces_it(u, pairs, error, message):
-    # a group `apply_group` refuses (a slot past the last one or a negative
-    # one, equal slots, a slot used twice) is refused with its text before the
-    # contact trace is extended, which a slot out of range would index past
-    # its end or wrap to; nothing is interned, filed or kept as checked
-    initial = singlet_product(4, [(0, 1), (2, 3)])
-    traces, steps, checks = {}, {}, {}
-    with pytest.raises(error) as from_apply:
-        apply_group(initial, [(u, pair) for pair in pairs])
-    with pytest.raises(error) as from_step:
-        narrative._step(narrative._Step((0,) * 4, initial), pairs,
-                        {pair: u for pair in pairs}, traces, steps, checks)
-    assert str(from_step.value) == str(from_apply.value) == message
-    assert (traces, steps, checks) == ({}, {}, {})
-
-
 @st.composite
 def relabeling_cases(draw):
     """A state on 2..12 slots, a singlet product (whose zero amplitudes carry
@@ -1490,7 +1459,7 @@ def test_steps_build_the_amplitudes_of_sequential_groups_bit_for_bit(case):
     step, want = narrative._Step((0,) * initial.n_slots, initial), initial
     for actions in groups:
         unitaries = {pair: u for u, pair in actions}
-        after = narrative._step(step, tuple(unitaries), unitaries, {}, {}, {})
+        after = narrative._step(step, tuple(unitaries), unitaries, {}, {})
         want = apply_group(want, actions)
         if all(u.is_swap for u, _ in actions):
             assert after.base is step.base
@@ -1522,9 +1491,8 @@ def test_placed_magnitudes_equal_overlaps_of_built_states_bit_for_bit(case, data
             for r, groups in enumerate((groups_a, groups_b)):
                 if k < len(groups):
                     unitaries = {pair: u for u, pair in groups[k]}
-                    # each group has unitaries of its own: no checks carry over
                     now[r] = narrative._step(now[r], tuple(unitaries), unitaries, traces,
-                                             steps[r], {})
+                                             steps[r])
             a, b = now
             if (a.trace, b.trace) in seen:
                 continue

@@ -37,7 +37,6 @@ from narratables.quantum import (
     placed_magnitude,
     singlet_product,
     swap_unitary,
-    swapped_axes,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -330,6 +329,24 @@ def test_apply_contact_slot_errors():
         apply_contact(state, swap_unitary(), (1, 1))
 
 
+@pytest.mark.parametrize("pairs, error, message", [
+    (((0, 4),), SlotOutOfRange, "slot 4 outside 0..3"),
+    (((-1, 0),), SlotOutOfRange, "slot -1 outside 0..3"),
+    (((0, 4), (-1, 0)), SlotOutOfRange, "slot 4 outside 0..3"),
+    (((2, 2),), EqualSlots, "contact unitary needs two distinct slots, got 2"),
+    (((2, 7),), SlotOutOfRange, "slot 7 outside 0..3"),
+    (((0, 1), (1, 2)), OverlappingPairs, "slot 1 used by two simultaneous unitaries"),
+    (((0, 1), (3, 3)), EqualSlots, "contact unitary needs two distinct slots, got 3"),
+])
+def test_apply_group_refuses_a_group_with_the_first_fault_named(pairs, error, message):
+    # each pair in turn: its slots in range, then distinct, then unused by
+    # the pairs before it
+    state = singlet_product(4, [(0, 1), (2, 3)])
+    for u in (swap_unitary(), TwoSlotUnitary(np.diag([1, 1, 1, -1]))):
+        with pytest.raises(error, match=f"^{message}$"):
+            apply_group(state, [(u, pair) for pair in pairs])
+
+
 def test_disjoint_contacts_commute():
     rng = np.random.default_rng(2718)
     for _ in range(1000):
@@ -587,32 +604,18 @@ def test_swap_groups_make_no_product(monkeypatch):
     assert out.amplitudes.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("pairs, error", [
-    (((0, 4),), SlotOutOfRange), (((-1, 2),), SlotOutOfRange), (((1, 1),), EqualSlots),
-    (((0, 2), (2, 3)), OverlappingPairs)])
-def test_swapped_axes_checks_a_group_as_apply_group_does(pairs, error):
-    state = singlet_product(4, [(0, 1), (2, 3)])
-    actions = [(swap_unitary(), pair) for pair in pairs]
-    with pytest.raises(error) as want:
-        apply_group(state, actions)
-    for axes in (None, (1, 0, 3, 2)):
-        with pytest.raises(error) as got:
-            swapped_axes(state, axes, actions)
-        assert str(got.value) == str(want.value)
-
-
-def test_swapped_axes_compose_swaps_and_permuted_builds_their_state():
+def test_swapped_composes_swaps_and_permuted_builds_their_state():
     state = state_with_zeros(np.random.default_rng(5), 4)
     first = [(swap_unitary(), (0, 2)), (swap_unitary(), (3, 1))]
-    axes = swapped_axes(state, None, first)
+    axes = quantum._swapped(4, None, quantum._checked(state, first))
     assert axes == (2, 3, 0, 1)
-    assert swapped_axes(state, axes, [(swap_unitary(), (2, 1))]) == (2, 0, 3, 1)
+    assert quantum._swapped(4, axes, [(swap_unitary(), 2, 1)]) == (2, 0, 3, 1)
     assert permuted(state, None) is state
     built = permuted(state, axes)
     assert built.amplitudes.tobytes() == apply_group(state, first).amplitudes.tobytes()
     assert not built.amplitudes.flags.writeable
     with pytest.raises(ValueError):
-        swapped_axes(state, None, [(TwoSlotUnitary(np.diag([1, 1, 1, -1])), (0, 1))])
+        quantum._swapped(4, None, [(TwoSlotUnitary(np.diag([1, 1, 1, -1])), 0, 1)])
 
 
 # no base is placed at 2**13, every base is at 1
