@@ -61,6 +61,7 @@ def _color_enabled() -> bool:
 
 
 def _fmt_amplitude(z: complex) -> str:
+    # callers pass a Python complex: an np.complex128's parts format at half the speed
     if abs(z.imag) <= 1e-12:
         return f"{z.real:+.12g}"
     if abs(z.real) <= 1e-12:
@@ -175,7 +176,7 @@ def cmd_simulate(args) -> int:
             span = f"{taus[i - 1]} <= tau < {taus[i]}"
         print(f"segment {i} ({span}):")
         for label, amp in segment.nonzero_terms():
-            print(f"  |{label}> {_fmt_amplitude(amp)}")
+            print(f"  |{label}> {_fmt_amplitude(complex(amp))}")
     return EXIT_OK
 
 
@@ -252,7 +253,7 @@ def cmd_algebra_solve_w(args) -> int:
     solution = algebra.solve_W(system)
     print(f"dimension: {system.H0.shape[0]}")
     print("W:")
-    for row in solution.W:
+    for row in solution.W.tolist():
         print("  [" + "  ".join(_fmt_amplitude(z) for z in row) + "]")
     print(f"residual |[K0,V] + [W,H]|_F = {solution.residual:.12g}")
     print(f"hermiticity defect of W: {algebra.hermiticity_defect(solution.W):.12g}")

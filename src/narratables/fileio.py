@@ -15,6 +15,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +46,18 @@ def _fail(where: str, why: str):
     raise ParseError(f"{where}: {why}")
 
 
+# the errors that building an object from file data may raise, each reported
+# as a ParseError at that data's location
+_DATA_ERRORS = (NarratablesError, ValueError, TypeError)
+
+
 @contextmanager
 def _located(where):
     """A domain error (ParseError included), ValueError or TypeError raised while
     building an object from file data becomes a ParseError prefixed with `where`."""
     try:
         yield
-    except (NarratablesError, ValueError, TypeError) as exc:
+    except _DATA_ERRORS as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -70,9 +76,22 @@ def _load_json(path) -> dict:
             raise ParseError("JSON nested too deeply to read") from exc
 
 
-def _exact_rational(value, where: str) -> Fraction:
+# The readers of single values below take a location as `where + at % args`:
+# `where` is kept as given (it may hold a path), and the location is formatted
+# only when the value fails or warns.
+
+def _exact_rational(value, where: str, at: str = "", *args) -> Fraction:
     """The one reader of exact rationals from files; oversized or non-finite
     values fail before Fraction() sees them."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and len(value) <= MAX_RATIONAL_CHARS:
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain:
+            denominator = int(plain[2] or 1)
+            if denominator:  # p/0 goes on to fail in Fraction() as any other
+                return Fraction(int(plain[1]), denominator)
+    where += at % args
     if isinstance(value, bool):
         _fail(where, f"expected a rational, got {value!r}")
     if isinstance(value, int):
@@ -80,11 +99,6 @@ def _exact_rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if len(value) > MAX_RATIONAL_CHARS:
             _fail(where, f"rational string longer than {MAX_RATIONAL_CHARS} characters")
-        plain = _PLAIN_RATIONAL.fullmatch(value)
-        if plain:
-            denominator = int(plain[2] or 1)
-            if denominator:  # p/0 goes on to fail in Fraction() as any other
-                return Fraction(int(plain[1]), denominator)
         exponent = _EXPONENT.search(value)
         if exponent and int(exponent[1].replace("_", "") or 0) > MAX_RATIONAL_CHARS:
             _fail(where, f"rational {value!r} has an exponent beyond {MAX_RATIONAL_CHARS}")
@@ -105,27 +119,63 @@ def _exact_rational(value, where: str) -> Fraction:
     _fail(where, f"expected a rational, got {type(value).__name__}")
 
 
-def _slot(value, where: str) -> int:
+def _file_rational(value, known: dict, where: str, at: str, *args) -> Fraction:
+    """`_exact_rational`, with `known` holding the strings one file has read so
+    far: a repeated string is parsed once, at its first position, where a bad
+    one is reported.  Floats are read at every position, as each warns at its own."""
+    if type(value) is not str:
+        return _exact_rational(value, where, at, *args)
+    rational = known.get(value)
+    if rational is None:
+        rational = known[value] = _exact_rational(value, where, at, *args)
+    return rational
+
+
+def _slot(value, where: str, at: str = "", *args) -> int:
     """A slot number: a non-bool integer, or a digit string (JSON object keys,
     as in `singles`, are always strings)."""
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        _fail(where, f"expected a slot number, got {value!r}")
+        _fail(where + at % args, f"expected a slot number, got {value!r}")
     return value
 
 
-def _complex_entry(value, where: str) -> complex:
+def _complex_entry(value, where: str, at: str = "", *args) -> complex:
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
-        _fail(where, f"expected a number or [re, im], got {value!r}")
+        _fail(where + at % args, f"expected a number or [re, im], got {value!r}")
     try:
         z = complex(*parts)
     except OverflowError:
-        _fail(where, "integer too large for a float")
+        _fail(where + at % args, "integer too large for a float")
     if not cmath.isfinite(z):
-        _fail(where, f"{value!r} is not a finite number")
+        _fail(where + at % args, f"{value!r} is not a finite number")
     return z
+
+
+_REAL = {int, float}
+
+
+def _in_one_pass(doc, entries: list):
+    """`doc`, whose entries are `entries`, as a complex array read in one numpy
+    pass, or None.  That pass takes a doc whose entries are all ints and
+    floats, or all [re, im] pairs of them, with every part finite and no
+    integer beyond the float range; any other doc (mixed forms, bools, None,
+    strings, nested lists) is left to `_complex_entry`, the one place an
+    entry's fault is located."""
+    kinds = set(map(type, entries))
+    pairs = kinds == {list}
+    if not (kinds <= _REAL or pairs and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= _REAL):
+        return None
+    try:
+        parts = np.array(doc, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    return parts.view(complex)[..., 0] if pairs else parts.astype(complex)
 
 
 def parse_matrix(doc, where: str) -> np.ndarray:
@@ -136,11 +186,14 @@ def parse_matrix(doc, where: str) -> np.ndarray:
     widths = {len(r) for r in doc}
     if len(widths) != 1:
         _fail(where, "rows have unequal lengths")
-    return np.array(
-        [[_complex_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
-         for i, row in enumerate(doc)],
-        dtype=complex,
-    )
+    matrix = _in_one_pass(doc, list(chain.from_iterable(doc)))
+    if matrix is None:
+        matrix = np.array(
+            [[_complex_entry(v, where, "[%d][%d]", i, j) for j, v in enumerate(row)]
+             for i, row in enumerate(doc)],
+            dtype=complex,
+        )
+    return matrix
 
 
 def parse_vector(doc, where: str) -> np.ndarray:
@@ -148,9 +201,12 @@ def parse_vector(doc, where: str) -> np.ndarray:
         doc = doc.get("vector", doc)
     if not isinstance(doc, list) or not doc:
         _fail(where, "expected a list of entries")
-    return np.array(
-        [_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(doc)], dtype=complex
-    )
+    vector = _in_one_pass(doc, doc)
+    if vector is None:
+        vector = np.array(
+            [_complex_entry(v, where, "[%d]", i) for i, v in enumerate(doc)], dtype=complex
+        )
+    return vector
 
 
 # sqrt of the smallest normal double: a plain norm below it comes from a
@@ -230,7 +286,7 @@ def parse_kernel(doc: dict, where: str = "kernel") -> MomentumKernel:
         for slot, coeff in entry.items():
             if slot not in names:
                 _fail(f"{where}.deltas[{i}]", f"unknown slot {slot!r}")
-            row[names.index(slot)] = _exact_rational(coeff, f"{where}.deltas[{i}].{slot}")
+            row[names.index(slot)] = _exact_rational(coeff, where, ".deltas[%d].%s", i, slot)
         rows.append(tuple(row))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -260,31 +316,35 @@ class ScenarioBundle:
     foliations: list  # Foliation
 
 
-def _parse_particle(entry, where: str) -> Worldline:
+def _parse_particle(entry, known: dict, where: str, i: int) -> Worldline:
+    """The worldline of `where`.particles[i], its rationals read through `known`."""
     if not isinstance(entry, dict):
-        _fail(where, "expected an object")
+        _fail(f"{where}.particles[{i}]", "expected an object")
     for key in ("id", "species", "start", "velocity"):
         if key not in entry:
-            _fail(where, f"missing key {key!r}")
+            _fail(f"{where}.particles[{i}]", f"missing key {key!r}")
     start = entry["start"]
     if isinstance(start, dict):
-        coords = [(start.get(k, 0), f"{where}.start.{k}") for k in ("t", "x", "y", "z")]
+        coords, at, keys = [start.get(k, 0) for k in "txyz"], ".particles[%d].start.%s", "txyz"
     elif isinstance(start, list) and len(start) == 4:
-        coords = [(c, f"{where}.start[{i}]") for i, c in enumerate(start)]
+        coords, at, keys = start, ".particles[%d].start[%d]", range(4)
     else:
-        _fail(f"{where}.start", "expected {t,x,y,z} or a 4-list")
+        _fail(f"{where}.particles[{i}].start", "expected {t,x,y,z} or a 4-list")
     velocity = entry["velocity"]
     if not isinstance(velocity, list) or len(velocity) != 3:
-        _fail(f"{where}.velocity", "expected a 3-list")
-    slot = _slot(entry["id"], f"{where}.id")
-    event = Event(*[_exact_rational(c, at) for c, at in coords])
+        _fail(f"{where}.particles[{i}].velocity", "expected a 3-list")
+    slot = _slot(entry["id"], where, ".particles[%d].id", i)
+    event = Event(*[_file_rational(c, known, where, at, i, k) for c, k in zip(coords, keys)])
     components = tuple(
-        _exact_rational(v, f"{where}.velocity[{i}]") for i, v in enumerate(velocity)
+        _file_rational(v, known, where, ".particles[%d].velocity[%d]", i, j)
+        for j, v in enumerate(velocity)
     )
-    with _located(where):
+    try:
         return Worldline(
             id=slot, species=str(entry["species"]), start=event, velocity=components
         )
+    except _DATA_ERRORS as exc:
+        raise ParseError(f"{where}.particles[{i}]: {exc}") from exc
 
 
 def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
@@ -303,7 +363,7 @@ def _parse_initial_state(doc, n_slots: int, where: str) -> SpinState:
         for k, pair in enumerate(doc["singlet_pairs"]):
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail(f"{here}[{k}]", f"expected a pair [a, b], got {pair!r}")
-            pairs.append(tuple(_slot(v, f"{here}[{k}][{m}]") for m, v in enumerate(pair)))
+            pairs.append(tuple(_slot(v, here, "[%d][%d]", k, m) for m, v in enumerate(pair)))
         if not isinstance(doc.get("singles", {}), dict):
             _fail(f"{where}.singles", "expected an object of {slot: vector} entries")
         singles = []
@@ -356,6 +416,8 @@ def _parse_rule(name: str, entries, where: str) -> InteractionRule:
 
 
 def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
+    """The bundle of a scenario file's doc.  Each distinct rational string of
+    the file is parsed once, through a memo that lasts this call only."""
     if not isinstance(doc, dict):
         _fail(where, "expected a JSON object")
     for key in ("particles", "initial_state", "rules", "foliations"):
@@ -364,9 +426,8 @@ def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
     particles = doc["particles"]
     if not isinstance(particles, list) or not particles:
         _fail(f"{where}.particles", "expected a non-empty list")
-    worldlines = [
-        _parse_particle(p, f"{where}.particles[{i}]") for i, p in enumerate(particles)
-    ]
+    known = {}  # rational string -> Fraction, for this file
+    worldlines = [_parse_particle(p, known, where, i) for i, p in enumerate(particles)]
     state = _parse_initial_state(
         doc["initial_state"], len(worldlines), f"{where}.initial_state"
     )
@@ -388,23 +449,25 @@ def parse_scenario(doc: dict, where: str = "scenario") -> ScenarioBundle:
         _fail(f"{where}.foliations", "expected a non-empty list of velocities")
     foliations = []
     for i, vel in enumerate(foliations_doc):
-        here = f"{where}.foliations[{i}]"
         if not isinstance(vel, list) or len(vel) != 3:
-            _fail(here, "expected a velocity 3-list")
+            _fail(f"{where}.foliations[{i}]", "expected a velocity 3-list")
         # floats stay floats here: the foliation then groups ties within 1e-9
         components = tuple(
-            v if isinstance(v, float) else _exact_rational(v, f"{here}[{j}]")
+            v if isinstance(v, float)
+            else _file_rational(v, known, where, ".foliations[%d][%d]", i, j)
             for j, v in enumerate(vel)
         )
         if any(isinstance(v, float) for v in vel):
             warnings.warn(
-                f"{here}: float velocity component; leaf grouping will use a "
-                "1e-9 tolerance instead of exact comparison",
+                f"{where}.foliations[{i}]: float velocity component; leaf grouping will "
+                "use a 1e-9 tolerance instead of exact comparison",
                 ExactnessWarning,
                 stacklevel=2,
             )
-        with _located(here):
+        try:
             foliations.append(Foliation(components))
+        except _DATA_ERRORS as exc:
+            raise ParseError(f"{where}.foliations[{i}]: {exc}") from exc
     return ScenarioBundle(scenario=scenario, rules=rules, foliations=foliations)
 
 

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isnan, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
@@ -166,7 +166,10 @@ class History:
     def segment_index(self, tau) -> int:
         """The index of the segment that holds at `tau`; right-continuous: on
         a collision leaf the new segment already holds."""
-        return bisect_right(self._float_breakpoints, as_float(tau, "tau"))
+        t = as_float(tau, "tau")
+        if isnan(t):  # bisect_right would place it after every breakpoint
+            raise ValueError(f"tau = {tau} is not a number")
+        return bisect_right(self._float_breakpoints, t)
 
     def state_at(self, tau) -> SpinState:
         return self.segments[self.segment_index(tau)]

@@ -114,9 +114,11 @@ def _guarded(n_slots: int, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+_SPINS = str.maketrans("01", "+-")
+
+
 def basis_label(index: int, n_slots: int) -> str:
-    bits = format(index, f"0{n_slots}b")
-    return "".join("+" if b == "0" else "-" for b in bits)
+    return format(index, f"0{n_slots}b").translate(_SPINS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ carrying a location string, and ExactnessWarning fires exactly when a bare
 float enters a field that exact simultaneity grouping depends on.
 """
 
+import cmath
 import copy
 import json
 import re
@@ -281,6 +282,50 @@ def test_float_coordinate_warns_and_reads_as_printed_decimal():
     with pytest.warns(ExactnessWarning, match="3/5"):
         bundle = parse_scenario(doc)
     assert bundle.scenario.worldlines[0].start.t == Fraction(1, 2)
+
+
+def test_a_bad_rational_string_is_reported_at_its_first_position():
+    doc = minimal_doc()
+    doc["particles"][0]["velocity"] = ["0", "0", "1/0"]
+    doc["particles"][0]["start"] = {"t": 0, "x": "0", "y": "1/0", "z": 0}
+    doc["foliations"] = [["1/0", "0", "0"]]
+    with pytest.raises(ParseError) as caught:
+        parse_scenario(doc)
+    assert str(caught.value) == "scenario.particles[0].start.y: cannot parse rational '1/0'"
+
+
+def test_a_repeated_float_coordinate_warns_at_each_position():
+    doc = minimal_doc()
+    doc["particles"][0]["start"] = {"t": 0.5, "x": 0, "y": 0.5, "z": 0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bundle = parse_scenario(doc)
+    assert [(w.category, str(w.message).split(": bare")[0]) for w in caught] == [
+        (ExactnessWarning, "scenario.particles[0].start.t"),
+        (ExactnessWarning, "scenario.particles[0].start.y"),
+    ]
+    start = bundle.scenario.worldlines[0].start
+    assert start.t == start.y == Fraction(1, 2)
+
+
+def test_each_distinct_rational_string_is_parsed_once_per_file(monkeypatch):
+    read = []
+    exact = fileio._exact_rational
+
+    def counted(value, *where):
+        read.append(value)
+        return exact(value, *where)
+
+    monkeypatch.setattr(fileio, "_exact_rational", counted)
+    doc = json.loads(data_path("demo_scenario.json").read_text())
+    strings = [c for p in doc["particles"] for c in [*p["start"].values(), *p["velocity"]]]
+    strings += [c for f in doc["foliations"] for c in f]
+    lines = parse_scenario(doc).scenario.worldlines
+    assert sorted(read) == sorted(set(strings)) and len(read) < len(strings)
+    # the memo lasts one call: a second parse reads every string again
+    read.clear()
+    assert parse_scenario(doc).scenario.worldlines == lines
+    assert sorted(read) == sorted(set(strings))
 
 
 def test_float_foliation_component_stays_float():
@@ -729,6 +774,131 @@ def test_parse_vector():
         parse_vector([], "v")
     with pytest.raises(ParseError, match=r"v\[0\]"):
         parse_vector([None], "v")
+
+
+def reference_entry(value, where):
+    """One matrix or vector entry read on its own, with the messages of the
+    per-entry reader."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ParseError(f"{where}: expected a number or [re, im], got {value!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        raise ParseError(f"{where}: integer too large for a float") from None
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where}: {value!r} is not a finite number")
+    return z
+
+
+def reference_matrix(doc, where):
+    if not isinstance(doc, list) or not doc or not all(isinstance(r, list) for r in doc):
+        raise ParseError(f"{where}: expected a list of rows")
+    if len({len(r) for r in doc}) != 1:
+        raise ParseError(f"{where}: rows have unequal lengths")
+    return np.array([[reference_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(doc)], dtype=complex)
+
+
+def reference_vector(doc, where):
+    if not isinstance(doc, list) or not doc:
+        raise ParseError(f"{where}: expected a list of entries")
+    return np.array([reference_entry(v, f"{where}[{i}]") for i, v in enumerate(doc)],
+                    dtype=complex)
+
+
+def read_outcome(read, doc, where):
+    try:
+        value = read(doc, where)
+    except ParseError as exc:
+        return str(exc)
+    return value.dtype, value.shape, value.tobytes()
+
+
+# ints, floats (NaN, +-inf and -0.0 among them) and integers at and beyond the
+# float range, alone or as [re, im] pairs
+NUMBERS = st.one_of(
+    st.integers(-2**64, 2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(2**1023, 2**1025).map(lambda n: n * (-1) ** (n % 2)),
+)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+FORMS = {"number": NUMBERS, "pair": PAIRS, "mixed": st.one_of(NUMBERS, PAIRS)}
+# entries neither reader takes: the per-entry one names each
+HOSTILE = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(NUMBERS, max_size=3).filter(lambda parts: len(parts) != 2),
+    st.lists(PAIRS, min_size=2, max_size=2),
+    st.lists(st.one_of(NUMBERS, st.booleans(), st.none()), min_size=2, max_size=2),
+    st.dictionaries(st.text(max_size=1), NUMBERS, max_size=1),
+)
+
+
+@st.composite
+def entry_docs(draw, dims):
+    """A matrix (dims 2) or vector (dims 1) doc of one form, at times with one
+    hostile or non-finite entry in it, or with one row made longer."""
+    entry = FORMS[draw(st.sampled_from(sorted(FORMS)))]
+    shape = [draw(st.integers(1, 4)) for _ in range(dims)]
+    if dims == 1:
+        doc = draw(st.lists(entry, min_size=shape[0], max_size=shape[0]))
+        rows = [doc]
+    else:
+        doc = [draw(st.lists(entry, min_size=shape[1], max_size=shape[1]))
+               for _ in range(shape[0])]
+        rows = doc
+    spoil = draw(st.sampled_from(["none", "none", "hostile", "non-finite", "ragged"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if spoil == "hostile":
+        row[draw(st.integers(0, len(row) - 1))] = draw(HOSTILE)
+    elif spoil == "non-finite":
+        part = draw(NON_FINITE)
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.sampled_from([part, [part, 0], [0, part]]))
+    elif spoil == "ragged":
+        row.append(draw(entry))
+    return doc
+
+
+@settings(max_examples=300)
+@given(entry_docs(2))
+def test_matrices_read_as_the_per_entry_reference_reads_them(doc):
+    assert read_outcome(parse_matrix, doc, "m") == read_outcome(reference_matrix, doc, "m")
+
+
+@settings(max_examples=300)
+@given(entry_docs(1))
+def test_vectors_read_as_the_per_entry_reference_reads_them(doc):
+    assert read_outcome(parse_vector, doc, "v") == read_outcome(reference_vector, doc, "v")
+
+
+def test_only_a_doc_of_mixed_or_faulty_entries_is_read_entry_by_entry(monkeypatch):
+    calls = []
+    per_entry = fileio._complex_entry
+
+    def counted(value, *where):
+        calls.append(value)
+        return per_entry(value, *where)
+
+    monkeypatch.setattr(fileio, "_complex_entry", counted)
+    for doc in ([[1, 0.5], [-0.0, 2**70]], [[[1, 0], [0, -0.0]], [[2, 3], [0.5, 1e308]]]):
+        assert parse_matrix(doc, "m").shape == (2, 2)
+        assert parse_vector(doc[0], "v").shape == (2,)
+    assert calls == []
+    assert parse_vector([1, [0, 1]], "v").tolist() == [1, 1j]
+    assert calls == [1, [0, 1]]
+    for doc, message in [
+        ([[1, 2], [3, float("nan")]], "m[1][1]: nan is not a finite number"),
+        ([[[1, 2], [3, 10**400]]], "m[0][1]: integer too large for a float"),
+        ([[1, 2], [3, True]], "m[1][1]: expected a number or [re, im], got True"),
+        ([[[1, 2], [3, 4, 5]]], "m[0][1]: expected a number or [re, im], got [3, 4, 5]"),
+    ]:
+        with pytest.raises(ParseError) as caught:
+            parse_matrix(doc, "m")
+        assert str(caught.value) == message
 
 
 def test_matrix_and_vector_files(tmp_path):

@@ -322,6 +322,18 @@ def test_a_tau_beyond_the_float_range_is_named_when_it_is_looked_up(tau):
     assert history.state_at(-1e300) is history.segments[0]
 
 
+@pytest.mark.parametrize("tau", [float("nan"), -float("nan"), np.float64("nan")])
+def test_a_nan_tau_is_refused_and_named(tau):
+    # bisect_right places a NaN after every breakpoint: the last segment, unrefused
+    history = evolve(demo_scenario(), rest_foliation(), flip_rule())
+    assert len(history.segments) == 2
+    for lookup in (history.segment_index, history.state_at):
+        with pytest.raises(ValueError, match=r"^tau = nan is not a number$"):
+            lookup(tau)
+    assert history.state_at(float("inf")) is history.segments[-1]
+    assert history.state_at(float("-inf")) is history.segments[0]
+
+
 def test_report_flags_non_narratable():
     report = narratability_report(
         demo_scenario(),
