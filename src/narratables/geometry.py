@@ -78,7 +78,8 @@ def lorentz_gamma(velocity: Sequence[Scalar]) -> Scalar:
     a float component makes gamma a float."""
     v2 = sum(c * c for c in velocity)
     if not v2 < 1:  # also catches a NaN component
-        raise SuperluminalVelocity(f"|v|^2 = {v2} >= 1")
+        fault = ">= 1" if v2 >= 1 else "is not a number"
+        raise SuperluminalVelocity(f"|v|^2 = {v2} {fault}")
     if isinstance(v2, Fraction):  # v.v = (p*q)/q^2 for v.v = p/q
         return _rational_gamma(v2.numerator * v2.denominator, v2.denominator)
     return _float_gamma(float(v2), float(1 - v2))

@@ -7,9 +7,7 @@ elimination), not from the package's own code paths.
 """
 
 import contextlib
-import io
 import json
-import os
 import sys
 import time
 import warnings
@@ -26,7 +24,7 @@ from narratables.algebra import (
     same_history_check,
     solve_W,
 )
-from narratables.cli import built_in_demo, main
+from narratables.cli import built_in_demo
 from narratables.clusterkit import (
     MomentumKernel,
     analyze,
@@ -49,6 +47,8 @@ from narratables.quantum import (
     singlet_product,
     swap_unitary,
 )
+
+from corpus import run_cli
 
 
 @contextlib.contextmanager
@@ -457,24 +457,6 @@ def test_criterion_7_boosts_singlets_and_float_agreement():
 
 
 # -- criterion 8: the command-line surface is deterministic -------------------
-
-
-def run_cli(*argv):
-    previous = os.environ.get("NARRATABLES_COLOR")
-    os.environ["NARRATABLES_COLOR"] = "never"
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        if previous is None:
-            del os.environ["NARRATABLES_COLOR"]
-        else:
-            os.environ["NARRATABLES_COLOR"] = previous
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_criterion_8_cli_runs_are_byte_identical(tmp_path):

@@ -1,11 +1,9 @@
 """End-to-end command-line tests: output wording, CSV shape, exit codes.
 
-Everything runs in-process through main(argv) with color disabled via the
-environment so assertions see plain text.
+Everything runs in-process through main(argv), by `corpus.run_cli`, with color
+disabled via the environment so assertions see plain text.
 """
 
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -18,7 +16,7 @@ import pytest
 
 import narratables
 from narratables import algebra, cli
-from narratables.cli import built_in_demo, main
+from narratables.cli import built_in_demo
 from narratables.errors import ExactnessWarning
 from narratables.fileio import (
     dump_scenario,
@@ -28,25 +26,9 @@ from narratables.fileio import (
     write_scenario_file,
 )
 
+from corpus import run_cli
+
 DEMO = str(resources.files("narratables").joinpath("data", "demo_scenario.json"))
-
-
-def run_cli(*argv, color="never"):
-    previous = os.environ.get("NARRATABLES_COLOR")
-    os.environ["NARRATABLES_COLOR"] = color
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:  # argparse usage failures
-                code = exc.code
-    finally:
-        if previous is None:
-            del os.environ["NARRATABLES_COLOR"]
-        else:
-            os.environ["NARRATABLES_COLOR"] = previous
-    return code, out.getvalue(), err.getvalue()
 
 
 def csv_rows(path):
@@ -619,7 +601,8 @@ def _set_x(value):
         "initial_state", {"amplitudes": [float("nan")] + [0] * 15})),
     _scenario_edit("float-overflowing-amplitude", lambda doc: doc.__setitem__(
         "initial_state", {"amplitudes": [10**400] + [0] * 15})),
-    _scenario_edit("nan-foliation", lambda doc: doc["foliations"].append([float("nan"), 0, 0])),
+    _scenario_edit("nan-foliation", lambda doc: doc["foliations"].append([float("nan"), 0, 0]),
+                   ".foliations[3]: |v|^2 = nan is not a number"),
     _scenario_edit("nan-coordinate", _set_x(float("nan")), ".particles[0].start.x: "),
     _scenario_edit("huge-exponent-coordinate", _set_x("1e99999999"), ".particles[0].start.x: "),
     _scenario_edit("long-rational-string", _set_x("1" * 101), ".particles[0].start.x: "),

@@ -1,7 +1,5 @@
 """The README's `$ narratables ...` transcripts are what the commands print."""
 
-import contextlib
-import io
 import re
 import shlex
 from pathlib import Path
@@ -9,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from narratables import cli
-from narratables.cli import main
 from narratables.errors import IndexOutOfRange, NarratablesError, ParseError, UnknownRule
+
+from corpus import run_cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXIT_ROW = re.compile(r"^\| (\d+) +\| (.*?) *\|$", re.MULTILINE)
@@ -33,12 +32,8 @@ def test_readme_has_the_two_transcripts():
 
 
 @pytest.mark.parametrize("argv, expected", transcripts())
-def test_readme_transcript_matches_stdout(monkeypatch, argv, expected):
-    monkeypatch.setenv("NARRATABLES_COLOR", "never")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(argv)
-    assert out.getvalue() == expected
+def test_readme_transcript_matches_stdout(argv, expected):
+    assert run_cli(*argv)[1] == expected
 
 
 # words each exit code's README row must hold, by cli constant and by error class
