@@ -14,12 +14,13 @@ and an `ExactnessWarning` is emitted.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from operator import eq, itemgetter
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     BeyondFloatRange,
@@ -277,8 +278,14 @@ def rest_foliation() -> Foliation:
     return Foliation((Fraction(0), Fraction(0), Fraction(0)))
 
 
-def collide(a: Worldline, b: Worldline) -> Optional[Event]:
+def collide(a: Worldline, b: Worldline, *,
+            as_integers: bool = False) -> Union[Event, tuple, None]:
     """Exact intersection event of two worldlines, or None if they miss.
+
+    With `as_integers`, the event as integers over one denominator instead:
+    ((T, X, Y, Z), d) with t = T/d and so on, d > 0 and the five reduced by
+    their gcd.  `collision_events` reads every crossing so, and builds no
+    Event.
 
     Raises CoincidentWorldlines when the two trajectories are identical.
 
@@ -308,8 +315,13 @@ def collide(a: Worldline, b: Worldline) -> Optional[Event]:
     # t = n*dva*dvb / d and x = Pa/dpa + (Va/dva)*t, both over d = m*dpa*dpb
     d = m * dpa * dpb
     n *= dvb
-    return Event(Fraction(n * dva, d),
-                 *(Fraction(p * m * dpb + v * n, d) for p, v in zip(pa, va)))
+    row = (n * dva, *(p * m * dpb + v * n for p, v in zip(pa, va)))
+    if not as_integers:
+        return Event(*(Fraction(c, d) for c in row))
+    common = gcd(*row, d)
+    if d < 0:
+        common = -common
+    return tuple([c // common for c in row]), d // common
 
 
 @dataclass(frozen=True)
@@ -335,45 +347,66 @@ class CollisionGroup:
         return self.foliation.leaf_tau(self.key, self.scale)
 
 
-class Crossings(tuple):
-    """Collision events ((id_low, id_high), Event), sorted by pair, that put
-    their coordinates over one common denominator once (`integer_rows`), and
-    build once the members and pairs of a leaf that holds one crossing
-    alone (`single_runs`)."""
+class Crossings:
+    """A scenario's crossings: each crossing's pair, sorted and distinct, and
+    its (T, X, Y, Z) as integers over the crossings' one common denominator
+    d (`integer_rows`: t = T/d, x = X/d, and so on).  Its ((id_low, id_high),
+    Event) `entries` are built when first read.
+
+    `collision_events` builds one from worldlines without any Event, and
+    `Crossings.of` from such entries."""
+
+    def __init__(self, pairs: tuple, rows: list, d: int):
+        if any(p >= q for p, q in zip(pairs, pairs[1:])):
+            raise ValueError(f"crossing pairs must be sorted and distinct: {pairs}")
+        self.pairs = pairs
+        self.integer_rows = (rows, d)
+        # per crossing, the `leaf_runs` pairs of a leaf that holds it alone,
+        # shared by every frame
+        self.single_runs = [(pair,) for pair in pairs]
+        # whether some pair holds one slot twice: a leaf of that crossing
+        # alone then holds a slot twice too
+        self.repeats_a_slot = any(a == b for a, b in pairs)
+
+    @classmethod
+    def of(cls, entries: Iterable) -> "Crossings":
+        """The crossings of ((id_low, id_high), Event) entries, in any order;
+        a pair given twice raises ValueError."""
+        entries = sorted(entries, key=itemgetter(0))
+        flat, d = _over_lcm([c for _, e in entries for c in e.coordinates()])
+        return cls(tuple([pair for pair, _ in entries]),
+                   [flat[k:k + 4] for k in range(0, len(flat), 4)], d)
 
     @cached_property
-    def single_runs(self) -> list:
-        """Per event, ((pair, event),) and (pair,): the `leaf_runs` members and
-        pairs of a leaf that holds that event alone, shared by every frame."""
-        return [((member,), (member[0],)) for member in self]
+    def entries(self) -> tuple:
+        """((id_low, id_high), Event) per crossing, sorted by pair."""
+        rows, d = self.integer_rows
+        return tuple([(pair, Event(*(Fraction(c, d) for c in row)))
+                      for pair, row in zip(self.pairs, rows)])
 
-    @cached_property
-    def repeats_a_slot(self) -> bool:
-        """Whether some event's pair holds one slot twice: a leaf of that
-        event alone then holds a slot twice too."""
-        return any(a == b for (a, b), _ in self)
-
-    @cached_property
-    def integer_rows(self) -> tuple[list, int]:
-        """Each event's (T, X, Y, Z) as integers, and their common denominator
-        d: t = T/d, x = X/d, and so on."""
-        flat, d = _over_lcm([c for _, e in self for c in e.coordinates()])
-        return [flat[k:k + 4] for k in range(0, len(flat), 4)], d
+    def members(self, pairs: Sequence) -> tuple:
+        """The `entries` of `pairs`, in their order."""
+        entries, held = self.entries, self.pairs
+        return tuple([entries[bisect_left(held, pair)] for pair in pairs])
 
 
 def collision_events(worldlines: Sequence[Worldline]) -> Crossings:
-    """Every pairwise crossing as ((id_low, id_high), Event), sorted by pair;
-    the same in every frame.  Identical lines raise CoincidentWorldlines."""
+    """Every pairwise crossing, sorted by pair, as integer rows over one
+    common denominator; the same in every frame.  Identical lines raise
+    CoincidentWorldlines."""
     lines = sorted(worldlines, key=lambda w: w.id)
     if len({w.id for w in lines}) != len(lines):
         raise ValueError("worldline ids must be unique")
-    events = []
+    pairs, hits = [], []
     for ai in range(len(lines)):
         for bi in range(ai + 1, len(lines)):
-            event = collide(lines[ai], lines[bi])
-            if event is not None:
-                events.append(((lines[ai].id, lines[bi].id), event))
-    return Crossings(events)
+            hit = collide(lines[ai], lines[bi], as_integers=True)
+            if hit is not None:
+                pairs.append((lines[ai].id, lines[bi].id))
+                hits.append(hit)
+    d = lcm(*[q for _, q in hits])
+    rows = [row if q == d else tuple([c * (d // q) for c in row]) for row, q in hits]
+    return Crossings(tuple(pairs), rows, d)
 
 
 def _check_slots(foliation: Foliation, key, scale: int, pairs) -> None:
@@ -391,7 +424,7 @@ def _check_slots(foliation: Foliation, key, scale: int, pairs) -> None:
 
 
 def _leaf_keys(events: Crossings, foliation: Foliation) -> tuple[list, int]:
-    """Each event's leaf key, and the scale that turns a key into a core.
+    """Each crossing's leaf key, and the scale that turns a key into a core.
 
     With the event coordinates over their common denominator de (t = T/de,
     ...) and a rational velocity over dv (v = (a, b, c)/dv), the core is
@@ -405,7 +438,7 @@ def _leaf_keys(events: Crossings, foliation: Foliation) -> tuple[list, int]:
             return [t / de - sum(v * (p / de) for v, p in zip(foliation.velocity, xyz))
                     for t, *xyz in rows], 1
         except OverflowError:  # t / de or p / de: name the first such coordinate
-            for pair, event in events:
+            for pair, event in events.entries:
                 for name, c in zip("txyz", event.coordinates()):
                     as_float(c, f"float foliation {foliation.velocity}: {name} of crossing {pair}")
             raise
@@ -413,24 +446,28 @@ def _leaf_keys(events: Crossings, foliation: Foliation) -> tuple[list, int]:
     return [t * dv - (a * x + b * y + c * z) for t, x, y, z in rows], dv * de
 
 
+def _as_crossings(events: Iterable) -> Crossings:
+    """`events` as Crossings, from ((id_low, id_high), Event) entries."""
+    return events if isinstance(events, Crossings) else Crossings.of(events)
+
+
 def leaf_runs(events: Sequence, foliation: Foliation, *,
               stacklevel: int = 2) -> tuple[list, int]:
     """Collision events grouped by leaf, ordered by increasing tau, as one run
-    (key, members, pairs) per leaf, and the frame's one scale: the leaf's
-    core is key/scale, `members` its ((id_low, id_high), Event) entries and
-    `pairs` their pairs, both sorted by pair.  No core or tau is built here.
+    (key, pairs) per leaf, and the frame's one scale: the leaf's core is
+    key/scale and `pairs` its crossings' pairs, sorted.  No core, tau or
+    Event is built here.
 
     `Foliation.same_leaf` decides ties: exact for rational velocities, within
     1e-9 for float ones, with an ExactnessWarning at `stacklevel` as
     `warnings.warn` counts it (2: the caller).  A particle meeting two
     partners on one leaf raises OverlappingSimultaneousPairs.
 
-    Each event's `Crossings.single_runs` entry is sorted by key, stably, so
-    a leaf of one event keeps that entry's members and pairs, shared by
-    every frame, and every exact leaf's members stay in pair order; only a
-    leaf of two or more events builds its own."""
-    if not isinstance(events, Crossings):
-        events = Crossings(sorted(events, key=itemgetter(0)))
+    Each crossing's `Crossings.single_runs` entry is sorted by key, stably,
+    so a leaf of one crossing keeps that entry's pairs tuple, shared by every
+    frame, and every exact leaf's pairs stay in order; only a leaf of two or
+    more crossings builds its own."""
+    events = _as_crossings(events)
     keys, scale = _leaf_keys(events, foliation)
     exact = foliation.exact
     if not exact and keys:
@@ -442,36 +479,39 @@ def leaf_runs(events: Sequence, foliation: Foliation, *,
     # keys order like cores, so `same_leaf` (equality when exact) ties them too
     same_leaf = eq if exact else foliation.same_leaf
     runs: list = []
-    merged: list = []  # the indices of the runs of two or more events, in order
-    for key, (members, pairs) in sorted(zip(keys, events.single_runs), key=itemgetter(0)):
+    merged: list = []  # the indices of the runs of two or more crossings, in order
+    for key, pairs in sorted(zip(keys, events.single_runs), key=itemgetter(0)):
         if runs and same_leaf(runs[-1][0], key):
-            first, held, held_pairs = runs[-1]
-            runs[-1] = (first, held + members, held_pairs + pairs)
+            first, held = runs[-1]
+            runs[-1] = (first, held + pairs)
             if not merged or merged[-1] != len(runs) - 1:
                 merged.append(len(runs) - 1)
         else:
-            runs.append((key, members, pairs))
-    # a run of one event holds a slot twice only when its pair does
+            runs.append((key, pairs))
+    # a run of one crossing holds a slot twice only when its pair does
     for k in range(len(runs)) if events.repeats_a_slot else merged:
-        key, members, pairs = runs[k]
-        if len(pairs) > 1 and not exact:  # a float leaf's members tie within 1e-9, not by key
-            members = tuple(sorted(members, key=itemgetter(0)))
-            pairs = tuple([pair for pair, _ in members])
-            runs[k] = (key, members, pairs)
+        key, pairs = runs[k]
+        if len(pairs) > 1 and not exact:  # a float leaf's pairs tie within 1e-9, not by key
+            pairs = tuple(sorted(pairs))
+            runs[k] = (key, pairs)
         _check_slots(foliation, key, scale, pairs)
     return runs, scale
 
 
-def collision_groups(runs: Sequence, scale: int, foliation: Foliation) -> list[CollisionGroup]:
-    """One `CollisionGroup` per `leaf_runs` run of the frame of `foliation`."""
-    return [CollisionGroup(key, scale, foliation, members) for key, members, _ in runs]
+def collision_groups(runs: Sequence, scale: int, foliation: Foliation,
+                     events: Crossings) -> list[CollisionGroup]:
+    """One `CollisionGroup` per `leaf_runs` run of `events` in the frame of
+    `foliation`, with its crossings' entries looked up by pair."""
+    return [CollisionGroup(key, scale, foliation, events.members(pairs))
+            for key, pairs in runs]
 
 
 def group_by_leaf(events: Sequence, foliation: Foliation) -> list[CollisionGroup]:
     """Collision events grouped by leaf, ordered by increasing tau: the
     `leaf_runs` of the frame, each as a `CollisionGroup` that keeps its
     leaf's key and the frame's one scale."""
-    return collision_groups(*leaf_runs(events, foliation, stacklevel=3), foliation)
+    events = _as_crossings(events)
+    return collision_groups(*leaf_runs(events, foliation, stacklevel=3), foliation, events)
 
 
 def collision_schedule(

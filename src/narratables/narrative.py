@@ -25,8 +25,8 @@ from math import gcd, isnan, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FoliationMismatch, LittleGroupWarning
-from .geometry import (Foliation, Scalar, as_float, collision_events, collision_groups,
-                       leaf_runs)
+from .geometry import (Crossings, Foliation, Scalar, as_float, collision_events,
+                       collision_groups, leaf_runs)
 from .quantum import (
     DotBuffers,
     SpinState,
@@ -104,7 +104,7 @@ class Scenario:
     worldlines: tuple
     initial_state: SpinState
     # every crossing, found once; a foliation only groups them into leaves
-    events: tuple = field(init=False, repr=False)
+    events: Crossings = field(init=False, repr=False)
 
     def __post_init__(self):
         lines = tuple(sorted(self.worldlines, key=lambda w: w.id))
@@ -184,7 +184,7 @@ def evolve(scenario: Scenario, foliation: Foliation, rule: InteractionRule) -> H
     unitaries, traces = _unitaries(scenario, rule), {}
     step = _origin(scenario)
     fired, segments, inert = [], [step.state], []
-    for group in collision_groups(runs, scale, foliation):
+    for group in collision_groups(runs, scale, foliation, scenario.events):
         after = _step(step, group.pairs, unitaries, traces, {})
         if after is None:
             inert.append(group)
@@ -202,7 +202,7 @@ def _unitaries(scenario: Scenario, rule: InteractionRule) -> dict:
     unitary is not the identity: an identity contact changes no amplitude, so
     it is left out of every group it shares."""
     pairs = {(a, b): rule.unitary_for(scenario.species_of(a), scenario.species_of(b))
-             for (a, b), _event in scenario.events}
+             for a, b in scenario.events.pairs}
     return {pair: u for pair, u in pairs.items() if not u.is_identity}
 
 
@@ -412,19 +412,20 @@ def _sampled(fol: Foliation, start: float, leaves: list, unit: int,
 
 @dataclass(frozen=True, eq=False)
 class FrameVerdict:
-    """One frame's verdict, with the frame's `leaf_runs`, (key, members,
-    pairs) per leaf over the frame's one `scale`; `groups` wraps them as
-    `group_by_leaf` does when first read."""
+    """One frame's verdict, with the frame's `leaf_runs` of the scenario's
+    crossings `events`, (key, pairs) per leaf over the frame's one `scale`;
+    `groups` wraps them as `group_by_leaf` does when first read."""
 
     foliation_index: int
     foliation: Foliation
     runs: tuple
     scale: int
     comparison: HistoryComparison
+    events: Crossings = field(repr=False)
 
     @cached_property
     def groups(self) -> tuple:
-        return tuple(collision_groups(self.runs, self.scale, self.foliation))
+        return tuple(collision_groups(self.runs, self.scale, self.foliation, self.events))
 
     @property
     def equal(self) -> bool:
@@ -511,8 +512,8 @@ def render_report(report: NarratabilityReport, colorize: bool = False) -> str:
         fol = v.foliation
         lines.append(format_foliation(v.foliation_index, fol))
         lines.append(f"  collision leaves: {len(v.runs)}")
-        taus = format_taus(fol, [key for key, _, _ in v.runs], v.scale)
-        for tau, (_, _, pairs) in zip(taus, v.runs):
+        taus = format_taus(fol, [key for key, _ in v.runs], v.scale)
+        for tau, (_, pairs) in zip(taus, v.runs):
             label = labels.get(pairs)
             if label is None:
                 label = labels[pairs] = format_pairs(pairs)
@@ -588,7 +589,7 @@ def narratability_report(
     verdicts, warned = [], []
     for idx, (fol, (runs, scale)) in enumerate(zip(foliations, schedules)):
         now, leaves, fired = list(origins), [], ([], [])
-        for key, _, pairs in runs:
+        for key, pairs in runs:
             moved = False
             for r in (0, 1):
                 before = now[r]
@@ -610,7 +611,7 @@ def narratability_report(
         for r in (0, 1):  # rule a's warnings first
             warned += _spin_guard(scenario, fol, scale, rules[r], fired[r])
         verdicts.append(FrameVerdict(idx, fol, tuple(runs), scale,
-                                     _sampled(fol, start, leaves, scale, tol)))
+                                     _sampled(fol, start, leaves, scale, tol), scenario.events))
     _emit(warned)
     return NarratabilityReport(
         scenario_name=scenario.name,

@@ -170,7 +170,7 @@ def scenario_bundles(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExactnessWarning)
         foliations = [Foliation(v) for v in velocities]
-    assume(all(f.exact or clear_of_ties(scenario.events, f) for f in foliations))
+    assume(all(f.exact or clear_of_ties(scenario.events.entries, f) for f in foliations))
     return ScenarioBundle(scenario, {name: draw(rules(name)) for name in names}, foliations)
 
 

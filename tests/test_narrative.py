@@ -1,6 +1,7 @@
 """Histories across foliations and the non-narratability verdict."""
 
 import contextlib
+import importlib
 import io
 import json
 import warnings
@@ -8,6 +9,7 @@ from bisect import bisect_right
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,7 @@ from narratables.narrative import (
     compare_histories,
     evolve,
     flip_rule,
+    format_foliation,
     free_rule,
     narratability_report,
     render_report,
@@ -444,9 +447,9 @@ def _counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
@@ -505,6 +508,67 @@ def test_report_groups_each_foliation_once(monkeypatch):
     assert [v.groups for v in report.verdicts] == [
         tuple(geometry.group_by_leaf(demo_scenario().events, fol)) for fol in foliations
     ]
+
+
+def _event_constructions(monkeypatch):
+    """Every `geometry.Event` built from here on, as its coordinates."""
+    built = []
+    original = geometry.Event.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(geometry.Event, "__init__", counting)
+    return built
+
+
+def _frames_pool(monkeypatch, seed):
+    """The `frames` workload's pool of `seed` in round 0, as the arguments of
+    its timed call: (name, lines, state, foliations, (rule_a, rule_b))."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    frames = importlib.import_module("workloads").Frames(seed)
+    return [frames.variant(frames.make(index), 0) for index in range(frames.pool)]
+
+
+def test_a_report_and_its_rendering_build_no_event(monkeypatch):
+    """A report and its rendering read crossings only through their pairs and
+    integer rows: from the scenario on, no `Event` is built, on the demo and
+    on every op of the seed-7 `frames` pool.  The groups a verdict builds
+    when read are still `group_by_leaf`'s."""
+    demo = demo_scenario()
+    cases = [("demo", demo.worldlines, demo.initial_state,
+              [rest_foliation(), X_BOOST, Y_BOOST, Foliation((F(-3, 5), 0, 0))],
+              (free_rule(), flip_rule()))]
+    cases += _frames_pool(monkeypatch, 7)
+    for name, lines, state, foliations, (rule_a, rule_b) in cases:
+        built = _event_constructions(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scenario = Scenario(name, lines, state)
+            report = narratability_report(scenario, rule_a, rule_b, foliations)
+            render_report(report)
+            assert built == []
+            monkeypatch.undo()
+            for v in report.verdicts:
+                assert v.groups == tuple(geometry.group_by_leaf(scenario.events, v.foliation))
+
+
+def test_format_foliation_text_of_rational_irrational_and_float_frames():
+    expected = ["foliation 0: v = (0, 0, 0), gamma = 1",
+                "foliation 1: v = (3/5, 0, 0), gamma = 5/4",
+                "foliation 2: v = (1/2, 0, 0), gamma = 1.15470053838",
+                "foliation 3: v = (-1/3, 1/4, 1/5), gamma = 1.12766815354",
+                "foliation 4: v = (0.6, 0, 0), gamma = 1.25"]
+    velocities = [(0, 0, 0), (F(3, 5), 0, 0), (F(1, 2), 0, 0), (F(-1, 3), F(1, 4), F(1, 5)),
+                  (0.6, 0.0, 0.0)]
+    foliations = [Foliation(v) for v in velocities]
+    assert [format_foliation(k, fol) for k, fol in enumerate(foliations)] == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        text = render_report(narratability_report(demo_scenario(), free_rule(), flip_rule(),
+                                                  foliations))
+    assert [line for line in text.splitlines() if line.startswith("foliation")] == expected
 
 
 def test_spin_guard_of_a_singlet_product_takes_no_dense_pass(monkeypatch):
